@@ -54,11 +54,12 @@ figures:
 calibrate:
 	$(GO) run ./cmd/calibrate
 
-# bench measures the engine hot paths and the end-to-end figure-suite wall
-# time and refreshes BENCH_engine.json (see docs/performance.md). Slow: it
-# runs the full figure sweep twice (-j 1 and -j N).
+# bench runs the repository benchmark (simbench: every workload, the
+# per-layer CPU shares, the work counters and the engine microbenchmarks)
+# and refreshes BENCH_engine.json, which names the host it ran on (see
+# docs/performance.md).
 bench:
-	$(GO) run ./cmd/enginebench -out BENCH_engine.json
+	bash simbench/run.sh -out BENCH_engine.json
 
 # benchsmoke is the CI-sized version: one iteration of every engine
 # microbenchmark, no figure sweeps — it proves the benchmarks still compile
@@ -86,26 +87,31 @@ topocheck:
 	cmp /tmp/repro-topo-j1.txt /tmp/repro-topo-j8.txt
 
 # pdescheck gates the conservative parallel (sharded) runtime: the topo
-# family run serially and with every world split across 8 shard engines
-# must emit byte-identical tables, and the sharded binary is built with
-# -race so the barrier protocol's happens-before claims are machine-checked
-# on every CI run, not just argued in comments.
+# family run on one engine (-shards 0 and -shards 1, which must agree) and
+# with every world split across 8 shard engines must emit byte-identical
+# tables, and the sharded binary is built with -race so the barrier
+# protocol's happens-before claims are machine-checked on every CI run, not
+# just argued in comments.
 pdescheck:
 	$(GO) build -race -o /tmp/repro-figures-race ./cmd/figures
+	/tmp/repro-figures-race -only topo -scale 2 -j 1 -shards 0 > /tmp/repro-topo-s0.txt
 	/tmp/repro-figures-race -only topo -scale 2 -j 1 -shards 1 > /tmp/repro-topo-s1.txt
 	/tmp/repro-figures-race -only topo -scale 2 -j 1 -shards 8 > /tmp/repro-topo-s8.txt
+	cmp /tmp/repro-topo-s0.txt /tmp/repro-topo-s1.txt
 	cmp /tmp/repro-topo-s1.txt /tmp/repro-topo-s8.txt
 
 # congestioncheck gates the congestion-control family: bounded queues, ECN
 # echoes, DCQCN pacing, VL credits, uplink throttling and the background
-# aggressors all keep per-shard state, so the loaded figure grid run serially
-# and with every world split across 8 shard engines must emit byte-identical
-# tables — under -race, like pdescheck, so the merge paths are also
-# machine-checked for data races.
+# aggressors all keep per-shard state, so the loaded figure grid run on one
+# engine (-shards 0 and -shards 1) and with every world split across 8 shard
+# engines must emit byte-identical tables — under -race, like pdescheck, so
+# the merge paths are also machine-checked for data races.
 congestioncheck:
 	$(GO) build -race -o /tmp/repro-figures-race ./cmd/figures
+	/tmp/repro-figures-race -only congestion -scale 2 -j 1 -shards 0 > /tmp/repro-congestion-s0.txt
 	/tmp/repro-figures-race -only congestion -scale 2 -j 1 -shards 1 > /tmp/repro-congestion-s1.txt
 	/tmp/repro-figures-race -only congestion -scale 2 -j 1 -shards 8 > /tmp/repro-congestion-s8.txt
+	cmp /tmp/repro-congestion-s0.txt /tmp/repro-congestion-s1.txt
 	cmp /tmp/repro-congestion-s1.txt /tmp/repro-congestion-s8.txt
 
 # breakdowncheck covers the latency-attribution family: causal tracing and

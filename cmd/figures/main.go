@@ -11,10 +11,9 @@
 // run concurrently (default GOMAXPROCS); every world is an independent
 // simulation, so the output is byte-identical at any -j. -shards splits each
 // world of the shard-aware families (fig1, topo, faults) across N engines
-// via the conservative parallel runtime (internal/pdes); output is
-// byte-identical at any -shards >= 1, while the default 0 keeps the legacy
-// single-engine worlds. -list prints the experiment catalogue as JSON and
-// exits.
+// via the conservative parallel runtime (internal/pdes); 0 (the default)
+// and 1 both run each world on one engine, and the output is byte-identical
+// at any -shards. -list prints the experiment catalogue as JSON and exits.
 package main
 
 import (
@@ -35,7 +34,7 @@ func main() {
 	csvDir := flag.String("csv", "", "also write one CSV per figure into this directory")
 	scale := flag.Int("scale", 1, "sweep thinning factor (1 = full paper sweeps)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "concurrent experiment worlds (1 = sequential)")
-	shards := flag.Int("shards", 0, "engines per world for shard-aware families (0 = legacy single-engine worlds; output is identical at any value >= 1)")
+	shards := flag.Int("shards", 0, "engines per world for shard-aware families (0 and 1 = one engine; output is identical at any value)")
 	progress := flag.Bool("progress", false, "print live world-completion and ETA lines to stderr (stdout is unaffected)")
 	list := flag.Bool("list", false, "print the experiment catalogue as JSON and exit")
 	flag.Parse()

@@ -43,7 +43,7 @@ func main() {
 	metricsFlag := flag.Bool("metrics", false, "dump the metrics registry as JSON to stdout after the test")
 	faultsFile := flag.String("faults", "", "apply a fault scenario (JSON, see docs/faults.md) to every testbed the test builds")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "concurrent experiment worlds for tests that build several")
-	shards := flag.Int("shards", 0, "engines per world for shard-aware tests (0 = legacy single-engine worlds)")
+	shards := flag.Int("shards", 0, "engines per world for shard-aware tests (0 and 1 = one engine; output is identical at any value)")
 	ratio := flag.Int("ratio", 0, "leaf-spine oversubscription ratio for -test alltoall (0 = single switch)")
 	congested := flag.Bool("congested", false, "arm the stack's congestion control and the fabric's bounded queues for -test alltoall")
 	bgload := flag.Float64("bgload", 0, "background-traffic load per source in (0, 1] for -test alltoall (0 = no aggressor)")
@@ -68,16 +68,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "netbench: -bgshape and -bgseed parameterize the aggressor; set -bgload > 0 to start one")
 		os.Exit(2)
 	}
-	if *shards >= 1 {
-		// Per-shard engines keep per-shard traces and registries; the
-		// single-engine dump below would silently miss the other shards'
-		// events, so refuse the combination instead of lying.
-		if *traceFile != "" || *traceJSONL != "" || *metricsFlag {
-			fmt.Fprintln(os.Stderr, "netbench: -trace/-tracejsonl/-metrics cannot dump a sharded world; drop -shards or the observability flags")
-			os.Exit(2)
-		}
-		bench.SetShards(*shards)
-	}
+	bench.SetShards(*shards)
 
 	kind, ok := parseKind(*netName)
 	if !ok {
@@ -101,7 +92,15 @@ func main() {
 		// something when worlds are built one at a time; tracing a -j N run
 		// would also interleave unrelated worlds' events. Run sequentially.
 		parallel.SetJobs(1)
+		observe := *traceFile != "" || *traceJSONL != "" || *metricsFlag
 		cluster.OnNew = func(tb *cluster.Testbed) {
+			if observe && tb.Shards() > 1 {
+				// Shard engines keep per-shard traces and registries; the
+				// single-engine dump below would silently miss the other
+				// shards' events, so refuse the combination instead of lying.
+				fmt.Fprintf(os.Stderr, "netbench: -trace/-tracejsonl/-metrics cannot dump a world split across %d shard engines; use -shards 1 or drop the observability flags\n", tb.Shards())
+				os.Exit(2)
+			}
 			lastTB = tb
 			if *traceFile != "" || *traceJSONL != "" {
 				tb.Eng.StartTrace(*traceCap)
@@ -113,7 +112,7 @@ func main() {
 				}
 			}
 		}
-		if *traceFile != "" || *traceJSONL != "" || *metricsFlag {
+		if observe {
 			defer dumpObservability(&lastTB, *traceFile, *traceJSONL, *metricsFlag)
 		}
 	}

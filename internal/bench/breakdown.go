@@ -86,7 +86,10 @@ func MPIBreakdown(kind cluster.Kind, size int) (*causal.Report, error) {
 // attributes rank 0's exchange. Switch/trunk queueing, invisible on the
 // paper's single-switch testbed, appears as a distinct bucket here.
 func MPIBreakdownLeafSpine(kind cluster.Kind, ranks, size, ratio int) (*causal.Report, error) {
-	tb, w, _ := scalingWorld(kind, ranks, ScaleOpts{Topology: topoSpec(ratio)})
+	// Causal analysis reads one engine's trace, so the traced world runs on
+	// one engine whatever -shards asks for; the shard count is an
+	// execution hint, so the report is the same either way.
+	tb, w, _ := scalingWorld(cluster.Options{}, kind, ranks, ScaleOpts{Topology: topoSpec(ratio)})
 	defer tb.Close()
 	tr := tb.Eng.StartTrace(0)
 	var op trace.Ref

@@ -20,7 +20,7 @@ func TestCongestionByteIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loaded 16-rank collective worlds in -short")
 	}
-	withShards(t, []int{1, 4, 8}, func() string {
+	withShards(t, []int{0, 1, 4, 8}, func() string {
 		res, err := AlltoallScale(cluster.MXoE, CongestionRanks, CongestionMsg, 2,
 			congestionScaleOpts(cluster.MXoE, 2, 0.2))
 		if err != nil {
@@ -43,7 +43,7 @@ func TestCongestionByteIdenticalAcrossShards(t *testing.T) {
 // filter loss), totals satisfy Dropped = Filter + Tail, and the merged
 // counters are identical at every shard count.
 func TestShardedCongestionCountersMerge(t *testing.T) {
-	withShards(t, []int{1, 4, 8}, func() string {
+	withShards(t, []int{0, 1, 4, 8}, func() string {
 		opt := shardOpts()
 		opt.Topology = topoSpec(2)
 		opt.Congestion = &fabric.CongestionConfig{QueueCapBytes: 32 << 10, ECNMarkBytes: 8 << 10}

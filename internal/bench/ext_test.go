@@ -86,16 +86,19 @@ func allgatherT(t *testing.T, kind cluster.Kind, nodes, n, iters int) sim.Time {
 func TestScalingCrossover(t *testing.T) {
 	// The paper's Section 7 conjecture, realized: IB's alltoall falls
 	// behind iWARP once per-node connection counts overflow the QP context
-	// cache, despite IB winning at small node counts.
+	// cache, despite IB winning at small node counts. With arrival-order
+	// egress the two curves meet near 20 nodes (16: IB 99.5 us, iWARP
+	// 101.1 us), so the large side is probed at 32 nodes, where 31
+	// connections per node overflow the 8-entry cache almost fourfold.
 	ib4 := alltoallT(t, cluster.IB, 4, 1<<10, 3)
 	iw4 := alltoallT(t, cluster.IWARP, 4, 1<<10, 3)
 	if ib4 >= iw4 {
 		t.Errorf("at 4 nodes IB (%v) should beat iWARP (%v)", ib4, iw4)
 	}
-	ib16 := alltoallT(t, cluster.IB, 16, 1<<10, 3)
-	iw16 := alltoallT(t, cluster.IWARP, 16, 1<<10, 3)
-	if ib16 <= iw16 {
-		t.Errorf("at 16 nodes iWARP (%v) should beat IB (%v)", iw16, ib16)
+	ib32 := alltoallT(t, cluster.IB, 32, 1<<10, 3)
+	iw32 := alltoallT(t, cluster.IWARP, 32, 1<<10, 3)
+	if ib32 <= iw32 {
+		t.Errorf("at 32 nodes iWARP (%v) should beat IB (%v)", iw32, ib32)
 	}
 }
 

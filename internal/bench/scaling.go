@@ -85,13 +85,13 @@ func scalingConfig(kind cluster.Kind) mpi.Config {
 	return cfg
 }
 
-// scalingWorld builds an n-node world with the lean profile, arming the
-// fabric congestion thresholds, the per-stack NIC reactions and the
-// background generators that ScaleOpts requests. The generators attach
-// after cluster.NewWithOptions so their tick chains land on the engines
-// that own the ports in sharded worlds.
-func scalingWorld(kind cluster.Kind, nodes int, opts ScaleOpts) (*cluster.Testbed, *mpi.World, *congestion.Traffic) {
-	opt := shardOpts()
+// scalingWorld builds an n-node world on top of the base cluster options
+// (the shard count) with the lean profile, arming the fabric congestion
+// thresholds, the per-stack NIC reactions and the background generators
+// that ScaleOpts requests. The generators attach after
+// cluster.NewWithOptions so their tick chains land on the engines that own
+// the ports in sharded worlds.
+func scalingWorld(opt cluster.Options, kind cluster.Kind, nodes int, opts ScaleOpts) (*cluster.Testbed, *mpi.World, *congestion.Traffic) {
 	opt.Topology = opts.Topology
 	opt.Congestion = opts.Congestion
 	if opts.React {
@@ -115,7 +115,7 @@ func scalingWorld(kind cluster.Kind, nodes int, opts ScaleOpts) (*cluster.Testbe
 // panicked: a degraded topology cell renders as a missing point.
 func collectiveScale(kind cluster.Kind, nodes, iters int, opts ScaleOpts,
 	kernel func(p *mpi.Process, pr *sim.Proc) func(*sim.Proc)) (ScaleResult, error) {
-	tb, w, tr := scalingWorld(kind, nodes, opts)
+	tb, w, tr := scalingWorld(shardOpts(), kind, nodes, opts)
 	defer tb.Close()
 	tb.MustApplyFaults(opts.Faults.ShiftedBy(tb.Eng.Now()))
 	var res ScaleResult

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,7 +12,8 @@ import (
 )
 
 // withShards runs build at each shard count and requires byte-identical
-// output: the staged runtime's whole contract (-shards 1 == -shards N).
+// output: the shard count is an execution hint, so one engine (-shards 0
+// or 1) and N shard engines must compute the same bytes.
 func withShards(t *testing.T, counts []int, build func() string) {
 	t.Helper()
 	defer SetShards(Shards())
@@ -29,7 +32,7 @@ func withShards(t *testing.T, counts []int, build func() string) {
 // verbs stacks pin to one shard (connection setup mutates the remote NIC
 // synchronously), the MX stacks genuinely split across two engines.
 func TestFig1ByteIdenticalAcrossShards(t *testing.T) {
-	withShards(t, []int{1, 4, 8}, func() string {
+	withShards(t, []int{0, 1, 4, 8}, func() string {
 		fig := Fig1Latency([]int{4, 1 << 10, 64 << 10})
 		return fig.Table()
 	})
@@ -42,7 +45,7 @@ func TestTopoByteIdenticalAcrossShards(t *testing.T) {
 		t.Skip("64-rank collective worlds in -short")
 	}
 	spec := fabric.LeafSpine(8, 2)
-	withShards(t, []int{1, 4, 8}, func() string {
+	withShards(t, []int{0, 1, 2, 4, 8}, func() string {
 		res, err := AlltoallScale(cluster.MXoE, 64, 512, 2, ScaleOpts{Topology: spec})
 		if err != nil {
 			t.Fatalf("alltoall: %v", err)
@@ -54,7 +57,7 @@ func TestTopoByteIdenticalAcrossShards(t *testing.T) {
 // The faults family: per-port RNG streams, sharded window events and
 // per-shard drop accounting must all merge back byte-identically.
 func TestFaultsByteIdenticalAcrossShards(t *testing.T) {
-	withShards(t, []int{1, 4}, func() string {
+	withShards(t, []int{0, 1, 4}, func() string {
 		flap := FaultsFlapRecovery([]sim.Time{20 * sim.Microsecond})
 		loss := FaultsFig1Latency([]float64{0, 0.01})
 		return flap.Table() + loss.Table()
@@ -77,10 +80,46 @@ func TestEffectiveShardsClamps(t *testing.T) {
 		t.Fatalf("IWARP world at -shards 8: got %d shards, want 1", got)
 	}
 	tb.Close()
-	// Legacy default: no staged runtime at all.
-	tb = cluster.New(cluster.MXoE, 2)
-	if got := tb.Shards(); got != 0 {
-		t.Fatalf("legacy world: got %d shards, want 0", got)
+	// Shards 0 and 1 mean the same thing: one engine, no barriers.
+	for _, req := range []int{0, 1} {
+		tb = cluster.NewWithOptions(cluster.MXoE, 2, cluster.Options{Shards: req})
+		if got := tb.Shards(); got != 1 {
+			t.Fatalf("MXoE world at -shards %d: got %d shards, want 1", req, got)
+		}
+		tb.Close()
 	}
-	tb.Close()
+}
+
+// A one-shard world is a plain one-engine world, so it can dump its
+// metrics registry the way netbench -metrics does — and the dump must be
+// byte-identical to the -shards 0 one.
+func TestMetricsDumpAtOneShard(t *testing.T) {
+	dump := func(shards int) string {
+		defer SetShards(Shards())
+		SetShards(shards)
+		var tb *cluster.Testbed
+		cluster.OnNew = func(b *cluster.Testbed) { tb = b }
+		defer func() { cluster.OnNew = nil }()
+		if _, err := AlltoallScale(cluster.MXoE, 16, 512, 2, ScaleOpts{Topology: fabric.LeafSpine(8, 2)}); err != nil {
+			t.Fatalf("alltoall at -shards %d: %v", shards, err)
+		}
+		if got := tb.Shards(); got != 1 {
+			t.Fatalf("-shards %d world runs on %d engines, want 1", shards, got)
+		}
+		tb.Fabric.PublishLinkMetrics()
+		var buf bytes.Buffer
+		if err := tb.Eng.Metrics().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	one := dump(1)
+	for _, name := range []string{`"fabric.trunk_frames"`, `"mpi.eager_sends"`, `"fabric.trunk.l0s0.up_util_bp"`} {
+		if !strings.Contains(one, name) {
+			t.Errorf("-shards 1 metrics dump lacks %s", name)
+		}
+	}
+	if zero := dump(0); zero != one {
+		t.Fatalf("metrics dump differs between -shards 0 and -shards 1:\n--- 0 ---\n%s\n--- 1 ---\n%s", zero, one)
+	}
 }

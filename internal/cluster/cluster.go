@@ -150,41 +150,30 @@ func (h *Host) PollDetect() sim.Time {
 }
 
 // Testbed is an assembled cluster on one network. Eng is the primary
-// engine; in a sharded testbed (Options.Shards >= 1) it is shard 0's engine
-// and every host's own events run on EngOf(host index).
+// engine: the world's only engine unless Options.Shards split it, in which
+// case it is shard 0's engine and every host's own events run on EngOf(host
+// index).
 type Testbed struct {
 	Eng    *sim.Engine
 	Kind   Kind
 	Fabric *fabric.Network
 	Hosts  []*Host
 
-	// engs and shardOf are nil for a legacy (unsharded) testbed; rt is the
-	// conservative parallel runtime driving the shard engines.
+	// engs holds one engine per shard (just Eng for an unsplit world) and
+	// shardOf maps each host to its shard; rt is the conservative parallel
+	// runtime that drives two or more shard engines.
 	engs    []*sim.Engine
 	shardOf []int
 	rt      *pdes.Runtime
 }
 
-// Shards returns the effective shard count (0 for a legacy testbed, which
-// runs one engine directly; a sharded testbed always reports >= 1 — even a
-// single shard runs the full epoch protocol so its output and final clock
-// are byte-identical to any larger shard count).
-func (tb *Testbed) Shards() int {
-	if tb.rt == nil {
-		return 0
-	}
-	return tb.rt.Shards()
-}
+// Shards returns the effective shard count: 1 for a world that runs on one
+// engine, the number of shard engines otherwise.
+func (tb *Testbed) Shards() int { return len(tb.engs) }
 
-// EngOf returns the engine that executes host i's events: the per-shard
-// engine in a sharded testbed, Eng otherwise. NIC processes, MPI ranks and
-// fault windows targeting host i all belong on this engine.
-func (tb *Testbed) EngOf(i int) *sim.Engine {
-	if tb.engs == nil {
-		return tb.Eng
-	}
-	return tb.engs[tb.shardOf[i]]
-}
+// EngOf returns the engine that executes host i's events. NIC processes,
+// MPI ranks and fault windows targeting host i all belong on this engine.
+func (tb *Testbed) EngOf(i int) *sim.Engine { return tb.engs[tb.shardOf[i]] }
 
 // Go spawns a process on host i's engine — the shard-aware replacement for
 // tb.Eng.Go in benchmark drivers.
@@ -218,17 +207,15 @@ type Options struct {
 	// ib.Config.VLCredits, mx.Config.ThrottleBacklog.
 	Congestion *fabric.CongestionConfig
 
-	// Shards, when >= 1, runs the world under the conservative parallel
+	// Shards, when >= 2, runs the world under the conservative parallel
 	// runtime (internal/pdes): hosts are partitioned across that many
 	// shard engines (whole leaves in a topology, round-robin on a single
-	// switch) and the fabric switches to staged arrival-order forwarding
-	// (see fabric/sharding.go). Output is byte-identical at any Shards
-	// value >= 1; Shards 0 keeps the legacy single-engine path, which is
-	// byte-identical to every committed result. The effective count is
-	// clamped to the partitionable units, and the verbs stacks (iWARP, IB)
-	// are pinned to one shard: their MPI binding wires QP state on the
-	// remote host synchronously, a zero-lookahead interaction the barrier
-	// protocol cannot license.
+	// switch). It is an execution hint: output is byte-identical at any
+	// value, and 0 and 1 both run the world as a plain Engine.Run on one
+	// engine. The effective count is clamped to the partitionable units,
+	// and the verbs stacks (iWARP, IB) are pinned to one shard: their MPI
+	// binding wires QP state on the remote host synchronously, a
+	// zero-lookahead interaction the barrier protocol cannot license.
 	Shards int
 }
 
@@ -243,10 +230,7 @@ var OnNew func(*Testbed)
 // partition: whole leaves in a topology, hosts on a single switch, and
 // always 1 for the verbs stacks (see Options.Shards).
 func effectiveShards(kind Kind, nodes int, opts Options) int {
-	if opts.Shards < 1 {
-		return 0
-	}
-	if !kind.IsMX() {
+	if opts.Shards <= 1 || !kind.IsMX() {
 		return 1
 	}
 	units := nodes
@@ -265,33 +249,30 @@ func NewWithOptions(kind Kind, nodes int, opts Options) *Testbed {
 		panic("cluster: need at least 2 nodes")
 	}
 	shards := effectiveShards(kind, nodes, opts)
-	engs := []*sim.Engine{sim.NewEngine()}
-	for s := 1; s < shards; s++ {
-		engs = append(engs, sim.NewEngine())
+	engs := make([]*sim.Engine, shards)
+	for s := range engs {
+		engs[s] = sim.NewEngine()
 	}
 	eng := engs[0]
-	tb := &Testbed{Eng: eng, Kind: kind}
 	// shardOf maps host i (== its fabric port id) to its shard: whole
 	// leaves in a topology (the trunk lines belong to their leaf's shard),
 	// round-robin hosts on a single switch.
 	shardOf := make([]int, nodes)
 	for i := range shardOf {
-		if shards > 0 {
-			if opts.Topology != nil {
-				shardOf[i] = (i / opts.Topology.HostsPerLeaf) % shards
-			} else {
-				shardOf[i] = i % shards
-			}
+		if opts.Topology != nil {
+			shardOf[i] = (i / opts.Topology.HostsPerLeaf) % shards
+		} else {
+			shardOf[i] = i % shards
 		}
 	}
-	engFor := func(i int) *sim.Engine { return engs[shardOf[i]] }
+	tb := &Testbed{Eng: eng, Kind: kind, engs: engs, shardOf: shardOf}
 	tb.Fabric = fabric.NewWithTopology(eng, FabricConfig(kind), opts.Topology)
 	if opts.Congestion != nil {
 		tb.Fabric.SetCongestion(*opts.Congestion)
 	}
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
-		heng := engFor(i)
+		heng := tb.EngOf(i)
 		h := &Host{Name: name, Mem: mem.NewMemory(heng, name)}
 		switch kind {
 		case IWARP:
@@ -315,15 +296,9 @@ func NewWithOptions(kind Kind, nodes int, opts Options) *Testbed {
 		}
 		tb.Hosts = append(tb.Hosts, h)
 	}
-	if shards > 0 {
-		tb.engs = engs
-		tb.shardOf = shardOf
+	if shards > 1 {
 		tb.rt = pdes.New(engs, FabricConfig(kind).Lookahead())
-		var poster fabric.Poster
-		if shards > 1 {
-			poster = tb.rt
-		}
-		tb.Fabric.EnableStaged(engs, shardOf, poster)
+		tb.Fabric.Shard(engs, shardOf, tb.rt)
 	}
 	if OnNew != nil {
 		OnNew(tb)
@@ -333,10 +308,6 @@ func NewWithOptions(kind Kind, nodes int, opts Options) *Testbed {
 
 // Close shuts the engine(s) down, unwinding NIC processes shard by shard.
 func (tb *Testbed) Close() {
-	if tb.engs == nil {
-		tb.Eng.Close()
-		return
-	}
 	for _, e := range tb.engs {
 		e.Close()
 	}
@@ -385,20 +356,21 @@ func (tb *Testbed) ConnectQP(i, j int) (verbs.QP, verbs.QP) {
 	panic("cluster: ConnectQP on an MX testbed")
 }
 
-// Run drives the simulation until every shard's event heap drains — through
-// the conservative barrier protocol on a sharded testbed, directly on the
-// single engine otherwise.
+// Run drives the simulation until every shard's event heap drains: a plain
+// Engine.Run on a one-engine world, the conservative barrier protocol on a
+// sharded one. Either way the clock stops at the world's last event.
 func (tb *Testbed) Run() error {
-	if tb.rt != nil {
-		return tb.rt.Run()
+	if len(tb.engs) == 1 {
+		return tb.Eng.Run()
 	}
-	return tb.Eng.Run()
+	return tb.rt.Run()
 }
 
-// RunFor drives the simulation for d virtual time. It is a legacy-testbed
-// facility (interactive harnesses); sharded testbeds run to completion.
+// RunFor drives the simulation for d virtual time. It is a facility for
+// one-engine worlds (interactive harnesses); sharded testbeds run to
+// completion.
 func (tb *Testbed) RunFor(d sim.Time) error {
-	if tb.rt != nil {
+	if len(tb.engs) > 1 {
 		panic("cluster: RunFor on a sharded testbed")
 	}
 	return tb.Eng.RunFor(d)

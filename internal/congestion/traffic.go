@@ -91,7 +91,7 @@ const flowBase = 1 << 20
 
 // Traffic is a set of per-port background generators attached to one
 // fabric. Each port runs an independent self-rescheduling tick chain on the
-// engine that owns the port (its shard in staged mode), drawing from a
+// engine that owns the port (its shard in a sharded world), drawing from a
 // per-port RNG stream — no cross-shard events, no shared state, which is
 // what keeps sharded runs byte-identical.
 type Traffic struct {
@@ -128,7 +128,7 @@ func splitmix(x uint64) uint64 {
 // Start attaches background generators to every port of the network and
 // schedules their first ticks (phase-offset per port so sources do not beat
 // in lockstep). Call it during setup, after every endpoint has attached —
-// and after EnableStaged in sharded worlds, so ticks land on the owning
+// and after Network.Shard in sharded worlds, so ticks land on the owning
 // shard's engine.
 //
 // The chains run until stopped: every port's generator must be stopped (see

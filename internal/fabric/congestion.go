@@ -26,8 +26,8 @@ import (
 // wire; it cannot overflow the switch).
 //
 // Backlogs are compared in time at the line's configured rate (bytes are
-// converted once, in SetCongestion), so the hot path costs one subtraction
-// and two compares per frame and is branch-free when congestion is off.
+// converted once, in SetCongestion), so a drain costs one subtraction and
+// two compares per frame and is branch-free when congestion is off.
 type CongestionConfig struct {
 	// QueueCapBytes is the maximum standing backlog, in wire bytes, a
 	// shared line absorbs before tail-dropping. Zero disables dropping.
@@ -46,7 +46,7 @@ func (cc CongestionConfig) Enabled() bool {
 }
 
 // ccState is the precomputed form of CongestionConfig: byte thresholds
-// converted to backlog durations at the relevant line rates, so Send-path
+// converted to backlog durations at the relevant line rates, so drain-path
 // checks are pure sim.Time arithmetic.
 type ccState struct {
 	on        bool
@@ -69,8 +69,8 @@ const (
 // SetCongestion arms bounded queues and ECN marking on every shared line.
 // Call it during setup, before any traffic: thresholds are global and
 // constant for the run (per-run configuration, like the topology), which is
-// what keeps staged-mode drains deterministic — every shard evaluates the
-// same thresholds against line state only its owner shard mutates.
+// what keeps drains deterministic on any number of shards — every shard
+// evaluates the same thresholds against line state only its owner mutates.
 func (n *Network) SetCongestion(cc CongestionConfig) {
 	if cc.QueueCapBytes < 0 || cc.ECNMarkBytes < 0 {
 		panic(fmt.Sprintf("fabric %q: negative congestion threshold %+v", n.cfg.Name, cc))
@@ -125,27 +125,6 @@ func (n *Network) ccVerdict(l *line, ready sim.Time, cap, mark sim.Time) ccVerdi
 		return ccMark
 	}
 	return ccPass
-}
-
-// tailDrop accounts a queue-cap discard at a shared line (single-engine
-// path; staged drains account into their shard's counters instead).
-//
-//simlint:noalloc
-func (n *Network) tailDrop(l *line) {
-	l.tailDrops++
-	n.tailDropped++
-	n.cTailDrops.Inc()
-}
-
-// ecnMark sets the congestion-experienced bit and accounts it
-// (single-engine path; staged drains account per shard).
-//
-//simlint:noalloc
-func (n *Network) ecnMark(l *line, f *Frame) {
-	f.ECN = true
-	l.ecnMarks++
-	n.ecnMarked++
-	n.cECNMarks.Inc()
 }
 
 // DownTailDrops returns the count of frames tail-dropped at this port's

@@ -10,6 +10,14 @@
 // contention inside the switch. Links are modeled with next-free-time
 // bookkeeping rather than processes, which keeps the fabric allocation-free
 // on the fast path and strictly deterministic.
+//
+// Forwarding has one semantic: a switch serves the frames contending for
+// an output line in arrival order. Send books only the sender's own uplink;
+// every later hop (trunk up, trunk down, destination egress) joins a queue
+// on the line it heads for, and a drain at each arrival time books the
+// line for the frames that arrived then, ordered by (source port,
+// per-source send sequence). The same order holds however the world is
+// split across engines (see sharding.go).
 package fabric
 
 import (
@@ -116,10 +124,17 @@ type line struct {
 	// a build without fault injection.
 	slow float64
 
-	// st is the line's staged-mode state (see sharding.go); nil unless the
-	// network runs under the conservative parallel runtime AND the line is
-	// shared between senders (switch->endpoint and trunk lines).
-	st *lineStage
+	// track is the line's trace track.
+	track string
+
+	// Arrival-order state of a shared line (switch->endpoint and trunk
+	// lines; the sender-owned uplink is booked directly by Send): the
+	// configured rate, the shard whose engine runs the line's drains, and
+	// the frames headed for the line, in arrival order.
+	rate    sim.Rate
+	owner   int
+	trunk   bool // a trunk line: another stage follows
+	pending hopQueue
 }
 
 // stall pushes the line's next-free time out to `until`, without accounting
@@ -165,17 +180,15 @@ func (l *line) reserve(earliest sim.Time, dur sim.Time, bytes int) (start, end s
 // Port is one attachment point: a full-duplex link between an endpoint and
 // the switch.
 type Port struct {
-	net     *Network
-	id      NodeID
-	ep      Endpoint
-	up      line // endpoint -> switch
-	dn      line // switch -> endpoint
-	upTrack string
-	dnTrack string
+	net *Network
+	id  NodeID
+	ep  Endpoint
+	up  line // endpoint -> switch
+	dn  line // switch -> endpoint
 
-	// stagedSeq numbers this port's sends in staged mode: the per-source
-	// sequence that, with the port id, keys the deterministic drain order.
-	stagedSeq uint64
+	// seq numbers this port's sends: with the port id, the key that orders
+	// frames arriving at one line at the same timestamp.
+	seq uint64
 }
 
 // ID returns the port's node ID.
@@ -195,37 +208,37 @@ type Network struct {
 	// transports above the fabric attach through the same hook.
 	DropFn func(f *Frame) bool
 
-	delivered int64
-	dropped   int64 // frames dropped by DropFn (injected loss)
-
-	// Congestion accounting (see congestion.go). tailDropped counts frames
-	// discarded because a shared line's backlog exceeded the configured
-	// queue cap; ecnMarked counts frames that crossed the marking threshold.
-	// Both stay zero — and the branches cost one predictable compare — when
-	// SetCongestion was never called. bgDelivered counts Background frames
-	// that reached their destination and were discarded there (cross-traffic
-	// has no endpoint to deliver to).
-	tailDropped int64
-	ecnMarked   int64
-	bgDelivered int64
-
 	// cc holds the precomputed congestion thresholds; cc.on gates every
 	// check so a network without congestion config runs the exact
 	// pre-congestion arithmetic.
 	cc ccState
 
-	// deliverFn is the long-lived delivery callback, bound once at
-	// construction and shared by every frame: Send schedules delivery with
-	// Engine.AtArg(deliverAt, n.deliverFn, f) instead of a capturing closure,
-	// so the per-frame schedule→deliver cycle allocates nothing.
-	deliverFn func(any)
+	// Long-lived bound callbacks, one each, shared by every frame: the hop
+	// pipeline schedules with Engine.AtArg(at, fn, hop-or-frame) instead of
+	// capturing closures, so the per-frame path allocates nothing.
+	deliverFn, arriveFn, drainFn func(any)
 
 	// topo is nil for the single-switch model; see topology.go.
 	topo *topology
 
-	// sh is nil unless the network runs in staged (sharded) mode; see
-	// sharding.go.
-	sh *sharding
+	// The shard layout (see sharding.go): engs[s] runs shard s's events,
+	// shardOf maps every port to its shard, per holds each shard's
+	// accounting and free[s] recycles shard s's hop nodes. A network that
+	// Shard never split has one shard on its construction engine.
+	engs    []*sim.Engine
+	shardOf []int
+	poster  Poster
+	per     []shardNet
+	free    [][]*hop
+}
+
+// shardNet is one shard's slice of the network accounting: frames sent,
+// delivered and lost at the ports and lines the shard owns, plus
+// Background frames terminated there. The Network accessors sum it across
+// shards.
+type shardNet struct {
+	delivered, dropped                  int64
+	tailDropped, ecnMarked, bgDelivered int64
 
 	cFrames, cWireBytes, cDelivered, cDropped *metrics.Counter
 	cTailDrops, cECNMarks                     *metrics.Counter
@@ -233,28 +246,33 @@ type Network struct {
 	hSrcQueue, hEgQueue, hTrunkQueue          *metrics.Histogram
 }
 
-// New creates a network with the given configuration.
-func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.LinkRate <= 0 {
-		panic(fmt.Sprintf("fabric %q: link rate %v", cfg.Name, cfg.LinkRate))
-	}
-	if cfg.HeaderBytes <= 0 {
-		cfg.HeaderBytes = 64
-	}
-	n := &Network{eng: eng, cfg: cfg}
-	n.deliverFn = n.deliver
-	reg := eng.Metrics()
-	n.cFrames = reg.Counter("fabric.frames_sent")
-	n.cWireBytes = reg.Counter("fabric.wire_bytes")
-	n.cDelivered = reg.Counter("fabric.frames_delivered")
-	n.cDropped = reg.Counter("fabric.frames_dropped")
-	n.cTailDrops = reg.Counter("fabric.tail_drops")
-	n.cECNMarks = reg.Counter("fabric.ecn_marks")
+// newShardNet registers a shard's instruments on its engine's registry.
+// Registries dedup by name, so every shard of a world reports under the
+// same metric names.
+func newShardNet(reg *metrics.Registry, trunks bool) shardNet {
 	// Queueing delay distributions in picoseconds: 1 ns .. ~1 ms.
 	qb := metrics.ExpBuckets(1e3, 4, 15)
-	n.hSrcQueue = reg.Histogram("fabric.src_queue_delay_ps", qb)
-	n.hEgQueue = reg.Histogram("fabric.egress_queue_delay_ps", qb)
-	return n
+	sn := shardNet{
+		cFrames:    reg.Counter("fabric.frames_sent"),
+		cWireBytes: reg.Counter("fabric.wire_bytes"),
+		cDelivered: reg.Counter("fabric.frames_delivered"),
+		cDropped:   reg.Counter("fabric.frames_dropped"),
+		cTailDrops: reg.Counter("fabric.tail_drops"),
+		cECNMarks:  reg.Counter("fabric.ecn_marks"),
+		hSrcQueue:  reg.Histogram("fabric.src_queue_delay_ps", qb),
+		hEgQueue:   reg.Histogram("fabric.egress_queue_delay_ps", qb),
+	}
+	if trunks {
+		sn.cTrunkFrames = reg.Counter("fabric.trunk_frames")
+		sn.cTrunkBytes = reg.Counter("fabric.trunk_wire_bytes")
+		sn.hTrunkQueue = reg.Histogram("fabric.trunk_queue_delay_ps", qb)
+	}
+	return sn
+}
+
+// New creates a network with the given configuration.
+func New(eng *sim.Engine, cfg Config) *Network {
+	return NewWithTopology(eng, cfg, nil)
 }
 
 // NewWithTopology creates a multi-switch network (see topology.go): hosts
@@ -262,18 +280,23 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // trunk hops through a deterministically chosen spine. The spec is copied;
 // a nil spec yields the plain single-switch network.
 func NewWithTopology(eng *sim.Engine, cfg Config, spec *TopologySpec) *Network {
-	n := New(eng, cfg)
-	if spec == nil {
-		return n
+	if cfg.LinkRate <= 0 {
+		panic(fmt.Sprintf("fabric %q: link rate %v", cfg.Name, cfg.LinkRate))
 	}
-	if err := spec.Validate(); err != nil {
-		panic(err.Error())
+	if cfg.HeaderBytes <= 0 {
+		cfg.HeaderBytes = 64
 	}
-	n.topo = &topology{spec: *spec}
-	reg := eng.Metrics()
-	n.cTrunkFrames = reg.Counter("fabric.trunk_frames")
-	n.cTrunkBytes = reg.Counter("fabric.trunk_wire_bytes")
-	n.hTrunkQueue = reg.Histogram("fabric.trunk_queue_delay_ps", metrics.ExpBuckets(1e3, 4, 15))
+	n := &Network{eng: eng, cfg: cfg, engs: []*sim.Engine{eng}, free: make([][]*hop, 1)}
+	if spec != nil {
+		if err := spec.Validate(); err != nil {
+			panic(err.Error())
+		}
+		n.topo = &topology{spec: *spec}
+	}
+	n.per = []shardNet{newShardNet(eng.Metrics(), n.topo != nil)}
+	n.deliverFn = n.deliver
+	n.arriveFn = n.arrive
+	n.drainFn = n.drain
 	return n
 }
 
@@ -285,18 +308,16 @@ func (n *Network) Config() Config { return n.cfg }
 
 // Attach connects an endpoint and returns its port.
 func (n *Network) Attach(ep Endpoint) *Port {
-	if n.sh != nil {
-		panic(fmt.Sprintf("fabric %q: Attach after EnableStaged", n.cfg.Name))
+	if len(n.engs) > 1 {
+		panic(fmt.Sprintf("fabric %q: Attach after Shard", n.cfg.Name))
 	}
 	id := NodeID(len(n.ports))
-	p := &Port{
-		net:     n,
-		id:      id,
-		ep:      ep,
-		upTrack: fmt.Sprintf("link.%s.up.%d", n.cfg.Name, id),
-		dnTrack: fmt.Sprintf("link.%s.dn.%d", n.cfg.Name, id),
-	}
+	p := &Port{net: n, id: id, ep: ep}
+	p.up.track = fmt.Sprintf("link.%s.up.%d", n.cfg.Name, id)
+	p.dn.track = fmt.Sprintf("link.%s.dn.%d", n.cfg.Name, id)
+	p.dn.rate = n.cfg.LinkRate
 	n.ports = append(n.ports, p)
+	n.shardOf = append(n.shardOf, 0)
 	if n.topo != nil {
 		n.ensureLeaf(n.topo.leafOf(id))
 	}
@@ -314,75 +335,50 @@ func (n *Network) Port(id NodeID) *Port {
 	return n.ports[id]
 }
 
-// Delivered returns the count of frames delivered to endpoints (summed
-// across shards in staged mode).
-func (n *Network) Delivered() int64 {
-	total := n.delivered
-	if n.sh != nil {
-		for i := range n.sh.per {
-			total += n.sh.per[i].delivered
-		}
+// sum totals one per-shard counter across shards.
+func (n *Network) sum(field func(*shardNet) int64) int64 {
+	var total int64
+	for i := range n.per {
+		total += field(&n.per[i])
 	}
 	return total
 }
 
+// Delivered returns the count of frames delivered to endpoints.
+func (n *Network) Delivered() int64 {
+	return n.sum(func(s *shardNet) int64 { return s.delivered })
+}
+
 // Dropped returns the total count of frames lost in the fabric for any
 // reason: injected losses (DropFn returning true) plus congestion tail
-// drops, summed across shards in staged mode. Use FilterDropped and
-// TailDropped to attribute the losses.
+// drops. Use FilterDropped and TailDropped to attribute the losses.
 func (n *Network) Dropped() int64 {
 	return n.FilterDropped() + n.TailDropped()
 }
 
 // FilterDropped returns the count of frames dropped by DropFn (injected
-// loss), summed across shards in staged mode.
+// loss).
 func (n *Network) FilterDropped() int64 {
-	total := n.dropped
-	if n.sh != nil {
-		for i := range n.sh.per {
-			total += n.sh.per[i].dropped
-		}
-	}
-	return total
+	return n.sum(func(s *shardNet) int64 { return s.dropped })
 }
 
 // TailDropped returns the count of frames discarded because a shared
 // line's backlog exceeded the congestion queue cap (zero unless
-// SetCongestion armed one), summed across shards in staged mode.
+// SetCongestion armed one).
 func (n *Network) TailDropped() int64 {
-	total := n.tailDropped
-	if n.sh != nil {
-		for i := range n.sh.per {
-			total += n.sh.per[i].tailDropped
-		}
-	}
-	return total
+	return n.sum(func(s *shardNet) int64 { return s.tailDropped })
 }
 
 // ECNMarked returns the count of frames that crossed the ECN marking
-// threshold (zero unless SetCongestion armed one), summed across shards in
-// staged mode.
+// threshold (zero unless SetCongestion armed one).
 func (n *Network) ECNMarked() int64 {
-	total := n.ecnMarked
-	if n.sh != nil {
-		for i := range n.sh.per {
-			total += n.sh.per[i].ecnMarked
-		}
-	}
-	return total
+	return n.sum(func(s *shardNet) int64 { return s.ecnMarked })
 }
 
 // BackgroundDelivered returns the count of Background (cross-traffic)
-// frames that reached their destination and were discarded there, summed
-// across shards in staged mode.
+// frames that reached their destination and were discarded there.
 func (n *Network) BackgroundDelivered() int64 {
-	total := n.bgDelivered
-	if n.sh != nil {
-		for i := range n.sh.per {
-			total += n.sh.per[i].bgDelivered
-		}
-	}
-	return total
+	return n.sum(func(s *shardNet) int64 { return s.bgDelivered })
 }
 
 // TxTime returns the wire occupancy of a frame with the given NIC-visible
@@ -391,9 +387,93 @@ func (n *Network) TxTime(bytes int) sim.Time {
 	return n.cfg.LinkRate.TxTime(bytes + n.cfg.FrameOverhead)
 }
 
-// Send transmits a frame from this port. It returns the time at which the
-// sender's link becomes free (the end of serialization at the source); the
-// frame is delivered to the destination endpoint by a scheduled event. Send
+// Hop stages of a frame in flight, in path order.
+const (
+	stageTrunkUp = iota // arrival at the source leaf's uplink trunk line
+	stageTrunkDn        // arrival at the destination leaf's downlink trunk line
+	stageDstDn          // arrival at the destination port's switch->endpoint line
+)
+
+// hop is one frame in flight between shared lines. Hops come from
+// per-shard free lists (they migrate: taken by the source shard, returned
+// by the delivering shard) so forwarding stays allocation-free in steady
+// state.
+type hop struct {
+	f     *Frame
+	at    sim.Time // arrival at the line the hop is headed for
+	wire  int
+	seq   uint64 // per-source-port send sequence: the deterministic tiebreak
+	stage uint8
+	spine uint16
+}
+
+// before is the arrival order: arrival time, then source port, then
+// per-source sequence. It does not depend on how the world is sharded.
+//
+//simlint:noalloc
+func (h *hop) before(o *hop) bool {
+	if h.at != o.at {
+		return h.at < o.at
+	}
+	if h.f.Src != o.f.Src {
+		return h.f.Src < o.f.Src
+	}
+	return h.seq < o.seq
+}
+
+// hopQueue is a binary min-heap of the hops headed for one line, in
+// arrival order.
+type hopQueue []*hop
+
+// push adds a hop.
+//
+//simlint:noalloc
+func (q *hopQueue) push(h *hop) {
+	*q = append(*q, h) //simlint:allow noalloc queue growth is amortized; the backing array is reused once the line drains
+	s := *q
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the first hop in arrival order.
+//
+//simlint:noalloc
+func (q *hopQueue) pop() *hop {
+	s := *q
+	h := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last] = nil
+	s = s[:last]
+	for i := 0; ; {
+		first, l, r := i, 2*i+1, 2*i+2
+		if l < len(s) && s[l].before(s[first]) {
+			first = l
+		}
+		if r < len(s) && s[r].before(s[first]) {
+			first = r
+		}
+		if first == i {
+			break
+		}
+		s[i], s[first] = s[first], s[i]
+		i = first
+	}
+	*q = s
+	return h
+}
+
+// Send transmits a frame from this port. It books the sender's uplink and
+// returns the time that link becomes free (the end of serialization at the
+// source); every later hop is an arrival on the line it heads for, and the
+// destination endpoint receives the frame from a scheduled event. Send
 // must be called in engine context and never blocks.
 //
 //simlint:noalloc
@@ -405,19 +485,18 @@ func (p *Port) Send(f *Frame) (txEnd sim.Time) {
 	if int(f.Dst) < 0 || int(f.Dst) >= len(n.ports) {
 		panic(fmt.Sprintf("fabric %q: bad dst %d", n.cfg.Name, f.Dst))
 	}
-	if n.sh != nil {
-		return p.sendStaged(f)
-	}
-	now := n.eng.Now()
+	shard := n.shardOf[p.id]
+	si := &n.per[shard]
+	eng := n.engs[shard]
+	now := eng.Now()
 	wire := f.Bytes + n.cfg.FrameOverhead
 	dur := p.up.txTime(n.cfg.LinkRate, wire)
 	txStart, txEnd := p.up.reserve(now, dur, wire)
 
-	n.cFrames.Inc()
-	n.cWireBytes.Add(int64(wire))
-	n.hSrcQueue.Observe(float64(txStart - now))
-	tr := n.eng.Trc()
-	if tr.Enabled() {
+	si.cFrames.Inc()
+	si.cWireBytes.Add(int64(wire))
+	si.hSrcQueue.Observe(float64(txStart - now))
+	if tr := eng.Trc(); tr.Enabled() {
 		// Chain the frame's causal ref through the hop: the ingress span is
 		// caused by whatever handed the frame over, and becomes the cause of
 		// the next hop (trunks, then egress).
@@ -428,97 +507,210 @@ func (p *Port) Send(f *Frame) (txEnd sim.Time) {
 		if txStart > now && p.up.lastRef != trace.RefNone {
 			attrs = append(attrs, trace.Cause(p.up.lastRef))
 		}
-		f.Cause = tr.CompleteR(p.upTrack, "tx", int64(txStart), int64(txEnd), attrs...)
+		f.Cause = tr.CompleteR(p.up.track, "tx", int64(txStart), int64(txEnd), attrs...)
 		p.up.lastRef = f.Cause
 	}
 
 	if n.DropFn != nil && n.DropFn(f) { //simlint:allow noalloc fault-injection hook; its allocations belong to the scenario, and the nil fast path is branch-only
-		n.dropped++
-		n.cDropped.Inc()
+		si.dropped++
+		si.cDropped.Inc()
 		return txEnd
 	}
 
-	// When does the (ingress) switch have enough of the frame to forward it?
-	ready := n.forwardReady(&p.up, n.cfg.LinkRate, txStart, txEnd, wire)
-	if n.topo != nil {
+	h := n.newHop(shard)
+	h.f = f
+	h.wire = wire
+	h.seq = p.seq
+	p.seq++
+	if n.topo != nil && n.topo.leafOf(f.Src) != n.topo.leafOf(f.Dst) {
 		// Cross-leaf frames hop leaf -> spine -> leaf before the egress
-		// port; same-leaf frames return `ready` unchanged, keeping the
-		// single-switch arithmetic byte-identical.
-		var tailDropped bool
-		ready, tailDropped = n.routeTrunks(f, ready, wire)
-		if tailDropped {
-			return txEnd
-		}
+		// port; same-leaf frames see exactly the single-switch path.
+		h.stage = stageTrunkUp
+		h.spine = uint16(ecmpSpine(f.Src, f.Dst, f.Flow, n.topo.spec.Spines))
+	} else {
+		h.stage = stageDstDn
 	}
-
-	dst := n.ports[f.Dst]
-	if n.cc.on {
-		// Bounded egress queue: the switch->endpoint line is the shared
-		// resource incast piles onto. Over the cap the switch discards the
-		// frame (real hardware has finite buffers); over the marking
-		// threshold it sets the congestion-experienced bit and forwards.
-		switch n.ccVerdict(&dst.dn, ready, n.cc.linkCap, n.cc.linkMark) {
-		case ccDrop:
-			n.tailDrop(&dst.dn)
-			return txEnd
-		case ccMark:
-			n.ecnMark(&dst.dn, f)
-		}
-	}
-	// Cut-through egress cannot finish before the tail of the frame has
-	// arrived at the switch; serializing the full frame from `ready` already
-	// guarantees that because ingress and egress rates are equal. (A
-	// degraded egress line serializes slower than ingress, which only
-	// strengthens the guarantee; a degraded ingress line can let egress
-	// finish early — acceptable for the coarse-grained degradation model.)
-	egDur := dst.dn.txTime(n.cfg.LinkRate, wire)
-	egStart, egEnd := dst.dn.reserve(ready, egDur, wire)
-	n.hEgQueue.Observe(float64(egStart - ready))
-	if tr.Enabled() {
-		attrs := []trace.Attr{trace.Cause(f.Cause),
-			trace.I64("wait_ps", int64(egStart-ready)),
-			trace.I64("bytes", int64(f.Bytes)), trace.I64("src", int64(f.Src))}
-		if egStart > ready && dst.dn.lastRef != trace.RefNone {
-			attrs = append(attrs, trace.Cause(dst.dn.lastRef))
-		}
-		f.Cause = tr.CompleteR(dst.dnTrack, "tx", int64(egStart), int64(egEnd), attrs...)
-		dst.dn.lastRef = f.Cause
-	}
-	deliverAt := egEnd + n.cfg.PropDelay
-	// AtArg instead of At(func(){...}): the closure would capture n and f and
-	// allocate per frame; the bound deliverFn plus the *Frame argument (a
-	// pointer, so converting it to any allocates nothing) keeps the per-frame
-	// path clean. The event node itself is recycled by the engine on fire.
-	n.eng.AtArg(deliverAt, n.deliverFn, f)
+	// When does the (ingress) switch have enough of the frame to forward it?
+	n.forward(shard, n.forwardReady(&p.up, n.cfg.LinkRate, txStart, txEnd, wire), h)
 	return txEnd
+}
+
+// newHop takes a hop node from shard s's free list.
+//
+//simlint:noalloc
+func (n *Network) newHop(s int) *hop {
+	fl := n.free[s]
+	if len(fl) == 0 {
+		return &hop{} //simlint:allow noalloc free-list refill; steady state recycles every node
+	}
+	h := fl[len(fl)-1]
+	n.free[s] = fl[:len(fl)-1]
+	*h = hop{}
+	return h
+}
+
+// freeHop returns a hop node to shard s's free list (the shard that just
+// delivered or dropped it; nodes migrate between shards with their frames).
+//
+//simlint:noalloc
+func (n *Network) freeHop(s int, h *hop) {
+	h.f = nil
+	n.free[s] = append(n.free[s], h) //simlint:allow noalloc free-list growth is amortized; steady state recycles in place
+}
+
+// lineOf resolves the line a hop is headed for.
+//
+//simlint:noalloc
+func (n *Network) lineOf(h *hop) *line {
+	t := n.topo
+	switch h.stage {
+	case stageTrunkUp:
+		return &t.trunks[t.leafOf(h.f.Src)*t.spec.Spines+int(h.spine)].up
+	case stageTrunkDn:
+		return &t.trunks[t.leafOf(h.f.Dst)*t.spec.Spines+int(h.spine)].dn
+	default:
+		return &n.ports[h.f.Dst].dn
+	}
+}
+
+// forward sends a hop on to its next line, which it reaches at time at.
+// On the shard that owns the line the hop joins the line's queue at once;
+// across a shard boundary it travels as a pdes post. The post fires one
+// picosecond early, so the hop is queued before any drain at `at` runs —
+// the same as a local hop, which is queued when it leaves its previous
+// line. at lies beyond the lookahead plus at least one picosecond of
+// header serialization, so the early post still respects the barrier
+// (see sharding.go).
+//
+//simlint:noalloc
+func (n *Network) forward(from int, at sim.Time, h *hop) {
+	h.at = at
+	l := n.lineOf(h)
+	if l.owner == from {
+		n.enqueue(l, h)
+		return
+	}
+	n.poster.Post(from, l.owner, at-sim.Picosecond, n.arriveFn, h) //simlint:allow noalloc cross-shard handoff; the runtime's outbox append is amortized and off the shard-local fast path
+}
+
+// arrive queues a hop that crossed a shard boundary, on the line owner's
+// engine.
+//
+//simlint:noalloc
+func (n *Network) arrive(v any) {
+	h := v.(*hop)
+	n.enqueue(n.lineOf(h), h)
+}
+
+// enqueue adds a hop to its line's queue and schedules a drain at its
+// arrival time. Every hop schedules one; a drain finding no hop due does
+// nothing.
+//
+//simlint:noalloc
+func (n *Network) enqueue(l *line, h *hop) {
+	l.pending.push(h)
+	n.engs[l.owner].AtArg(h.at, n.drainFn, l)
+}
+
+// drain books the line for every hop that has arrived by now, in arrival
+// order — (arrival time, source port, per-source sequence), an order that
+// does not depend on how the world is sharded — then forwards each hop to
+// its next stage or schedules its delivery.
+//
+//simlint:noalloc
+func (n *Network) drain(v any) {
+	l := v.(*line)
+	eng := n.engs[l.owner]
+	now := eng.Now()
+	si := &n.per[l.owner]
+	tr := eng.Trc()
+	for len(l.pending) > 0 && l.pending[0].at <= now {
+		h := l.pending.pop()
+		f := h.f
+		if n.cc.on {
+			// Bounded queues on the shared lines: over the cap the switch
+			// discards the frame (real hardware has finite buffers); over
+			// the marking threshold it sets the congestion-experienced bit
+			// and forwards. The backlog is read at the arrival time.
+			cap, mark := n.cc.linkCap, n.cc.linkMark
+			if l.trunk {
+				cap, mark = n.cc.trunkCap, n.cc.trunkMark
+			}
+			switch n.ccVerdict(l, now, cap, mark) {
+			case ccDrop:
+				l.tailDrops++
+				si.tailDropped++
+				si.cTailDrops.Inc()
+				n.freeHop(l.owner, h)
+				continue
+			case ccMark:
+				f.ECN = true
+				l.ecnMarks++
+				si.ecnMarked++
+				si.cECNMarks.Inc()
+			}
+		}
+		// Cut-through egress cannot finish before the tail of the frame has
+		// arrived at the switch; serializing the full frame from its arrival
+		// already guarantees that because ingress and egress rates are
+		// equal. (A degraded egress line serializes slower than ingress,
+		// which only strengthens the guarantee; a degraded ingress line can
+		// let egress finish early — acceptable for the coarse-grained
+		// degradation model.)
+		dur := l.txTime(l.rate, h.wire)
+		start, end := l.reserve(now, dur, h.wire)
+		if tr.Enabled() {
+			attrs := []trace.Attr{trace.Cause(f.Cause),
+				trace.I64("wait_ps", int64(start-now)),
+				trace.I64("bytes", int64(f.Bytes)), trace.I64("src", int64(f.Src))}
+			if l.trunk {
+				attrs = append(attrs, trace.I64("dst", int64(f.Dst)))
+			}
+			if start > now && l.lastRef != trace.RefNone {
+				attrs = append(attrs, trace.Cause(l.lastRef))
+			}
+			f.Cause = tr.CompleteR(l.track, "tx", int64(start), int64(end), attrs...)
+			l.lastRef = f.Cause
+		}
+		if l.trunk {
+			si.cTrunkFrames.Inc()
+			si.cTrunkBytes.Add(int64(h.wire))
+			si.hTrunkQueue.Observe(float64(start - now))
+			if h.stage == stageTrunkUp {
+				h.stage = stageTrunkDn
+			} else {
+				h.stage = stageDstDn
+			}
+			n.forward(l.owner, n.forwardReady(l, l.rate, start, end, h.wire), h)
+			continue
+		}
+		// Final hop: the destination port's dn line; deliver after the
+		// egress serialization and the last cable.
+		si.hEgQueue.Observe(float64(start - now))
+		// AtArg with the bound deliverFn and the *Frame argument (a pointer,
+		// so converting it to any allocates nothing) keeps the per-frame
+		// path clean; the event node itself is recycled by the engine.
+		eng.AtArg(end+n.cfg.PropDelay, n.deliverFn, f)
+		n.freeHop(l.owner, h)
+	}
 }
 
 // deliver hands a frame to its destination endpoint; it is the single
 // long-lived AtArg callback shared by every frame (see Network.deliverFn).
+// It runs on the destination's shard and counts the delivery there.
 //
 //simlint:noalloc
 func (n *Network) deliver(v any) {
 	f := v.(*Frame)
-	if n.sh != nil {
-		// Staged mode: delivery runs on the destination's shard; count it
-		// there so no counter is shared across engines.
-		si := &n.sh.per[n.sh.shardOf[f.Dst]]
-		if f.Background {
-			// Cross-traffic terminates here: it consumed wire time on every
-			// hop, but its tenant has no modeled endpoint to receive it.
-			si.bgDelivered++
-			return
-		}
-		si.delivered++
-		si.cDelivered.Inc()
-	} else {
-		if f.Background {
-			n.bgDelivered++
-			return
-		}
-		n.delivered++
-		n.cDelivered.Inc()
+	si := &n.per[n.shardOf[f.Dst]]
+	if f.Background {
+		// Cross-traffic terminates here: it consumed wire time on every
+		// hop, but its tenant has no modeled endpoint to receive it.
+		si.bgDelivered++
+		return
 	}
+	si.delivered++
+	si.cDelivered.Inc()
 	n.ports[f.Dst].ep.Deliver(f) //simlint:allow noalloc dynamic dispatch into the endpoint; its allocations belong to the NIC model, not the fabric
 }
 

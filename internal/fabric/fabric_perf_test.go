@@ -7,8 +7,9 @@ import (
 )
 
 // These tests are the dynamic twins of the //simlint:noalloc annotations on
-// Port.Send, Network.deliver and Network.routeTrunks: with tracing off and
-// no DropFn installed, the per-frame port and trunk paths must not allocate.
+// Port.Send, the hop pipeline (arrive, drain) and Network.deliver: with
+// tracing off and no DropFn installed, the per-frame port and trunk paths
+// must not allocate.
 // The static analyzer pins the call trees so a new allocation fails `make
 // lint` in the file that introduced it; these tests prove the claim holds at
 // run time, free list and heap included.
@@ -55,7 +56,7 @@ func TestPortSendZeroAlloc(t *testing.T) {
 
 func TestTrunkSendZeroAlloc(t *testing.T) {
 	// Full-bisection two-leaf fabric; a cross-leaf frame takes the
-	// leaf→spine→leaf trunk path (routeTrunks) on every send.
+	// leaf→spine→leaf trunk hops on every send.
 	eng := sim.NewEngine()
 	defer eng.Close()
 	n := NewWithTopology(eng, perfConfig(), FatTree(2))

@@ -136,6 +136,50 @@ func TestOutputPortContention(t *testing.T) {
 	}
 }
 
+// A switch serves the frames contending for an output line in arrival
+// order, not send order: a frame sent first but held on a stalled uplink
+// must not book the egress line ahead of a frame that reaches the switch
+// earlier. Frames arriving at the same instant go in source-port order,
+// whatever order their senders ran in.
+func TestEgressServesArrivalOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	n, sinks := testNet(eng, false)
+	p0, p2 := n.portAt(0), n.portAt(2)
+	p2.StallUp(5 * sim.Microsecond)
+	eng.Schedule(0, func() { p2.Send(&Frame{Src: 2, Dst: 1, Bytes: 1250}) })
+	eng.Schedule(sim.Microsecond, func() { p0.Send(&Frame{Src: 0, Dst: 1, Bytes: 1250}) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sinks[1].frames) != 2 {
+		t.Fatalf("delivered %d frames", len(sinks[1].frames))
+	}
+	// Port 0's frame: tx 1-2us, switch at 2.125us, egress 2.125-3.125us,
+	// delivered at 3.15us, untouched by port 2's earlier send. Port 2's
+	// frame: tx 5-6us, egress 6.125-7.125us, delivered at 7.15us.
+	if f, at := sinks[1].frames[0], sinks[1].times[0]; f.Src != 0 || at != 3150*sim.Nanosecond {
+		t.Errorf("first delivery: src %d at %v, want src 0 at 3.15us", f.Src, at)
+	}
+	if f, at := sinks[1].frames[1], sinks[1].times[1]; f.Src != 2 || at != 7150*sim.Nanosecond {
+		t.Errorf("second delivery: src %d at %v, want src 2 at 7.15us", f.Src, at)
+	}
+
+	eng = sim.NewEngine()
+	n, sinks = testNet(eng, false)
+	p0, p2 = n.portAt(0), n.portAt(2)
+	eng.Schedule(0, func() {
+		p2.Send(&Frame{Src: 2, Dst: 1, Bytes: 1250})
+		p0.Send(&Frame{Src: 0, Dst: 1, Bytes: 1250})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sinks[1].frames) != 2 || sinks[1].frames[0].Src != 0 {
+		t.Fatalf("same-instant arrivals not served in source-port order: %d frames, first from %d",
+			len(sinks[1].frames), sinks[1].frames[0].Src)
+	}
+}
+
 func TestFrameOverheadCounted(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := Config{

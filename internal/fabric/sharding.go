@@ -3,35 +3,34 @@ package fabric
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // This file is the fabric's shard boundary for the conservative parallel
-// DES runtime (internal/pdes). In staged mode — enabled only when a world
-// is built with cluster.Options.Shards >= 1 — a frame no longer reserves
-// every line of its path synchronously inside Port.Send. Instead Send
-// reserves only the source uplink (exclusive to the sending endpoint, so
-// no other shard can ever touch it) and the downstream hops become
-// *arrival events* processed by the shard that owns each line:
+// DES runtime (internal/pdes). Forwarding already runs hop by hop as
+// arrival events on the line each hop heads for (see Port.Send), so
+// splitting a world across engines only assigns every shared line to the
+// shard that owns it:
 //
 //	Send (src shard) -> trunk.up drain (src leaf's shard)
 //	                 -> trunk.dn drain (dst leaf's shard)   <- the crossing
 //	                 -> dst.dn drain + delivery (dst's shard)
 //
-// Arrivals land in a per-line pending list and are reserved by a drain
-// event at the same timestamp, sorted by (source port, per-source frame
-// sequence). That keyed order — never engine-event order, which differs
-// between shard counts — is what makes staged output byte-identical at
-// -shards 1 and -shards N. The legacy synchronous path is untouched
-// byte-for-byte when staged mode is off, preserving every committed
-// calibration anchor.
+// The sender-owned uplink is booked in Send on the sender's shard; no
+// other shard ever touches it. A hop whose next line lives on another
+// shard travels as a pdes post, which queues it on the line one picosecond
+// before it arrives — just as a local hop is queued before it arrives.
+// Drains serve each line's queue in (arrival time, source port, per-source
+// frame sequence) order — never engine-event order, which differs between
+// shard counts — which is what makes output byte-identical on one engine
+// and on N shards.
 //
-// Lookahead: each hop above fires at forwardReady(...) >= reservation
+// Lookahead: each hop above arrives at forwardReady(...) >= reservation
 // start + header-tx + PropDelay + SwitchLatency, and the reservation starts
-// no earlier than the event that requested it. So every cross-shard edge
-// spans strictly more than Config.Lookahead() = PropDelay + SwitchLatency
-// of virtual time, which is the bound the barrier protocol relies on.
+// no earlier than the event that requested it. Header serialization takes
+// at least a picosecond, so even the early post spans at least
+// Config.Lookahead() = PropDelay + SwitchLatency of virtual time, which is
+// the bound the barrier protocol relies on.
 
 // Poster delivers a cross-shard event. internal/pdes implements it; the
 // interface lives here so the fabric does not import the runtime.
@@ -48,132 +47,36 @@ type Poster interface {
 // every hop, for both cut-through and store-and-forward switching.
 func (c Config) Lookahead() sim.Time { return c.PropDelay + c.SwitchLatency }
 
-// Hop stages of a staged frame, in path order.
-const (
-	stageTrunkUp = iota // arrival at the source leaf's uplink trunk line
-	stageTrunkDn        // arrival at the destination leaf's downlink trunk line
-	stageDstDn          // arrival at the destination port's switch->endpoint line
-)
-
-// stagedHop is one frame in flight between staged lines. Hops come from
-// per-shard free lists (they migrate: allocated by the source shard, freed
-// by the delivering shard) so the staged path stays allocation-free in
-// steady state, like the legacy path.
-type stagedHop struct {
-	f     *Frame
-	wire  int
-	seq   uint64 // per-source-port send sequence: the deterministic tiebreak
-	stage uint8
-	spine uint16
-}
-
-// lineStage is the staged state of one shared line: the pending arrivals
-// of the current timestamp and the one-drain-per-timestamp latch. All
-// entries in pending carry the same arrival time (arrivals fire exactly at
-// their ready time and the drain consumes them at that same timestamp).
-type lineStage struct {
-	l     *line
-	rate  sim.Rate
-	owner int  // shard whose engine executes this line's arrivals and drains
-	next  bool // a later stage follows (trunk lines); false for dst.dn
-
-	pending []*stagedHop
-	sched   bool // a drain is scheduled at the current timestamp
-}
-
-// shardNet is one shard's slice of the network instruments. Shard 0 shares
-// the legacy registry (same engine), so its instrument names resolve to the
-// very counters New registered.
-type shardNet struct {
-	delivered, dropped int64
-
-	// Congestion slices: tail drops and ECN marks at lines this shard owns,
-	// plus Background frames terminated at this shard's ports. Summed by
-	// the Network accessors exactly like delivered/dropped.
-	tailDropped, ecnMarked, bgDelivered int64
-
-	cFrames, cWireBytes, cDelivered, cDropped *metrics.Counter
-	cTailDrops, cECNMarks                     *metrics.Counter
-	cTrunkFrames, cTrunkBytes                 *metrics.Counter
-	hSrcQueue, hEgQueue, hTrunkQueue          *metrics.Histogram
-}
-
-// sharding is the staged-mode state hanging off a Network.
-type sharding struct {
-	net     *Network
-	engs    []*sim.Engine
-	shardOf []int // per port id
-	poster  Poster
-	per     []shardNet
-
-	// Long-lived bound callbacks (one each, like Network.deliverFn) so the
-	// staged hot path schedules with AtArg and never allocates a closure.
-	arriveFn func(any)
-	drainFn  func(any)
-
-	// free[s] recycles hop nodes; only shard s's goroutine touches it.
-	free [][]*stagedHop
-}
-
-// EnableStaged switches the network into staged (arrival-order) forwarding
-// over the given shard engines. engs[0] must be the engine the network was
-// built on; shardOf maps every attached port to its owning shard; poster
-// carries cross-shard arrivals (it may be nil when len(engs) == 1, where
-// every hop is shard-local). Call it after every endpoint has attached and
-// before the world runs. In a topology, all hosts of a leaf must live in
-// one shard (the trunk lines are owned by their leaf's shard).
-func (n *Network) EnableStaged(engs []*sim.Engine, shardOf []int, poster Poster) {
-	if n.sh != nil {
-		panic(fmt.Sprintf("fabric %q: staged mode already enabled", n.cfg.Name))
+// Shard splits the network across two or more shard engines. engs[0] must
+// be the engine the network was built on; shardOf maps every attached port
+// to its owning shard; poster carries hops across shard boundaries. Call it
+// after every endpoint has attached and before the world runs. In a
+// topology, all hosts of a leaf must live in one shard (the trunk lines
+// are owned by their leaf's shard).
+func (n *Network) Shard(engs []*sim.Engine, shardOf []int, poster Poster) {
+	if len(n.engs) > 1 {
+		panic(fmt.Sprintf("fabric %q: already sharded", n.cfg.Name))
 	}
-	if len(engs) == 0 || engs[0] != n.eng {
-		panic(fmt.Sprintf("fabric %q: staged mode needs the construction engine as shard 0", n.cfg.Name))
+	if len(engs) < 2 || engs[0] != n.eng {
+		panic(fmt.Sprintf("fabric %q: sharding needs the construction engine as shard 0 of at least 2", n.cfg.Name))
 	}
 	if len(shardOf) != len(n.ports) {
 		panic(fmt.Sprintf("fabric %q: %d shard assignments for %d ports", n.cfg.Name, len(shardOf), len(n.ports)))
 	}
 	if n.cfg.Lookahead() <= 0 {
-		panic(fmt.Sprintf("fabric %q: zero lookahead (PropDelay %v + SwitchLatency %v); staged mode needs a positive bound", n.cfg.Name, n.cfg.PropDelay, n.cfg.SwitchLatency))
+		panic(fmt.Sprintf("fabric %q: zero lookahead (PropDelay %v + SwitchLatency %v); sharding needs a positive bound", n.cfg.Name, n.cfg.PropDelay, n.cfg.SwitchLatency))
 	}
-	if len(engs) > 1 && poster == nil {
+	if poster == nil {
 		panic(fmt.Sprintf("fabric %q: %d shards need a cross-shard poster", n.cfg.Name, len(engs)))
-	}
-	sh := &sharding{
-		net:     n,
-		engs:    engs,
-		shardOf: append([]int(nil), shardOf...),
-		poster:  poster,
-		per:     make([]shardNet, len(engs)),
-		free:    make([][]*stagedHop, len(engs)),
-	}
-	qb := metrics.ExpBuckets(1e3, 4, 15)
-	for s := range sh.per {
-		reg := engs[s].Metrics()
-		p := &sh.per[s]
-		p.cFrames = reg.Counter("fabric.frames_sent")
-		p.cWireBytes = reg.Counter("fabric.wire_bytes")
-		p.cDelivered = reg.Counter("fabric.frames_delivered")
-		p.cDropped = reg.Counter("fabric.frames_dropped")
-		p.cTailDrops = reg.Counter("fabric.tail_drops")
-		p.cECNMarks = reg.Counter("fabric.ecn_marks")
-		p.hSrcQueue = reg.Histogram("fabric.src_queue_delay_ps", qb)
-		p.hEgQueue = reg.Histogram("fabric.egress_queue_delay_ps", qb)
-		if n.topo != nil {
-			p.cTrunkFrames = reg.Counter("fabric.trunk_frames")
-			p.cTrunkBytes = reg.Counter("fabric.trunk_wire_bytes")
-			p.hTrunkQueue = reg.Histogram("fabric.trunk_queue_delay_ps", qb)
-		}
 	}
 	for i, s := range shardOf {
 		if s < 0 || s >= len(engs) {
 			panic(fmt.Sprintf("fabric %q: port %d assigned to shard %d of %d", n.cfg.Name, i, s, len(engs)))
 		}
-		p := n.ports[i]
-		p.dn.st = &lineStage{l: &p.dn, rate: n.cfg.LinkRate, owner: s}
+		n.ports[i].dn.owner = s
 	}
 	if n.topo != nil {
 		hpl := n.topo.spec.HostsPerLeaf
-		rate := n.trunkRate()
 		for _, t := range n.topo.trunks {
 			first := t.leaf * hpl
 			if first >= len(shardOf) {
@@ -185,252 +88,34 @@ func (n *Network) EnableStaged(engs []*sim.Engine, shardOf []int, poster Poster)
 					panic(fmt.Sprintf("fabric %q: leaf %d split across shards %d and %d", n.cfg.Name, t.leaf, owner, shardOf[id]))
 				}
 			}
-			t.up.st = &lineStage{l: &t.up, rate: rate, owner: owner, next: true}
-			t.dn.st = &lineStage{l: &t.dn, rate: rate, owner: owner, next: true}
+			t.up.owner = owner
+			t.dn.owner = owner
 		}
 	}
-	sh.arriveFn = sh.arrive
-	sh.drainFn = sh.drain
-	n.sh = sh
-}
-
-// Staged reports whether the network runs in staged (sharded) mode.
-func (n *Network) Staged() bool { return n.sh != nil }
-
-// ShardCount returns the number of shard engines (1 when staged mode is
-// off: the whole world is one logical shard on the world engine).
-func (n *Network) ShardCount() int {
-	if n.sh == nil {
-		return 1
+	n.engs = engs
+	n.shardOf = append([]int(nil), shardOf...)
+	n.poster = poster
+	n.per = make([]shardNet, len(engs))
+	for s := range n.per {
+		n.per[s] = newShardNet(engs[s].Metrics(), n.topo != nil)
 	}
-	return len(n.sh.engs)
+	n.free = make([][]*hop, len(engs))
 }
 
-// TrunkShard returns the shard owning a trunk's lines (0 when staged mode
-// is off).
-func (n *Network) TrunkShard(t *Trunk) int {
-	if n.sh == nil {
-		return 0
-	}
-	return t.up.st.owner
-}
+// ShardCount returns the number of shard engines (1 unless Shard split
+// the network).
+func (n *Network) ShardCount() int { return len(n.engs) }
 
-// ShardOf returns the shard owning a port (0 when staged mode is off).
-func (n *Network) ShardOf(id NodeID) int {
-	if n.sh == nil {
-		return 0
-	}
-	return n.sh.shardOf[id]
-}
+// TrunkShard returns the shard owning a trunk's lines.
+func (n *Network) TrunkShard(t *Trunk) int { return t.up.owner }
 
-// ShardEngine returns shard s's engine (the construction engine when staged
-// mode is off).
-func (n *Network) ShardEngine(s int) *sim.Engine {
-	if n.sh == nil {
-		return n.eng
-	}
-	return n.sh.engs[s]
-}
+// ShardOf returns the shard owning a port.
+func (n *Network) ShardOf(id NodeID) int { return n.shardOf[id] }
+
+// ShardEngine returns shard s's engine.
+func (n *Network) ShardEngine(s int) *sim.Engine { return n.engs[s] }
 
 // PortEngine returns the engine that executes events of the given port's
-// endpoint — the per-shard engine in staged mode, the world engine
-// otherwise. Fault injectors use it to read "now" for the frame they are
+// endpoint. Fault injectors use it to read "now" for the frame they are
 // filtering and to schedule window events on the owning shard.
-func (n *Network) PortEngine(id NodeID) *sim.Engine {
-	if n.sh == nil {
-		return n.eng
-	}
-	return n.sh.engs[n.sh.shardOf[id]]
-}
-
-// TrunkEngine returns the engine owning a trunk's lines (the leaf's shard).
-func (n *Network) TrunkEngine(t *Trunk) *sim.Engine {
-	if n.sh == nil {
-		return n.eng
-	}
-	return n.sh.engs[t.up.st.owner]
-}
-
-// newHop takes a hop node from shard s's free list.
-//
-//simlint:noalloc
-func (sh *sharding) newHop(s int) *stagedHop {
-	fl := sh.free[s]
-	if len(fl) == 0 {
-		return &stagedHop{} //simlint:allow noalloc free-list refill; steady state recycles every node
-	}
-	h := fl[len(fl)-1]
-	sh.free[s] = fl[:len(fl)-1]
-	*h = stagedHop{}
-	return h
-}
-
-// freeHop returns a hop node to shard s's free list (the shard that just
-// delivered it; nodes migrate between shards with their frames).
-//
-//simlint:noalloc
-func (sh *sharding) freeHop(s int, h *stagedHop) {
-	h.f = nil
-	sh.free[s] = append(sh.free[s], h) //simlint:allow noalloc free-list growth is amortized; steady state recycles in place
-}
-
-// sendStaged is Port.Send's staged-mode body: reserve the exclusive source
-// uplink synchronously, then hand the frame to the arrival pipeline.
-//
-//simlint:noalloc
-func (p *Port) sendStaged(f *Frame) (txEnd sim.Time) {
-	n := p.net
-	sh := n.sh
-	shard := sh.shardOf[p.id]
-	si := &sh.per[shard]
-	eng := sh.engs[shard]
-	now := eng.Now()
-	wire := f.Bytes + n.cfg.FrameOverhead
-	dur := p.up.txTime(n.cfg.LinkRate, wire)
-	txStart, txEnd := p.up.reserve(now, dur, wire)
-
-	si.cFrames.Inc()
-	si.cWireBytes.Add(int64(wire))
-	si.hSrcQueue.Observe(float64(txStart - now))
-
-	if n.DropFn != nil && n.DropFn(f) { //simlint:allow noalloc fault-injection hook; its allocations belong to the scenario, and the nil fast path is branch-only
-		si.dropped++
-		si.cDropped.Inc()
-		return txEnd
-	}
-
-	ready := n.forwardReady(&p.up, n.cfg.LinkRate, txStart, txEnd, wire)
-	h := sh.newHop(shard)
-	h.f = f
-	h.wire = wire
-	h.seq = p.stagedSeq
-	p.stagedSeq++
-	if n.topo != nil && n.topo.leafOf(f.Src) != n.topo.leafOf(f.Dst) {
-		h.stage = stageTrunkUp
-		h.spine = uint16(ecmpSpine(f.Src, f.Dst, f.Flow, n.topo.spec.Spines))
-	} else {
-		h.stage = stageDstDn
-	}
-	sh.forward(shard, ready, h)
-	return txEnd
-}
-
-// stageOf resolves the line a hop is headed for.
-//
-//simlint:noalloc
-func (sh *sharding) stageOf(h *stagedHop) *lineStage {
-	t := sh.net.topo
-	switch h.stage {
-	case stageTrunkUp:
-		return t.trunks[t.leafOf(h.f.Src)*t.spec.Spines+int(h.spine)].up.st
-	case stageTrunkDn:
-		return t.trunks[t.leafOf(h.f.Dst)*t.spec.Spines+int(h.spine)].dn.st
-	default:
-		return sh.net.ports[h.f.Dst].dn.st
-	}
-}
-
-// forward routes a hop to its next line's shard: a local AtArg when the
-// current shard owns it, a pdes post across the boundary otherwise. at is
-// strictly later than the caller's current virtual time by more than the
-// lookahead whenever the owner differs (see the file comment).
-//
-//simlint:noalloc
-func (sh *sharding) forward(from int, at sim.Time, h *stagedHop) {
-	owner := sh.stageOf(h).owner
-	if owner == from {
-		sh.engs[from].AtArg(at, sh.arriveFn, h)
-		return
-	}
-	sh.poster.Post(from, owner, at, sh.arriveFn, h) //simlint:allow noalloc cross-shard handoff; the runtime's outbox append is amortized and off the shard-local fast path
-}
-
-// arrive runs on the owning shard's engine exactly at the hop's ready time:
-// park the hop on the line's pending list and latch a drain at this same
-// timestamp. Every arrival event at time t was scheduled strictly before t,
-// so the drain — scheduled here, at t — fires after all of them.
-//
-//simlint:noalloc
-func (sh *sharding) arrive(v any) {
-	h := v.(*stagedHop)
-	st := sh.stageOf(h)
-	st.pending = append(st.pending, h) //simlint:allow noalloc pending-list growth is amortized; the list is drained at this same timestamp and reused
-	if !st.sched {
-		st.sched = true
-		eng := sh.engs[st.owner]
-		eng.AtArg(eng.Now(), sh.drainFn, st)
-	}
-}
-
-// drain reserves the line for every arrival of the current timestamp in
-// (source port, per-source sequence) order — the shard-count-invariant key
-// — then forwards each hop to its next stage or schedules delivery.
-//
-//simlint:noalloc
-func (sh *sharding) drain(v any) {
-	st := v.(*lineStage)
-	st.sched = false
-	n := sh.net
-	now := sh.engs[st.owner].Now()
-	si := &sh.per[st.owner]
-	pending := st.pending
-	// Insertion sort: lists are almost always a single frame, and sort.Slice
-	// would allocate its closure on the hot path.
-	for i := 1; i < len(pending); i++ {
-		h := pending[i]
-		j := i - 1
-		for j >= 0 && (pending[j].f.Src > h.f.Src || (pending[j].f.Src == h.f.Src && pending[j].seq > h.seq)) {
-			pending[j+1] = pending[j]
-			j--
-		}
-		pending[j+1] = h
-	}
-	for _, h := range pending {
-		if n.cc.on {
-			// Same thresholds as the synchronous path, evaluated at the
-			// drain timestamp (== the hop's ready time, so the backlog
-			// arithmetic matches). Line state is owned by this shard and
-			// the pending order is shard-count-invariant, so verdicts are
-			// byte-identical at any -shards N.
-			cap, mark := n.cc.linkCap, n.cc.linkMark
-			if st.next {
-				cap, mark = n.cc.trunkCap, n.cc.trunkMark
-			}
-			switch n.ccVerdict(st.l, now, cap, mark) {
-			case ccDrop:
-				st.l.tailDrops++
-				si.tailDropped++
-				si.cTailDrops.Inc()
-				sh.freeHop(st.owner, h)
-				continue
-			case ccMark:
-				h.f.ECN = true
-				st.l.ecnMarks++
-				si.ecnMarked++
-				si.cECNMarks.Inc()
-			}
-		}
-		dur := st.l.txTime(st.rate, h.wire)
-		start, end := st.l.reserve(now, dur, h.wire)
-		if st.next {
-			// Trunk hop: account it and forward to the next stage.
-			si.cTrunkFrames.Inc()
-			si.cTrunkBytes.Add(int64(h.wire))
-			si.hTrunkQueue.Observe(float64(start - now))
-			if h.stage == stageTrunkUp {
-				h.stage = stageTrunkDn
-			} else {
-				h.stage = stageDstDn
-			}
-			sh.forward(st.owner, n.forwardReady(st.l, st.rate, start, end, h.wire), h)
-			continue
-		}
-		// Final hop: the destination port's dn line; deliver after the
-		// egress serialization and the last cable.
-		si.hEgQueue.Observe(float64(start - now))
-		sh.engs[st.owner].AtArg(end+n.cfg.PropDelay, n.deliverFn, h.f)
-		sh.freeHop(st.owner, h)
-	}
-	clear(pending)
-	st.pending = pending[:0]
-}
+func (n *Network) PortEngine(id NodeID) *sim.Engine { return n.engs[n.shardOf[id]] }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // This file is the multi-switch topology layer: two-level leaf–spine (Clos)
@@ -86,8 +85,6 @@ type Trunk struct {
 	leaf, spine int
 	up          line // leaf -> spine
 	dn          line // spine -> leaf
-	upTrack     string
-	dnTrack     string
 }
 
 // Leaf returns the trunk's leaf-switch index.
@@ -156,13 +153,14 @@ func (n *Network) ensureLeaf(leaf int) {
 	t := n.topo
 	for ; t.leaves <= leaf; t.leaves++ {
 		for s := 0; s < t.spec.Spines; s++ {
-			t.trunks = append(t.trunks, &Trunk{
-				net:     n,
-				leaf:    t.leaves,
-				spine:   s,
-				upTrack: fmt.Sprintf("trunk.%s.l%d.s%d.up", n.cfg.Name, t.leaves, s),
-				dnTrack: fmt.Sprintf("trunk.%s.l%d.s%d.dn", n.cfg.Name, t.leaves, s),
-			})
+			tk := &Trunk{net: n, leaf: t.leaves, spine: s}
+			for _, l := range []*line{&tk.up, &tk.dn} {
+				l.rate = n.trunkRate()
+				l.trunk = true
+			}
+			tk.up.track = fmt.Sprintf("trunk.%s.l%d.s%d.up", n.cfg.Name, t.leaves, s)
+			tk.dn.track = fmt.Sprintf("trunk.%s.l%d.s%d.dn", n.cfg.Name, t.leaves, s)
+			t.trunks = append(t.trunks, tk)
 		}
 	}
 }
@@ -268,61 +266,4 @@ func (n *Network) forwardReady(l *line, rate sim.Rate, start, end sim.Time, wire
 		return start + hdr + n.cfg.PropDelay + n.cfg.SwitchLatency
 	}
 	return end + n.cfg.PropDelay + n.cfg.SwitchLatency
-}
-
-// routeTrunks carries a frame from its ingress leaf to its egress leaf.
-// `ready` is when the ingress leaf can begin forwarding (the single-switch
-// model's switch-ready time); the return value is when the egress leaf can
-// begin serializing onto the destination port, plus whether a congested
-// trunk tail-dropped the frame (the caller then stops routing it).
-// Same-leaf frames pass through untouched — the arithmetic is then
-// byte-identical to the single-switch model.
-//
-//simlint:noalloc
-func (n *Network) routeTrunks(f *Frame, ready sim.Time, wire int) (sim.Time, bool) {
-	t := n.topo
-	srcLeaf, dstLeaf := t.leafOf(f.Src), t.leafOf(f.Dst)
-	if srcLeaf == dstLeaf {
-		return ready, false
-	}
-	spine := ecmpSpine(f.Src, f.Dst, f.Flow, t.spec.Spines)
-	rate := n.trunkRate()
-	tr := n.eng.Trc()
-	hops := [2]struct {
-		l     *line
-		track string
-	}{
-		{&n.Trunk(srcLeaf, spine).up, n.Trunk(srcLeaf, spine).upTrack},
-		{&n.Trunk(dstLeaf, spine).dn, n.Trunk(dstLeaf, spine).dnTrack},
-	}
-	for _, hop := range hops {
-		if n.cc.on {
-			// Trunks are shared lines: the oversubscribed leaf uplink is
-			// exactly where permutation and hotspot backgrounds pile up.
-			switch n.ccVerdict(hop.l, ready, n.cc.trunkCap, n.cc.trunkMark) {
-			case ccDrop:
-				n.tailDrop(hop.l)
-				return ready, true
-			case ccMark:
-				n.ecnMark(hop.l, f)
-			}
-		}
-		dur := hop.l.txTime(rate, wire)
-		start, end := hop.l.reserve(ready, dur, wire)
-		n.cTrunkFrames.Inc()
-		n.cTrunkBytes.Add(int64(wire))
-		n.hTrunkQueue.Observe(float64(start - ready))
-		if tr.Enabled() {
-			attrs := []trace.Attr{trace.Cause(f.Cause),
-				trace.I64("wait_ps", int64(start-ready)),
-				trace.I64("bytes", int64(f.Bytes)), trace.I64("src", int64(f.Src)), trace.I64("dst", int64(f.Dst))}
-			if start > ready && hop.l.lastRef != trace.RefNone {
-				attrs = append(attrs, trace.Cause(hop.l.lastRef))
-			}
-			f.Cause = tr.CompleteR(hop.track, "tx", int64(start), int64(end), attrs...)
-			hop.l.lastRef = f.Cause
-		}
-		ready = n.forwardReady(hop.l, rate, start, end, wire)
-	}
-	return ready, false
 }

@@ -24,22 +24,15 @@ type EngineStaller interface {
 const defaultCongestPeriod = 10 * sim.Microsecond
 
 // frameClause is one compiled frame-level clause (loss, burst-loss,
-// corrupt, drop-mode flap) with its private RNG and burst state. On a
-// staged (sharded) network the filter runs concurrently on every shard,
-// so the single stream splits into one independent stream per SOURCE port
-// (rngs/bads, indexed by f.Src): frames from one port are always filtered
-// on that port's shard in its deterministic send order, which makes each
-// per-port draw sequence — and therefore the whole run — identical at any
-// shard count. Legacy (unstaged) networks keep the original global stream
-// so committed results stay byte-identical.
+// corrupt, drop-mode flap) with one private RNG stream and Gilbert–Elliott
+// burst state per SOURCE port (rngs/bads, indexed by f.Src). Frames from
+// one port are always filtered on that port's shard in its deterministic
+// send order, so each per-port draw sequence — and therefore the whole
+// run — is identical however the world is sharded.
 type frameClause struct {
-	cl  Clause
-	rng *sim.RNG
-	bad bool // Gilbert–Elliott state: true while in the bursty bad state
-
-	// Staged mode only.
+	cl   Clause
 	rngs []*sim.RNG
-	bads []bool
+	bads []bool // burst state: true while the port's stream is in the bad state
 }
 
 // activeAt reports whether the clause window covers virtual time t.
@@ -61,23 +54,20 @@ func (fc *frameClause) matches(f *fabric.Frame) bool {
 // DropFn chain link for frame-level clauses and the scheduled events that
 // drive link and NIC clauses.
 type Injector struct {
-	eng    *sim.Engine
-	net    *fabric.Network
-	sc     *Scenario
-	frame  []*frameClause
-	staged bool
+	eng   *sim.Engine
+	net   *fabric.Network
+	sc    *Scenario
+	frame []*frameClause
 
-	// per[s] is shard s's private accounting (one entry, on the world
-	// engine's registry, when the network is unstaged). Each entry is only
-	// touched from its own shard's goroutine; totals are summed at
-	// barriers, when no worker runs.
+	// per[s] is shard s's private accounting. Each entry is only touched
+	// from its own shard's goroutine; totals are summed at barriers, when
+	// no worker runs.
 	per []shardCtrs
 }
 
 // shardCtrs is one shard's fault accounting. The counters are registered
-// on the shard engine's registry under the legacy names; registries dedup
-// by name, so a single-shard world increments the very same instruments an
-// unstaged one does.
+// on the shard engine's registry; registries dedup by name, so every shard
+// reports under the same metric names.
 type shardCtrs struct {
 	dropped, corrupted int64
 
@@ -98,7 +88,7 @@ func Attach(net *fabric.Network, nics []EngineStaller, sc *Scenario) (*Injector,
 		return nil, err
 	}
 	eng := net.Engine()
-	inj := &Injector{eng: eng, net: net, sc: sc, staged: net.Staged()}
+	inj := &Injector{eng: eng, net: net, sc: sc}
 	inj.per = make([]shardCtrs, net.ShardCount())
 	for s := range inj.per {
 		reg := net.ShardEngine(s).Metrics()
@@ -146,33 +136,20 @@ func Attach(net *fabric.Network, nics []EngineStaller, sc *Scenario) (*Injector,
 	return inj, nil
 }
 
-// clauseRNG derives an independent deterministic stream per clause: the
+// portClauseRNG derives the stream for (clause i, source port p): the
 // scenario seed mixed with the clause index through the SplitMix64 golden
-// increment, so reordering unrelated clauses never correlates their draws.
-func clauseRNG(seed uint64, i int) *sim.RNG {
-	return sim.NewRNG(seed + 0x9E3779B97F4A7C15*uint64(i+1))
-}
-
-// portClauseRNG derives the staged-mode stream for (clause i, source port
-// p): the clause stream's seed further mixed with the port index through
-// SplitMix64's second mixing constant, keeping clause and port dimensions
-// independently decorrelated.
+// increment and with the port index through SplitMix64's second mixing
+// constant, so reordering unrelated clauses never correlates their draws
+// and clause and port dimensions stay independently decorrelated.
 func portClauseRNG(seed uint64, i, p int) *sim.RNG {
 	return sim.NewRNG(seed + 0x9E3779B97F4A7C15*uint64(i+1) + 0xBF58476D1CE4E5B9*uint64(p+1))
 }
 
-// compileFrame builds the compiled clause: a single global stream on an
-// unstaged network, per-source-port streams on a staged one (see the
-// frameClause doc for the determinism argument).
+// compileFrame builds the compiled clause with its per-source-port streams
+// (see the frameClause doc for the determinism argument).
 func (inj *Injector) compileFrame(cl Clause, i int) *frameClause {
-	fc := &frameClause{cl: cl}
-	if !inj.staged {
-		fc.rng = clauseRNG(inj.sc.Seed, i)
-		return fc
-	}
 	nPorts := inj.net.Ports()
-	fc.rngs = make([]*sim.RNG, nPorts)
-	fc.bads = make([]bool, nPorts)
+	fc := &frameClause{cl: cl, rngs: make([]*sim.RNG, nPorts), bads: make([]bool, nPorts)}
 	for p := range fc.rngs {
 		fc.rngs[p] = portClauseRNG(inj.sc.Seed, i, p)
 	}
@@ -243,53 +220,38 @@ type linkCtl interface {
 	SetSlowdown(factor float64)
 }
 
-// targetLinks resolves a flap/rate clause to the links it drives: the
-// named trunk for trunk clauses, the host port(s) otherwise.
-func (inj *Injector) targetLinks(cl Clause) []linkCtl {
-	if cl.Leaf != -1 {
-		return []linkCtl{inj.net.Trunk(cl.Leaf, cl.Spine)}
-	}
-	ports := inj.targetPorts(cl.Port)
-	links := make([]linkCtl, len(ports))
-	for i, p := range ports {
-		links[i] = p
-	}
-	return links
-}
-
-// stagedTarget pairs a control surface with the shard whose engine owns
-// its state. Staged-mode window events must execute on the owning shard:
-// link stall/slowdown fields are read by that shard's event loop, and any
-// other engine touching them would race.
-type stagedTarget struct {
+// linkTarget pairs a control surface with the shard whose engine owns its
+// state. Window events must execute on the owning shard: link
+// stall/slowdown fields are read by that shard's event loop, and any other
+// engine touching them would race.
+type linkTarget struct {
 	l     linkCtl
 	shard int
 }
 
-// stagedLinks is targetLinks plus ownership, for staged scheduling.
-func (inj *Injector) stagedLinks(cl Clause) []stagedTarget {
+// targetLinks resolves a flap/rate clause to the links it drives — the
+// named trunk for trunk clauses, the host port(s) otherwise — with their
+// owning shards.
+func (inj *Injector) targetLinks(cl Clause) []linkTarget {
 	if cl.Leaf != -1 {
 		t := inj.net.Trunk(cl.Leaf, cl.Spine)
-		return []stagedTarget{{t, inj.net.TrunkShard(t)}}
+		return []linkTarget{{t, inj.net.TrunkShard(t)}}
 	}
 	ports := inj.targetPorts(cl.Port)
-	out := make([]stagedTarget, len(ports))
+	out := make([]linkTarget, len(ports))
 	for i, p := range ports {
-		out[i] = stagedTarget{p, inj.net.ShardOf(p.ID())}
+		out[i] = linkTarget{p, inj.net.ShardOf(p.ID())}
 	}
 	return out
 }
 
 // home picks the shard that carries a clause's marks (trace instants and
-// window counters) in staged mode: the named trunk's or port's owner, or
-// shard 0 for network-wide clauses. The choice only routes observability
-// to a stable engine — it does not affect simulated behavior — but fixing
-// it deterministically keeps every shard's event stream identical across
+// window counters): the named trunk's or port's owner, or shard 0 for
+// network-wide clauses. The choice only routes observability to a stable
+// engine — it does not affect simulated behavior — but fixing it
+// deterministically keeps every shard's event stream identical across
 // shard counts.
 func (inj *Injector) home(cl Clause) int {
-	if !inj.staged {
-		return 0
-	}
 	if cl.Leaf != -1 {
 		return inj.net.TrunkShard(inj.net.Trunk(cl.Leaf, cl.Spine))
 	}
@@ -324,25 +286,15 @@ func (inj *Injector) startAt(d Duration) sim.Time {
 // holding the sender off; nothing is lost.
 func (inj *Injector) scheduleFlap(cl Clause) {
 	until := cl.Until.T()
-	if inj.staged {
-		// One event per link, on the owning shard's engine.
-		start := inj.startAt(cl.From)
-		for _, st := range inj.stagedLinks(cl) {
-			l := st.l
-			inj.net.ShardEngine(st.shard).At(start, func() {
-				l.StallUp(until)
-				l.StallDown(until)
-			})
-		}
-		return
-	}
-	links := inj.targetLinks(cl)
-	inj.eng.At(inj.startAt(cl.From), func() {
-		for _, l := range links {
+	// One event per link, on the owning shard's engine.
+	start := inj.startAt(cl.From)
+	for _, lt := range inj.targetLinks(cl) {
+		l := lt.l
+		inj.net.ShardEngine(lt.shard).At(start, func() {
 			l.StallUp(until)
 			l.StallDown(until)
-		}
-	})
+		})
+	}
 }
 
 // scheduleFlapMarks emits the link-down / link-up trace instants and the
@@ -365,47 +317,27 @@ func (inj *Injector) scheduleFlapMarks(cl Clause) {
 func (inj *Injector) scheduleRate(cl Clause) {
 	attrs := linkAttrs(cl)
 	factor := cl.Rate
-	if inj.staged {
-		// Slowdown writes land on each link's owning shard; the mark and
-		// counter land once, on the clause's home shard.
-		start, stop := inj.startAt(cl.From), inj.startAt(cl.Until)
-		for _, st := range inj.stagedLinks(cl) {
-			l := st.l
-			eng := inj.net.ShardEngine(st.shard)
-			eng.At(start, func() { l.SetSlowdown(factor) })
-			if cl.Until != 0 {
-				eng.At(stop, func() { l.SetSlowdown(1) })
-			}
-		}
-		home := inj.home(cl)
-		eng, ctr := inj.net.ShardEngine(home), &inj.per[home]
-		eng.At(start, func() {
-			ctr.cRateChanges.Inc()
-			eng.Trc().Instant("faults", "rate-degrade", append(attrs, trace.F64("factor", factor))...)
-		})
+	// Slowdown writes land on each link's owning shard; the mark and
+	// counter land once, on the clause's home shard.
+	start, stop := inj.startAt(cl.From), inj.startAt(cl.Until)
+	for _, lt := range inj.targetLinks(cl) {
+		l := lt.l
+		eng := inj.net.ShardEngine(lt.shard)
+		eng.At(start, func() { l.SetSlowdown(factor) })
 		if cl.Until != 0 {
-			eng.At(stop, func() {
-				ctr.cRateChanges.Inc()
-				eng.Trc().Instant("faults", "rate-restore", attrs...)
-			})
+			eng.At(stop, func() { l.SetSlowdown(1) })
 		}
-		return
 	}
-	links := inj.targetLinks(cl)
-	inj.eng.At(inj.startAt(cl.From), func() {
-		for _, l := range links {
-			l.SetSlowdown(factor)
-		}
-		inj.per[0].cRateChanges.Inc()
-		inj.eng.Trc().Instant("faults", "rate-degrade", append(attrs, trace.F64("factor", factor))...)
+	home := inj.home(cl)
+	eng, ctr := inj.net.ShardEngine(home), &inj.per[home]
+	eng.At(start, func() {
+		ctr.cRateChanges.Inc()
+		eng.Trc().Instant("faults", "rate-degrade", append(attrs, trace.F64("factor", factor))...)
 	})
 	if cl.Until != 0 {
-		inj.eng.At(inj.startAt(cl.Until), func() {
-			for _, l := range links {
-				l.SetSlowdown(1)
-			}
-			inj.per[0].cRateChanges.Inc()
-			inj.eng.Trc().Instant("faults", "rate-restore", attrs...)
+		eng.At(stop, func() {
+			ctr.cRateChanges.Inc()
+			eng.Trc().Instant("faults", "rate-restore", attrs...)
 		})
 	}
 }
@@ -421,51 +353,28 @@ func (inj *Injector) scheduleCongest(cl Clause) {
 	}
 	occupy := sim.Time(float64(period) * cl.Rate)
 	until := cl.Until.T()
-	if inj.staged {
-		// One independent tick chain per target port, on the port's owning
-		// shard (identical timestamps, so the stall pattern matches the
-		// unstaged single chain); the counter ticks once per port per
-		// period on the port's shard.
-		for _, p := range inj.targetPorts(cl.Port) {
-			p := p
-			shard := inj.net.ShardOf(p.ID())
-			eng, ctr := inj.net.ShardEngine(shard), &inj.per[shard]
-			var tick func()
-			tick = func() {
-				now := eng.Now()
-				p.StallDown(now + occupy)
-				ctr.cCongest.Inc()
-				if next := now + period; next < until {
-					eng.At(next, tick)
-				} else {
-					eng.Trc().Instant("faults", "congest-end", trace.I64("port", int64(p.ID())))
-				}
-			}
-			eng.At(inj.startAt(cl.From), func() {
-				eng.Trc().Instant("faults", "congest-begin", trace.I64("port", int64(p.ID())), trace.F64("share", cl.Rate))
-				tick()
-			})
-		}
-		return
-	}
-	ports := inj.targetPorts(cl.Port)
-	var tick func()
-	tick = func() {
-		now := inj.eng.Now()
-		for _, p := range ports {
+	// One independent tick chain per target port, on the port's owning
+	// shard; the counter ticks once per port per period.
+	for _, p := range inj.targetPorts(cl.Port) {
+		p := p
+		shard := inj.net.ShardOf(p.ID())
+		eng, ctr := inj.net.ShardEngine(shard), &inj.per[shard]
+		var tick func()
+		tick = func() {
+			now := eng.Now()
 			p.StallDown(now + occupy)
+			ctr.cCongest.Inc()
+			if next := now + period; next < until {
+				eng.At(next, tick)
+			} else {
+				eng.Trc().Instant("faults", "congest-end", trace.I64("port", int64(p.ID())))
+			}
 		}
-		inj.per[0].cCongest.Inc()
-		if next := now + period; next < until {
-			inj.eng.At(next, tick)
-		} else {
-			inj.eng.Trc().Instant("faults", "congest-end", trace.I64("port", int64(cl.Port)))
-		}
+		eng.At(inj.startAt(cl.From), func() {
+			eng.Trc().Instant("faults", "congest-begin", trace.I64("port", int64(p.ID())), trace.F64("share", cl.Rate))
+			tick()
+		})
 	}
-	inj.eng.At(inj.startAt(cl.From), func() {
-		inj.eng.Trc().Instant("faults", "congest-begin", trace.I64("port", int64(cl.Port)), trace.F64("share", cl.Rate))
-		tick()
-	})
 }
 
 // scheduleNICStall freezes the target NIC engine(s) for Stall every Period
@@ -474,83 +383,49 @@ func (inj *Injector) scheduleNICStall(cl Clause, nics []EngineStaller) {
 	stall := cl.Stall.T()
 	period := cl.Period.T()
 	until := cl.Until.T()
-	if inj.staged {
-		// One chain per NIC on its host's shard: StallEngines mutates NIC
-		// model state the host's engine reads on every operation.
-		for i, s := range nics {
-			if s == nil || (cl.Port != -1 && i != cl.Port) {
-				continue
-			}
-			s := s
-			shard := inj.net.ShardOf(fabric.NodeID(i))
-			eng, ctr := inj.net.ShardEngine(shard), &inj.per[shard]
-			port := int64(i)
-			var tick func()
-			tick = func() {
-				s.StallEngines(stall)
-				ctr.cNICStalls.Inc()
-				eng.Trc().Instant("faults", "nic-stall", trace.I64("port", port), trace.I64("stall_ps", int64(stall)))
-				if period == 0 {
-					return
-				}
-				if next := eng.Now() + period; next < until {
-					eng.At(next, tick)
-				}
-			}
-			eng.At(inj.startAt(cl.From), tick)
+	// One chain per NIC on its host's shard: StallEngines mutates NIC model
+	// state the host's engine reads on every operation.
+	for i, s := range nics {
+		if s == nil || (cl.Port != -1 && i != cl.Port) {
+			continue
 		}
-		return
-	}
-	var targets []EngineStaller
-	if cl.Port != -1 {
-		targets = []EngineStaller{nics[cl.Port]}
-	} else {
-		for _, s := range nics {
-			if s != nil {
-				targets = append(targets, s)
-			}
-		}
-	}
-	var tick func()
-	tick = func() {
-		for _, s := range targets {
+		s := s
+		shard := inj.net.ShardOf(fabric.NodeID(i))
+		eng, ctr := inj.net.ShardEngine(shard), &inj.per[shard]
+		port := int64(i)
+		var tick func()
+		tick = func() {
 			s.StallEngines(stall)
+			ctr.cNICStalls.Inc()
+			eng.Trc().Instant("faults", "nic-stall", trace.I64("port", port), trace.I64("stall_ps", int64(stall)))
+			if period == 0 {
+				return
+			}
+			if next := eng.Now() + period; next < until {
+				eng.At(next, tick)
+			}
 		}
-		inj.per[0].cNICStalls.Inc()
-		inj.eng.Trc().Instant("faults", "nic-stall", trace.I64("port", int64(cl.Port)), trace.I64("stall_ps", int64(stall)))
-		if period == 0 {
-			return
-		}
-		if next := inj.eng.Now() + period; next < until {
-			inj.eng.At(next, tick)
-		}
+		eng.At(inj.startAt(cl.From), tick)
 	}
-	inj.eng.At(inj.startAt(cl.From), tick)
 }
 
 // filter is the compiled frame-level pipeline, consulted from the
 // network's DropFn for every frame. Clauses run in scenario order; the
 // first drop wins (later clauses then see no frame, mirroring a real wire
 // where a frame lost upstream never reaches downstream impairments).
-// On a staged network the filter runs concurrently on every source shard's
-// goroutine; all state it touches there is keyed by f.Src (per-port RNG
+// On a sharded network the filter runs concurrently on every source
+// shard's goroutine; all state it touches is keyed by f.Src (per-port RNG
 // streams, per-port burst state, the source shard's counters), which only
 // that shard's events reach.
 func (inj *Injector) filter(f *fabric.Frame) bool {
-	eng, shard := inj.eng, 0
-	if inj.staged {
-		shard = inj.net.ShardOf(f.Src)
-		eng = inj.net.ShardEngine(shard)
-	}
+	shard := inj.net.ShardOf(f.Src)
+	eng := inj.net.ShardEngine(shard)
 	now := eng.Now()
 	for _, fc := range inj.frame {
 		if !fc.activeAt(now) || !fc.matches(f) {
 			continue
 		}
-		rng, bad := fc.rng, &fc.bad
-		if inj.staged {
-			rng, bad = fc.rngs[f.Src], &fc.bads[f.Src]
-		}
+		rng, bad := fc.rngs[f.Src], &fc.bads[f.Src]
 		switch fc.cl.Kind {
 		case KindLoss:
 			if rng.Float64() < fc.cl.Rate {

@@ -42,13 +42,12 @@ func TestAllowDirectiveBudget(t *testing.T) {
 	// The audited-exception budget. The bulk is the engine and fabric hot
 	// paths: nogoroutine's coroutine rendezvous, noalloc's amortized-growth
 	// and callback-dispatch points, tracekeys' once-per-run indexed gauge
-	// names. The staged-fabric additions (fabric/sharding.go, the engine's
-	// RunBefore epoch loop) mirror the pre-existing Send/Run exceptions:
-	// amortized free-list and pending-list growth, the DropFn and handoff
-	// dispatch points, and the duplicated event-loop body.
+	// names. The fabric's hop pipeline accounts for the amortized free-list
+	// and pending-list growth and the DropFn, endpoint and cross-shard
+	// handoff dispatch points; Run and RunBefore share one event loop.
 	want := map[string]int{
-		"maporder":    1,
-		"noalloc":     18,
+		"maporder":    0,
+		"noalloc":     13,
 		"nogoroutine": 7,
 		"sharedstate": 1,
 		"tracekeys":   9,

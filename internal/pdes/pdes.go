@@ -9,18 +9,20 @@
 //	M = min over shards of (next local event time, undelivered handoff fire times)
 //	B = M + lookahead            // the epoch limit
 //	deliver every held handoff firing before B, in (time, src shard, seq) order
-//	every shard runs its events with t < B, then advances its clock to B
+//	every shard runs its events with t < B
 //
 // Safety: an event executing at time u >= M can only emit cross-shard work
 // firing at or after u + lookahead >= B, so once a barrier is computed no
-// shard can retroactively need an event before it. Every engine finishes
-// every epoch at exactly B, so the final clocks agree at any shard count.
+// shard can retroactively need an event before it. When the world drains,
+// every shard clock is aligned to the world's last event — the clock a
+// single engine running the same world stops at — so the final clock does
+// not depend on the shard count.
 //
 // Determinism: handoffs are merged and scheduled in (fire time, source
 // shard, per-source sequence) order — never channel-arrival order — so the
 // destination engine sees an identical event stream however the host OS
 // scheduled the workers. That extends the repository's -j1 == -j8 identity
-// guarantee to -shards 1 == -shards N; see docs/performance.md.
+// guarantee to one engine == N shards; see docs/performance.md.
 //
 // Like internal/parallel, this package is deliberately OUTSIDE the simlint
 // determinism scope (scope.ConcurrencyExempt): it is the one place where
@@ -65,13 +67,14 @@ type Runtime struct {
 	pending []handoff
 }
 
-// New builds a runtime over the shard engines. lookahead must be a strictly
-// positive lower bound on the virtual-time distance of every cross-shard
-// interaction (internal/fabric derives it from the link config; see
-// Network.Lookahead).
+// New builds a runtime over two or more shard engines (a one-engine world
+// needs no barriers: it runs as a plain Engine.Run). lookahead must be a
+// strictly positive lower bound on the virtual-time distance of every
+// cross-shard interaction (internal/fabric derives it from the link config;
+// see Config.Lookahead).
 func New(engs []*sim.Engine, lookahead sim.Time) *Runtime {
-	if len(engs) == 0 {
-		panic("pdes: no shard engines")
+	if len(engs) < 2 {
+		panic(fmt.Sprintf("pdes: %d shard engines; a runtime needs at least 2", len(engs)))
 	}
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("pdes: lookahead %v must be positive", lookahead))
@@ -109,10 +112,6 @@ func (rt *Runtime) Post(src, dst int, at sim.Time, fn func(any), arg any) {
 // run); worker goroutines live only for the duration of one call.
 func (rt *Runtime) Run() error {
 	n := len(rt.engs)
-	if n == 1 {
-		return rt.runInline()
-	}
-
 	cmd := make([]chan sim.Time, n)
 	res := make([]chan error, n)
 	for i := 0; i < n; i++ {
@@ -133,6 +132,7 @@ func (rt *Runtime) Run() error {
 	for {
 		m, ok := rt.horizon()
 		if !ok {
+			rt.alignClocks()
 			return nil
 		}
 		limit := m + rt.la
@@ -153,22 +153,16 @@ func (rt *Runtime) Run() error {
 	}
 }
 
-// runInline is the single-shard path: the same epoch protocol, no
-// goroutines, so a -shards 1 world is not merely equivalent to the parallel
-// path — per epoch it runs the identical release/RunBefore/collect sequence
-// and finishes with the identical final clock.
-func (rt *Runtime) runInline() error {
-	for {
-		m, ok := rt.horizon()
-		if !ok {
-			return nil
-		}
-		limit := m + rt.la
-		rt.release(limit)
-		if err := rt.engs[0].RunBefore(limit); err != nil {
-			return err
-		}
-		rt.collect()
+// alignClocks moves every shard clock to the latest one: the world's last
+// event, where a single engine running the same world would have stopped.
+// Called only once the world has drained.
+func (rt *Runtime) alignClocks() {
+	var last sim.Time
+	for _, e := range rt.engs {
+		last = max(last, e.Now())
+	}
+	for _, e := range rt.engs {
+		e.AdvanceTo(last)
 	}
 }
 

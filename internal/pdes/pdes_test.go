@@ -80,25 +80,27 @@ func TestRunTwiceAndClockAgreement(t *testing.T) {
 	}
 }
 
-// The single-shard path runs the identical epoch protocol inline, so the
-// final clock of a 1-shard runtime matches a multi-shard one running the
-// same self-contained workload on shard 0.
-func TestInlineMatchesParallelClock(t *testing.T) {
+// A one-engine world runs as a plain Engine.Run, so the runtime must stop
+// every shard clock where that run stops: at the world's last event, not at
+// an epoch limit past it. The same self-contained workload on shard 0 of a
+// 3-shard runtime must finish at the plain run's clock, on every shard.
+func TestPlainRunMatchesShardedClock(t *testing.T) {
 	const la = 25 * sim.Nanosecond
-	run := func(n int) sim.Time {
-		engs := make([]*sim.Engine, n)
-		for i := range engs {
-			engs[i] = sim.NewEngine()
-		}
-		rt := New(engs, la)
-		engs[0].At(7, func() { engs[0].At(40, func() {}) })
-		if err := rt.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return engs[0].Now()
+	workload := func(e *sim.Engine) { e.At(7, func() { e.At(40, func() {}) }) }
+	plain := sim.NewEngine()
+	workload(plain)
+	if err := plain.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if a, b := run(1), run(3); a != b {
-		t.Fatalf("final clock differs: 1 shard %v, 3 shards %v", a, b)
+	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+	workload(engs[0])
+	if err := New(engs, la).Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range engs {
+		if e.Now() != plain.Now() {
+			t.Fatalf("shard %d finished at %v, plain run at %v", i, e.Now(), plain.Now())
+		}
 	}
 }
 
@@ -112,7 +114,8 @@ func TestNewRejectsBadArguments(t *testing.T) {
 		fn()
 	}
 	mustPanic("no engines", func() { New(nil, sim.Nanosecond) })
-	mustPanic("zero lookahead", func() { New([]*sim.Engine{sim.NewEngine()}, 0) })
+	mustPanic("one engine", func() { New([]*sim.Engine{sim.NewEngine()}, sim.Nanosecond) })
+	mustPanic("zero lookahead", func() { New([]*sim.Engine{sim.NewEngine(), sim.NewEngine()}, 0) })
 }
 
 // Many shards posting many handoffs at once: totals survive, no handoff is

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 
@@ -380,35 +381,10 @@ func (e *Engine) removeAt(i int) {
 // drains simply remain parked; use Close to unwind them.
 //
 //simlint:noalloc
-func (e *Engine) Run() error {
-	if e.closed {
-		return fmt.Errorf("sim: Run on closed engine") //simlint:allow noalloc fatal misuse path; the run never starts
-	}
-	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 && e.err == nil {
-		ev := e.popMin()
-		if ev.at < e.now {
-			return fmt.Errorf("sim: time went backwards: %v < %v", ev.at, e.now) //simlint:allow noalloc fatal corruption path; the run aborts
-		}
-		e.now = ev.at
-		e.live--
-		e.cEvents.Inc()
-		if p := ev.proc; p != nil {
-			e.dispatch(p)
-			continue
-		}
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		if ev.owned {
-			e.recycle(ev)
-		}
-		if fn != nil {
-			fn() //simlint:allow noalloc the callback's allocations are charged to whoever scheduled it, not to the fire path
-		} else {
-			fnArg(arg) //simlint:allow noalloc the callback's allocations are charged to whoever scheduled it, not to the fire path
-		}
-	}
-	return e.err
-}
+func (e *Engine) Run() error { return e.runThrough(maxTime, "Run") }
+
+// maxTime is the latest representable instant: Run's inclusive bound.
+const maxTime Time = math.MaxInt64
 
 // NextEventTime returns the timestamp of the earliest pending event, or
 // ok=false when the event heap is empty. It is the peek the conservative
@@ -420,18 +396,36 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return e.heap[0].at, true
 }
 
-// RunBefore executes every event scheduled strictly before t, then advances
-// the clock to exactly t. Unlike RunUntil it schedules no stop event, so an
+// RunBefore executes every event scheduled strictly before t. The clock
+// stays at the last event fired — exactly where Run would leave it — so an
 // epoch-driven caller (internal/pdes steps each shard engine once per
-// barrier) pays nothing per call beyond the events themselves.
+// barrier) ends with the clock a single-engine run would have. Unlike
+// RunUntil it schedules no stop event, so a step costs nothing beyond the
+// events themselves.
 //
 //simlint:noalloc
-func (e *Engine) RunBefore(t Time) error {
+func (e *Engine) RunBefore(t Time) error { return e.runThrough(t-Picosecond, "RunBefore") }
+
+// AdvanceTo moves the clock forward to t (never backward). It is for
+// drained engines only: internal/pdes aligns every shard clock to the
+// world's last event once the run is over.
+func (e *Engine) AdvanceTo(t Time) {
+	if t > e.now {
+		e.now = t
+	}
+}
+
+// runThrough is the event loop shared by Run and RunBefore: it fires events
+// at or before last until the heap drains, Stop is called or a process
+// fails.
+//
+//simlint:noalloc
+func (e *Engine) runThrough(last Time, caller string) error {
 	if e.closed {
-		return fmt.Errorf("sim: RunBefore on closed engine") //simlint:allow noalloc fatal misuse path; the run never starts
+		return fmt.Errorf("sim: %s on closed engine", caller) //simlint:allow noalloc fatal misuse path; the run never starts
 	}
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 && e.err == nil && e.heap[0].at < t {
+	for !e.stopped && len(e.heap) > 0 && e.err == nil && e.heap[0].at <= last {
 		ev := e.popMin()
 		if ev.at < e.now {
 			return fmt.Errorf("sim: time went backwards: %v < %v", ev.at, e.now) //simlint:allow noalloc fatal corruption path; the run aborts
@@ -452,9 +446,6 @@ func (e *Engine) RunBefore(t Time) error {
 		} else {
 			fnArg(arg) //simlint:allow noalloc the callback's allocations are charged to whoever scheduled it, not to the fire path
 		}
-	}
-	if e.err == nil && e.now < t {
-		e.now = t
 	}
 	return e.err
 }

@@ -5,8 +5,9 @@ import "testing"
 // The engine microbenchmarks cover the three steady-state hot paths every
 // simulated experiment exercises: the pure schedule→fire event cycle, the
 // process sleep→resume cycle (heap + coroutine rendezvous), and the
-// completion fire/wait handoff. cmd/enginebench reruns the same loops to
-// emit BENCH_engine.json; keep the workloads in sync.
+// completion fire/wait handoff. The repository benchmark (simbench/micro.go)
+// reruns the same loops to emit BENCH_engine.json; keep the workloads in
+// sync.
 
 // BenchmarkScheduleFire measures the no-handle schedule→fire event cycle:
 // one event is always in flight, so the heap stays warm and tiny.

@@ -59,7 +59,7 @@ func executeSpec(s spec.Spec, canonical []byte, version string) (res *Result, er
 	}()
 	res = &Result{Spec: canonical, Version: version}
 	// Apply the execution hint for this job only. Jobs are serialized by
-	// the runner, and the staged runtime's identity guarantee means the
+	// the runner, and the shard-count identity guarantee means the
 	// hint can only change how fast the result arrives, never its bytes
 	// (which is why Canonical excludes it from the cache key).
 	oldShards := bench.Shards()

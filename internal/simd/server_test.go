@@ -151,6 +151,47 @@ func TestIdenticalSpecSecondSubmissionServedFromCache(t *testing.T) {
 	}
 }
 
+// The shards field is an execution hint excluded from the cache key, so a
+// warm cache serves a shards-1 submission the bytes a shards-0 run stored.
+// That is only sound if a cold shards-1 run computes those same bytes. The
+// world is the 64-rank MXoE leaf-spine Alltoall, where trunk contention
+// makes the fabric's forwarding order visible in the result.
+func TestShardsHintCacheHitMatchesColdRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-rank collective worlds in -short")
+	}
+	const custom = `"custom":{"net":"mxoe","benchmark":"alltoall","ranks":64,"size":4096,"iters":8,"topology":{"hosts_per_leaf":8,"spines":4}}`
+	run := func(base, body string) (JobView, []byte) {
+		v, status := postSpec(t, base, body)
+		if status != http.StatusAccepted && status != http.StatusOK {
+			t.Fatalf("submit %s: status %d", body, status)
+		}
+		v = awaitDone(t, base, v.ID)
+		return v, fetchResult(t, base, v.ID)
+	}
+
+	_, warm := newTestServer(t)
+	first, stored := run(warm.URL, `{"shards":0,`+custom+`}`)
+	if first.Cached {
+		t.Fatal("first submission to a fresh store claims cached")
+	}
+	hit, served := run(warm.URL, `{"shards":1,`+custom+`}`)
+	if !hit.Cached {
+		t.Fatal("shards-1 resubmission missed the warm cache")
+	}
+	_, cold := newTestServer(t)
+	fresh, computed := run(cold.URL, `{"shards":1,`+custom+`}`)
+	if fresh.Cached {
+		t.Fatal("submission to a second fresh store claims cached")
+	}
+	if !bytes.Equal(stored, served) {
+		t.Fatalf("cache hit differs from the stored result:\nstored: %s\nserved: %s", stored, served)
+	}
+	if !bytes.Equal(stored, computed) {
+		t.Fatalf("cold shards-1 run differs from the shards-0 result the cache serves:\nshards 0: %s\nshards 1: %s", stored, computed)
+	}
+}
+
 func TestCatalogueExperimentJobCollectsCSVs(t *testing.T) {
 	_, ts := newTestServer(t)
 	v, status := postSpec(t, ts.URL, `{"experiment":"fig1","scale":8}`)

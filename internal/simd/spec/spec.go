@@ -267,8 +267,8 @@ func (s Spec) Canonical() ([]byte, error) {
 	if err := c.Normalize(); err != nil {
 		return nil, err
 	}
-	// Execution hints never reach the canonical form: the staged runtime
-	// guarantees shard-count-independent results, so hashing the hint
+	// Execution hints never reach the canonical form: the fabric forwards
+	// identically on one engine and on N shards, so hashing the hint
 	// would split the cache across entries holding identical bytes.
 	c.Shards = 0
 	return json.Marshal(c)

@@ -153,12 +153,13 @@ func TestKeySeparatesTuple(t *testing.T) {
 	}
 }
 
-// The shards field is an execution hint: the staged runtime guarantees
-// byte-identical results at any shard count, so the hint must never enter
-// the canonical form or split the cache.
+// The shards field is an execution hint: results are byte-identical at any
+// shard count (0 and 1 included), so the hint must never enter the
+// canonical form or split the cache.
 func TestShardsHintExcludedFromHash(t *testing.T) {
 	plain := mustHash(t, `{"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`)
 	for _, js := range []string{
+		`{"shards":0,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
 		`{"shards":1,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
 		`{"shards":4,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
 		`{"shards":8,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
