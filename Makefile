@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck clean
 
 all: verify
 
@@ -15,6 +15,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when any Go file in the tree (simbench included) is not
+# gofmt-formatted, and lists the offenders.
+fmtcheck:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # simlint mechanically enforces the determinism contract (virtual time only,
 # no map-order dependence, no ad-hoc concurrency, unit-carrying durations,
@@ -43,7 +48,7 @@ race:
 traceguard:
 	$(GO) test -run TestTraceOverhead ./internal/trace/...
 
-verify: build test vet lint lintselftest race traceguard calibrate
+verify: build fmtcheck test vet lint lintselftest race traceguard calibrate
 
 figures:
 	$(GO) run ./cmd/figures

@@ -129,7 +129,7 @@ func TestVictimRotates(t *testing.T) {
 	for e := 0; e < 32; e++ {
 		now := sim.Time(e) * 100 * sim.Microsecond
 		v := tr.victimAt(now)
-		if v != tr.victimAt(now + 99*sim.Microsecond) {
+		if v != tr.victimAt(now+99*sim.Microsecond) {
 			t.Fatalf("victim changed within epoch %d", e)
 		}
 		seen[v] = true

@@ -40,15 +40,19 @@ func TestAllowDirectiveBudget(t *testing.T) {
 		}
 	}
 	// The audited-exception budget. The bulk is the engine and fabric hot
-	// paths: nogoroutine's coroutine rendezvous, noalloc's amortized-growth
-	// and callback-dispatch points, tracekeys' once-per-run indexed gauge
-	// names. The fabric's hop pipeline accounts for the amortized free-list
-	// and pending-list growth and the DropFn, endpoint and cross-shard
-	// handoff dispatch points; Run and RunBefore share one event loop.
+	// paths: noalloc's amortized-growth and callback-dispatch points,
+	// tracekeys' once-per-run indexed gauge names. The engine's two
+	// coroutine switches (dispatch's next, park's yield) are calls through
+	// func fields that noalloc cannot resolve, so each carries a noalloc
+	// directive; processes are iter.Pull coroutines, so nogoroutine has no
+	// exceptions at all. The fabric's hop pipeline accounts for the
+	// amortized free-list and pending-list growth and the DropFn, endpoint
+	// and cross-shard handoff dispatch points; Run and RunBefore share one
+	// event loop.
 	want := map[string]int{
 		"maporder":    0,
-		"noalloc":     13,
-		"nogoroutine": 7,
+		"noalloc":     15,
+		"nogoroutine": 0,
 		"sharedstate": 1,
 		"tracekeys":   9,
 	}

@@ -3,12 +3,11 @@
 //
 // The simulation engine executes exactly one cooperative process at a
 // time; determinism follows from that total order. A stray `go` statement
-// or channel operation reintroduces scheduler nondeterminism. The one
-// legitimate use is the engine's own coroutine machinery
-// (internal/sim/engine.go and proc.go), which carries
-// //simlint:allow nogoroutine directives explaining why each operation is
-// safe (every handoff is strictly rendezvous: exactly one goroutine is
-// runnable at any instant).
+// or channel operation reintroduces scheduler nondeterminism. The domain
+// has no exceptions: the engine's own processes are iter.Pull coroutines
+// (internal/sim/proc.go), which switch control directly without a go
+// statement or a channel. Packages that are concurrent by design sit outside
+// the domain (scope.ConcurrencyExempt).
 package nogoroutine
 
 import (

@@ -74,7 +74,7 @@ type RegTable struct {
 	// the metrics dump shows one registration story per run (per-table
 	// splits remain available through Stats).
 	cRegs, cDeregs, cPages *metrics.Counter
-	gPinned               *metrics.Gauge
+	gPinned                *metrics.Gauge
 }
 
 // NewRegTable creates a registration table with the given cost model.

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sort"
 
 	"repro/internal/metrics"
@@ -58,9 +57,10 @@ func eventLess(a, b *Event) bool {
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
-// engines with NewEngine. An Engine must only be used from a single OS
-// thread of control: the goroutine that calls Run plus the cooperative
-// processes it dispatches (which never run concurrently with each other).
+// engines with NewEngine. An Engine must only be used from a single thread
+// of control: the goroutine that calls Run plus the process coroutines it
+// switches into, which run one at a time on that goroutine's behalf and
+// never concurrently with it or with each other.
 //
 // The event queue is a monomorphic indexed 4-ary min-heap keyed on
 // (time, seq): no interface boxing, sift depth log4 n, and every node knows
@@ -267,8 +267,8 @@ func (e *Engine) AtArg(at Time, fn func(any), arg any) {
 // scheduleProc queues p's pre-bound dispatch event at now+after. Every
 // process owns exactly one dispatch node, reused in place across parks, so
 // the park→unpark cycle allocates nothing. A parked process has at most one
-// dispatch pending by construction; a second one would dispatch into a
-// running process and deadlock the rendezvous, so it is a fatal bug.
+// dispatch pending by construction; a second one would switch into a
+// process that is already running, so it is a fatal bug.
 //
 //simlint:noalloc
 func (e *Engine) scheduleProc(p *Proc, after Time) {
@@ -488,7 +488,7 @@ func (e *Engine) fail(err error) {
 	e.stopped = true
 }
 
-// Close terminates every live process by unwinding its goroutine, then marks
+// Close terminates every live process by unwinding its coroutine, then marks
 // the engine unusable. It must not be called from process context. Close is
 // idempotent.
 func (e *Engine) Close() {
@@ -499,15 +499,15 @@ func (e *Engine) Close() {
 		panic("sim: Close called from process context")
 	}
 	defer func() { e.closed = true }()
-	// Parked and not-yet-started processes are all blocked on <-p.resume.
-	// Killing dispatches them once with the killed flag set, which makes
-	// their next (or current) yield point panic with errProcKilled; the
-	// recover in the proc trampoline swallows it. Snapshot and sort once —
-	// re-scanning the map for the minimum id per kill is O(procs^2), which
-	// multi-switch worlds with tens of thousands of QP processes turn from
-	// invisible into seconds of teardown per world. A dying proc cannot
-	// spawn or wake others (completions only schedule events), so the
-	// snapshot stays complete.
+	// Parked processes are suspended in park's yield; not-yet-started ones
+	// have a coroutine that has not run. Killing dispatches each once with
+	// the killed flag set: a parked proc's yield returns into a panic with
+	// errProcKilled, which Proc.exit recovers, and an unstarted one skips
+	// its body. Snapshot and sort once — re-scanning the map for the
+	// minimum id per kill is O(procs^2), which multi-switch worlds with tens
+	// of thousands of QP processes turn from invisible into seconds of
+	// teardown per world. A dying proc cannot spawn or wake others
+	// (completions only schedule events), so the snapshot stays complete.
 	live := make([]*Proc, 0, len(e.procs))
 	for q := range e.procs {
 		live = append(live, q)
@@ -528,19 +528,20 @@ func (e *Engine) Close() {
 	}
 }
 
-// dispatch hands control to p and blocks until p yields back. It is the only
-// way process code ever runs.
+// dispatch switches into p's coroutine and returns when p parks again or
+// its body returns. It is the only way process code ever runs. A finished
+// proc drops its coroutine so the body's closure can be collected.
 //
 //simlint:noalloc
 func (e *Engine) dispatch(p *Proc) {
 	prev := e.current
 	e.current = p
 	e.cUnparked.Inc()
-	p.resume <- struct{}{} //simlint:allow nogoroutine engine-side half of the coroutine rendezvous; exactly one goroutine is runnable at any instant
-	<-p.yielded            //simlint:allow nogoroutine blocks the engine until the proc parks again, preserving the single-threaded total order
+	p.next() //simlint:allow noalloc coroutine switch into the proc; iter.Pull's next resumes the coroutine bound once in Go and allocates nothing
 	e.current = prev
 	if p.dead {
 		delete(e.procs, p)
+		p.next, p.yield = nil, nil
 	}
 }
 
@@ -549,36 +550,16 @@ func (e *Engine) dispatch(p *Proc) {
 // It is safe to call from engine context or process context.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		e:       e,
-		id:      e.seq, // unique, monotone: reuse the event sequence counter
-		name:    name,
-		resume:  make(chan struct{}),
-		yielded: make(chan struct{}),
+		e:    e,
+		id:   e.seq, // unique, monotone: reuse the event sequence counter
+		name: name,
 	}
 	p.ev.proc = p
 	p.ev.eng = e
 	p.ev.index = -1
+	p.bind(fn)
 	e.procs[p] = struct{}{}
 	e.cProcs.Inc()
-	//simlint:allow nogoroutine the one legitimate spawn: each Proc needs its own stack, and the rendezvous in dispatch serializes it with the engine
-	go func() {
-		<-p.resume //simlint:allow nogoroutine proc-side half of the coroutine rendezvous; parked until the engine dispatches it
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != errProcKilled {
-					e.fail(fmt.Errorf("sim: proc %q panicked: %v\n%s", name, r, debug.Stack()))
-				}
-			}()
-			if !p.killed {
-				fn(p)
-			}
-		}()
-		p.dead = true
-		if p.done != nil {
-			p.done.fire()
-		}
-		p.yielded <- struct{}{} //simlint:allow nogoroutine final yield back to the engine when the proc body returns
-	}()
 	e.scheduleProc(p, 0)
 	return p
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // The engine microbenchmarks cover the three steady-state hot paths every
 // simulated experiment exercises: the pure schedule→fire event cycle, the
-// process sleep→resume cycle (heap + coroutine rendezvous), and the
+// process sleep→resume cycle (heap + two coroutine switches), and the
 // completion fire/wait handoff. The repository benchmark (simbench/micro.go)
 // reruns the same loops to emit BENCH_engine.json; keep the workloads in
 // sync.
@@ -54,7 +54,7 @@ func BenchmarkScheduleFireDepth(b *testing.B) {
 }
 
 // BenchmarkSleepCycle measures the process sleep→resume cycle: heap push,
-// pop and the two-sided coroutine rendezvous.
+// pop, and the switch into and back out of the process coroutine.
 func BenchmarkSleepCycle(b *testing.B) {
 	e := NewEngine()
 	e.Go("sleeper", func(p *Proc) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -164,6 +165,8 @@ func TestProcDoneCompletion(t *testing.T) {
 
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine()
+	c := NewCompletion(e)
+	bystander := e.Go("bystander", func(p *Proc) { c.Wait(p) })
 	e.Go("bad", func(p *Proc) {
 		p.Sleep(Microsecond)
 		panic("boom")
@@ -171,6 +174,17 @@ func TestProcPanicPropagates(t *testing.T) {
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected error from panicking proc")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `proc "bad" panicked: boom`) {
+		t.Errorf("error does not name the proc and the panic value: %.200s", msg)
+	}
+	if e.LiveProcs() != 1 {
+		t.Fatalf("live procs after the panic = %d, want 1 (the bystander)", e.LiveProcs())
+	}
+	done := bystander.Done()
+	e.Close()
+	if e.LiveProcs() != 0 || !done.Fired() {
+		t.Errorf("bystander not unwound at Close: live procs %d, done %v", e.LiveProcs(), done.Fired())
 	}
 }
 

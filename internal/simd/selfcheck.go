@@ -47,7 +47,9 @@ func SelfCheck(out io.Writer) error {
 	fmt.Fprintf(out, "simdcheck: server on %s, cache in %s\n", ln.Addr(), dir)
 
 	// 1. The catalogue is served and non-empty.
-	var catalogue []struct{ ID string `json:"id"` }
+	var catalogue []struct {
+		ID string `json:"id"`
+	}
 	if err := getJSON(base+"/catalogue", &catalogue); err != nil {
 		return fmt.Errorf("catalogue: %w", err)
 	}

@@ -90,10 +90,10 @@ type Server struct {
 	store   *Store
 	version string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   map[string]*Job
-	order  []string // submission order, for deterministic listings
+	mu      sync.Mutex
+	cond    *sync.Cond
+	jobs    map[string]*Job
+	order   []string // submission order, for deterministic listings
 	queue   []*Job
 	started bool
 	closed  bool

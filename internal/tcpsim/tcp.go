@@ -105,9 +105,9 @@ type Conn struct {
 	rtoEv    *sim.Event
 	// rtoFn is the timeout method value, bound once at construction so each
 	// armRTO avoids allocating a fresh method-value closure.
-	rtoFn func()
-	dupAcks  int
-	backoff  uint // consecutive RTO firings without forward progress
+	rtoFn   func()
+	dupAcks int
+	backoff uint // consecutive RTO firings without forward progress
 	// recovering is set while a go-back-N rewind is outstanding and cleared
 	// by the next ACK that advances sndUna. One recovery per loss event, as
 	// in NewReno: a full-window retransmission breeds a full window of
