@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck resultscheck clean
 
 all: verify
 
@@ -127,6 +127,21 @@ breakdowncheck:
 	/tmp/repro-figures -only breakdown -scale 2 -j 1 > /tmp/repro-breakdown-j1.txt
 	/tmp/repro-figures -only breakdown -scale 2 -j 8 > /tmp/repro-breakdown-j8.txt
 	cmp /tmp/repro-breakdown-j1.txt /tmp/repro-breakdown-j8.txt
+
+# resultscheck gates the committed results byte for byte: it regenerates
+# the full figure catalogue (tables and one CSV per figure) and the
+# calibration table into a temp dir and cmps every file of results/ against
+# its regenerated copy. A model change that moves any committed number
+# fails here until results/ is regenerated in the same change.
+resultscheck:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/figures" ./cmd/figures; \
+	$(GO) build -o "$$tmp/calibrate" ./cmd/calibrate; \
+	mkdir "$$tmp/out"; \
+	"$$tmp/figures" -j 2 -csv "$$tmp/out" > "$$tmp/out/figures.txt"; \
+	"$$tmp/calibrate" > "$$tmp/out/calibrate.txt"; \
+	for f in results/*; do cmp "$$f" "$$tmp/out/$${f#results/}"; done; \
+	echo "resultscheck: $$(ls results | wc -l) files match results/"
 
 # simdcheck exercises the simulation-as-a-service job server end to end over
 # real loopback HTTP: boot the server against a throwaway cache, submit a

@@ -347,15 +347,15 @@ func BenchmarkExt_ScalingAlltoall(b *testing.B) {
 	for _, kind := range cluster.Kinds {
 		for _, nodes := range []int{4, 16} {
 			b.Run(fmt.Sprintf("%s/nodes-%d", kind, nodes), func(b *testing.B) {
-				var at sim.Time
+				var res bench.ScaleResult
 				for i := 0; i < b.N; i++ {
 					var err error
-					at, err = bench.AlltoallTime(kind, nodes, 1<<10, 3)
+					res, err = bench.AlltoallScale(kind, nodes, 1<<10, 3, bench.ScaleOpts{})
 					if err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(at.Micros(), "virt-us")
+				b.ReportMetric(res.Time.Micros(), "virt-us")
 			})
 		}
 	}

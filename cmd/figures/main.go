@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -51,9 +52,9 @@ func main() {
 
 	parallel.SetJobs(*jobs)
 	bench.SetShards(*shards)
-	parallel.SetWorldShards(*shards)
+	var onExperiment func(e core.Experiment, i, n int)
 	if *progress {
-		installProgress()
+		onExperiment = installProgress()
 	}
 
 	if *only != "" {
@@ -68,21 +69,26 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if err := core.RunAll(os.Stdout, *only, *csvDir, *scale); err != nil {
+	if err := core.RunAll(os.Stdout, *only, *csvDir, *scale, onExperiment); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, parallel.Summary())
+	summary := parallel.Summary()
+	if s := bench.Shards(); s > 0 {
+		// Tasks are whole worlds, so j workers at s shards per world drive
+		// up to j*s shard goroutines; the count sits next to the pool width
+		// so a wide busy=..../worker spread reads correctly.
+		summary = strings.Replace(summary, " workers=", fmt.Sprintf(" shards=%d/world workers=", s), 1)
+	}
+	fmt.Fprintln(os.Stderr, summary)
 }
 
-// installProgress wires the stderr progress stream: one line per experiment
-// from the catalogue, and world-completion lines with a wall-clock ETA from
-// the worker pool. Everything goes to stderr; stdout stays byte-identical
-// with or without -progress.
-func installProgress() {
-	core.OnExperiment = func(e core.Experiment, i, n int) {
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s: %s\n", i+1, n, e.ID, e.Title)
-	}
+// installProgress wires the stderr progress stream: world-completion lines
+// with a wall-clock ETA from the worker pool, and (through the returned
+// printer, which RunAll calls) one line per experiment from the catalogue.
+// Everything goes to stderr; stdout stays byte-identical with or without
+// -progress.
+func installProgress() func(e core.Experiment, i, n int) {
 	var batchStart time.Time // guarded by the pool's stats lock
 	parallel.SetProgress(func(done, total int) {
 		if done == 1 {
@@ -97,7 +103,7 @@ func installProgress() {
 			return
 		}
 		line := fmt.Sprintf("  %d/%d worlds", done, total)
-		if s := parallel.WorldShards(); s > 0 {
+		if s := bench.Shards(); s > 0 {
 			line = fmt.Sprintf("  %d/%d worlds (x%d shards)", done, total, s)
 		}
 		if done > 1 && done < total {
@@ -109,4 +115,7 @@ func installProgress() {
 		}
 		fmt.Fprintln(os.Stderr, line)
 	})
+	return func(e core.Experiment, i, n int) {
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s: %s\n", i+1, n, e.ID, e.Title)
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
@@ -70,7 +69,7 @@ func main() {
 	}
 	bench.SetShards(*shards)
 
-	kind, ok := parseKind(*netName)
+	kind, ok := cluster.ParseKind(*netName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "netbench: unknown network %q (iwarp, ib, mxom, mxoe)\n", *netName)
 		os.Exit(2)
@@ -125,15 +124,8 @@ func main() {
 		lat := bench.UserLatency(kind, *size, *iters)
 		fmt.Printf("%s user-level ping-pong latency, %d B: %.3f us\n", kind, *size, lat.Micros())
 	case "bandwidth":
-		var m bench.BandwidthMode
-		switch *mode {
-		case "uni":
-			m = bench.Unidirectional
-		case "bidi":
-			m = bench.Bidirectional
-		case "bothway":
-			m = bench.BothWay
-		default:
+		m, ok := bench.ParseMode(*mode)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "netbench: unknown bandwidth mode %q (uni, bidi, bothway)\n", *mode)
 			os.Exit(2)
 		}
@@ -253,18 +245,4 @@ func dumpObservability(tbp **cluster.Testbed, traceFile, traceJSONL string, metr
 			os.Exit(1)
 		}
 	}
-}
-
-func parseKind(s string) (cluster.Kind, bool) {
-	switch strings.ToLower(s) {
-	case "iwarp":
-		return cluster.IWARP, true
-	case "ib", "infiniband":
-		return cluster.IB, true
-	case "mxom", "myrinet":
-		return cluster.MXoM, true
-	case "mxoe":
-		return cluster.MXoE, true
-	}
-	return 0, false
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ib"
 	"repro/internal/iwarp"
 	"repro/internal/mpi"
-	"repro/internal/mx"
 	"repro/internal/sim"
 )
 
@@ -103,8 +102,7 @@ func AblateEagerThreshold(thresholds []int, size int) Figure {
 		cfg := mpi.ConfigFor(cluster.IB)
 		cfg.EagerThreshold = th
 		tb := cluster.New(cluster.IB, 2)
-		w := mpi.NewWorld(tb, cfg)
-		lat := mpiLatencyOn(tb, w, size, 12)
+		lat := mpiLatencyOn(tb, mpi.NewWorld(tb, cfg), size, 12)
 		tb.Close()
 		s.Points = append(s.Points, Point{X: float64(th), Y: lat.Micros()})
 	}
@@ -124,7 +122,7 @@ func AblateMXRegCache(size int) Figure {
 	on := Series{Label: "cache on"}
 	on.Points = append(on.Points, Point{X: float64(size), Y: BufferReuseRatio(cluster.MXoM, size)})
 	off := Series{Label: "cache off"}
-	off.Points = append(off.Points, Point{X: float64(size), Y: bufferReuseRatioNoCache(size)})
+	off.Points = append(off.Points, Point{X: float64(size), Y: bufferReuseRatio(size, noRegCacheWorld)})
 	fig.Series = append(fig.Series, on, off)
 	return fig
 }
@@ -143,80 +141,15 @@ func AblateNICMatchCost(costsNs []int, depth int) Figure {
 	for _, ns := range costsNs {
 		cfg := cluster.MXConfig(cluster.MXoM)
 		cfg.MatchPerEntry = sim.Time(ns) * sim.Nanosecond
-		empty := receiveQueueLatencyWith(cfg, 16, 0, 8)
-		loaded := receiveQueueLatencyWith(cfg, 16, depth, 8)
+		lat := func(depth int) sim.Time {
+			tb := cluster.NewWithOptions(cluster.MXoM, 2, cluster.Options{MX: &cfg})
+			defer tb.Close()
+			return receiveQueueLatencyOn(tb, mpi.NewWorld(tb, queueConfig(cluster.MXoM, depth)), 16, depth, 8)
+		}
+		empty := lat(0)
+		loaded := lat(depth)
 		s.Points = append(s.Points, Point{X: float64(ns), Y: float64(loaded) / float64(empty)})
 	}
 	fig.Series = append(fig.Series, s)
 	return fig
-}
-
-// mpiLatencyOn runs a ping-pong on an existing world.
-func mpiLatencyOn(tb *cluster.Testbed, w *mpi.World, size, iters int) sim.Time {
-	var lat sim.Time
-	tb.Eng.Go("rank0", func(pr *sim.Proc) {
-		p := w.Rank(0)
-		buf := p.Host().Mem.Alloc(size)
-		buf.Fill(1)
-		p.Barrier(pr)
-		start := p.Wtime(pr)
-		for i := 0; i < iters; i++ {
-			p.Send(pr, 1, 1, buf, 0, size)
-			p.Recv(pr, 1, 2, buf, 0, size)
-		}
-		lat = (p.Wtime(pr) - start) / sim.Time(2*iters)
-	})
-	tb.Eng.Go("rank1", func(pr *sim.Proc) {
-		p := w.Rank(1)
-		buf := p.Host().Mem.Alloc(size)
-		p.Barrier(pr)
-		for i := 0; i < iters; i++ {
-			p.Recv(pr, 0, 1, buf, 0, size)
-			p.Send(pr, 0, 2, buf, 0, size)
-		}
-	})
-	mustRun(tb)
-	return lat
-}
-
-// receiveQueueLatencyWith is ReceiveQueueLatency with a custom MX config.
-func receiveQueueLatencyWith(cfg mx.Config, size, depth, iters int) sim.Time {
-	tb := cluster.NewWithOptions(cluster.MXoM, 2, cluster.Options{MX: &cfg})
-	defer tb.Close()
-	w := mpi.NewWorld(tb, mpi.ConfigFor(cluster.MXoM))
-	var lat sim.Time
-	for r := 0; r < 2; r++ {
-		r := r
-		tb.Eng.Go("rank", func(pr *sim.Proc) {
-			p := w.Rank(r)
-			peer := 1 - r
-			junk := p.Host().Mem.Alloc(64)
-			buf := p.Host().Mem.Alloc(size)
-			buf.Fill(byte(r))
-			traversed := make([]*mpi.Request, depth)
-			for i := range traversed {
-				traversed[i] = p.Irecv(pr, peer, unexpectedTag, junk, 0, 64)
-			}
-			p.Barrier(pr)
-			if r == 0 {
-				start := p.Wtime(pr)
-				for i := 0; i < iters; i++ {
-					p.Send(pr, peer, measuredTag, buf, 0, size)
-					p.Recv(pr, peer, measuredTag, buf, 0, size)
-				}
-				lat = (p.Wtime(pr) - start) / sim.Time(2*iters)
-			} else {
-				for i := 0; i < iters; i++ {
-					p.Recv(pr, peer, measuredTag, buf, 0, size)
-					p.Send(pr, peer, measuredTag, buf, 0, size)
-				}
-			}
-			for i := 0; i < depth; i++ {
-				p.Send(pr, peer, unexpectedTag, junk, 0, 64)
-			}
-			p.WaitAll(pr, traversed)
-		})
-	}
-	mustRun(tb)
-	return lat
 }

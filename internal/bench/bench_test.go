@@ -261,3 +261,51 @@ func TestAblationNICMatchCost(t *testing.T) {
 		t.Errorf("higher match cost did not raise the ratio: %v vs %v", cheap, dear)
 	}
 }
+
+// TestAblationDefaultsMatchFigures pins every ablation to the figure it
+// ablates: at its calibrated default the swept knob changes nothing, so the
+// ablation must measure exactly what the un-ablated driver measures.
+func TestAblationDefaultsMatchFigures(t *testing.T) {
+	at := func(fig Figure, label string, x float64) float64 {
+		s := fig.Get(label)
+		if s == nil {
+			t.Fatalf("%s has no series %q", fig.ID, label)
+		}
+		y, ok := s.At(x)
+		if !ok {
+			t.Fatalf("%s/%s has no point at %v", fig.ID, label, x)
+		}
+		return y
+	}
+	const conns, size, depth = 8, 1 << 10, 256
+	recvRatio := float64(ReceiveQueueLatency(cluster.MXoM, 16, depth, 8)) /
+		float64(ReceiveQueueLatency(cluster.MXoM, 16, 0, 8))
+	markers := AblateMPAMarkers(64 << 10)
+	type row struct {
+		name      string
+		got, want float64
+	}
+	rows := []row{
+		{"iWARP pipeline width 16",
+			at(AblatePipelineWidth([]int{16}, conns, size), "8 conns, 1024B", 16),
+			MultiConnLatency(cluster.IWARP, conns, size, 6).Micros()},
+		{"IB context cache 8",
+			at(AblateCtxCache([]int{8}, conns, size), "8 conns, 1024B", 8),
+			MultiConnLatency(cluster.IB, conns, size, 6).Micros()},
+		{"MX match cost 35ns",
+			at(AblateNICMatchCost([]int{35}, depth), "16B, depth 256", 35),
+			recvRatio},
+		{"IB eager threshold 8KB",
+			at(AblateEagerThreshold([]int{8 << 10}, 16<<10), "16384B", 8<<10),
+			MPILatency(cluster.IB, 16<<10, 12).Micros()},
+	}
+	for _, n := range []int{64, 8 << 10, 64 << 10} {
+		rows = append(rows, row{"markers+CRC " + fmtX(float64(n)) + "B",
+			at(markers, "markers+CRC", float64(n)), UserLatency(cluster.IWARP, n, 8).Micros()})
+	}
+	for _, r := range rows {
+		if r.got != r.want {
+			t.Errorf("%s: ablation measured %v, figure driver %v", r.name, r.got, r.want)
+		}
+	}
+}

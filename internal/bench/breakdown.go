@@ -160,7 +160,7 @@ func BreakdownFigure(kind cluster.Kind, sizes []int) Figure {
 		reports[i] = rep
 	})
 	return Figure{
-		ID:     "breakdown-" + kindSlug(kind),
+		ID:     "breakdown-" + kind.Slug(),
 		Title:  fmt.Sprintf("%s ping-pong round-trip attribution (critical path)", kind),
 		XLabel: "bytes",
 		YLabel: "round-trip time attributed (us)",
@@ -180,26 +180,11 @@ func BreakdownLeafSpineFigure(kind cluster.Kind, sizes []int) Figure {
 		reports[i] = rep
 	})
 	return Figure{
-		ID: "breakdown-leafspine-" + kindSlug(kind),
+		ID: "breakdown-leafspine-" + kind.Slug(),
 		Title: fmt.Sprintf("%s cross-leaf exchange attribution (%d ranks, %d:1 leaf-spine)",
 			kind, BreakdownLeafSpineRanks, BreakdownLeafSpineRatio),
 		XLabel: "bytes",
 		YLabel: "exchange time attributed (us)",
 		Series: breakdownSeries(floats(sizes), reports),
 	}
-}
-
-// kindSlug lowercases a stack name for figure/CSV identifiers.
-func kindSlug(kind cluster.Kind) string {
-	switch kind {
-	case cluster.IWARP:
-		return "iwarp"
-	case cluster.IB:
-		return "ib"
-	case cluster.MXoM:
-		return "mxom"
-	case cluster.MXoE:
-		return "mxoe"
-	}
-	return fmt.Sprintf("kind%d", int(kind))
 }

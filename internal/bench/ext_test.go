@@ -63,24 +63,26 @@ func TestHotspotDegradesWithSenders(t *testing.T) {
 	}
 }
 
-// alltoallT runs AlltoallTime, failing the test on a clean-run error.
+// alltoallT runs a single-switch AlltoallScale, failing the test on a
+// clean-run error.
 func alltoallT(t *testing.T, kind cluster.Kind, nodes, n, iters int) sim.Time {
 	t.Helper()
-	at, err := AlltoallTime(kind, nodes, n, iters)
+	res, err := AlltoallScale(kind, nodes, n, iters, ScaleOpts{})
 	if err != nil {
 		t.Fatalf("clean %s alltoall run failed: %v", kind, err)
 	}
-	return at
+	return res.Time
 }
 
-// allgatherT runs AllgatherTime, failing the test on a clean-run error.
+// allgatherT runs a single-switch AllgatherScale, failing the test on a
+// clean-run error.
 func allgatherT(t *testing.T, kind cluster.Kind, nodes, n, iters int) sim.Time {
 	t.Helper()
-	at, err := AllgatherTime(kind, nodes, n, iters)
+	res, err := AllgatherScale(kind, nodes, n, iters, ScaleOpts{})
 	if err != nil {
 		t.Fatalf("clean %s allgather run failed: %v", kind, err)
 	}
-	return at
+	return res.Time
 }
 
 func TestScalingCrossover(t *testing.T) {

@@ -31,11 +31,7 @@ type multiConnRig struct {
 	dstBKeys []mem.RKey
 }
 
-func newMultiConnRig(kind cluster.Kind, nconn, size int) *multiConnRig {
-	return newMultiConnRigOn(cluster.New(kind, 2), nconn, size)
-}
-
-func newMultiConnRigOn(tb *cluster.Testbed, nconn, size int) *multiConnRig {
+func newMultiConnRig(tb *cluster.Testbed, nconn, size int) *multiConnRig {
 	r := &multiConnRig{tb: tb}
 	h0, h1 := tb.Hosts[0], tb.Hosts[1]
 	for c := 0; c < nconn; c++ {
@@ -67,7 +63,7 @@ func MultiConnLatency(kind cluster.Kind, nconn, size, rounds int) sim.Time {
 // MultiConnLatencyOn is MultiConnLatency on a caller-built (possibly
 // ablated) two-node testbed, which it closes.
 func MultiConnLatencyOn(tb *cluster.Testbed, nconn, size, rounds int) sim.Time {
-	r := newMultiConnRigOn(tb, nconn, size)
+	r := newMultiConnRig(tb, nconn, size)
 	defer r.tb.Close()
 	const warmup = 1
 	var elapsed sim.Time
@@ -108,7 +104,7 @@ func MultiConnLatencyOn(tb *cluster.Testbed, nconn, size, rounds int) sim.Time {
 // both processes send perConn messages round-robin over every connection;
 // the result is the aggregate data rate in MB/s.
 func MultiConnThroughput(kind cluster.Kind, nconn, size, perConn int) float64 {
-	r := newMultiConnRig(kind, nconn, size)
+	r := newMultiConnRig(cluster.New(kind, 2), nconn, size)
 	defer r.tb.Close()
 	var start, endA, endB sim.Time
 	total := nconn * perConn * size

@@ -11,6 +11,12 @@ import (
 func MPILatency(kind cluster.Kind, size, iters int) sim.Time {
 	tb, w := mpi.DefaultWorld(kind, 2)
 	defer tb.Close()
+	return mpiLatencyOn(tb, w, size, iters)
+}
+
+// mpiLatencyOn is MPILatency on a caller-built (possibly ablated) two-rank
+// world.
+func mpiLatencyOn(tb *cluster.Testbed, w *mpi.World, size, iters int) sim.Time {
 	const warmup = 2
 	var lat sim.Time
 	tb.Eng.Go("rank0", func(pr *sim.Proc) {

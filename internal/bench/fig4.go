@@ -29,6 +29,12 @@ func (m BandwidthMode) String() string {
 	return "unknown"
 }
 
+// ParseMode resolves a mode's command-line name: uni, bidi or bothway.
+func ParseMode(s string) (BandwidthMode, bool) {
+	m, ok := map[string]BandwidthMode{"uni": Unidirectional, "bidi": Bidirectional, "bothway": BothWay}[s]
+	return m, ok
+}
+
 // fig4Window is the non-blocking window depth of the unidirectional and
 // both-way tests.
 const fig4Window = 16

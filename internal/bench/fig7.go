@@ -25,13 +25,9 @@ const (
 // `size` (synchronous "to avoid any overlapping of queue processing with
 // message communication time", per the paper).
 func UnexpectedQueueLatency(kind cluster.Kind, size, depth, iters int) sim.Time {
-	cfg := mpi.ConfigFor(kind)
-	if cfg.EagerCredits > 0 && cfg.EagerCredits < depth+64 {
-		cfg.EagerCredits = depth + 64
-	}
 	tb := cluster.New(kind, 2)
 	defer tb.Close()
-	w := mpi.NewWorld(tb, cfg)
+	w := mpi.NewWorld(tb, queueConfig(kind, depth))
 	var lat sim.Time
 	for r := 0; r < 2; r++ {
 		r := r
@@ -70,29 +66,45 @@ func UnexpectedQueueLatency(kind cluster.Kind, size, depth, iters int) sim.Time 
 	return lat
 }
 
+// queueConfig is the stack's MPI profile with enough eager credits for
+// `depth` queued messages plus the measured traffic.
+func queueConfig(kind cluster.Kind, depth int) mpi.Config {
+	cfg := mpi.ConfigFor(kind)
+	if cfg.EagerCredits > 0 && cfg.EagerCredits < depth+64 {
+		cfg.EagerCredits = depth + 64
+	}
+	return cfg
+}
+
 // Fig7 reproduces Figure 7: ratio of loaded-queue latency over empty-queue
 // latency as a function of the number of unexpected messages.
 func Fig7(kind cluster.Kind, sizes, depths []int) Figure {
-	fig := Figure{
+	return queueRatioFigure(Figure{
 		ID:     "fig7-unexpected-" + kind.String(),
 		Title:  "Unexpected message queue size effect (" + kind.String() + ")",
 		XLabel: "unexpected messages",
 		YLabel: "latency ratio (loaded / empty)",
-	}
+	}, kind, sizes, depths, UnexpectedQueueLatency)
+}
+
+// queueRatioFigure fills fig with one series per message size over the
+// queue depths: each point is kind's latency at that depth over the same
+// size's empty-queue latency.
+func queueRatioFigure(fig Figure, kind cluster.Kind, sizes, depths []int,
+	latency func(kind cluster.Kind, size, depth, iters int) sim.Time) Figure {
 	const iters = 12
 	// Empty-queue baselines first (one world per size), then the loaded grid
 	// normalized against them; both phases run on the worker pool.
 	base := make([]sim.Time, len(sizes))
 	forEachWorld(len(sizes), func(i int) {
-		base[i] = UnexpectedQueueLatency(kind, sizes[i], 0, iters)
+		base[i] = latency(kind, sizes[i], 0, iters)
 	})
 	labels := make([]string, len(sizes))
 	for i, size := range sizes {
 		labels[i] = fmtX(float64(size))
 	}
 	fig.Series = gridSeries(labels, floats(depths), func(si, xi int) float64 {
-		lat := UnexpectedQueueLatency(kind, sizes[si], depths[xi], iters)
-		return float64(lat) / float64(base[si])
+		return float64(latency(kind, sizes[si], depths[xi], iters)) / float64(base[si])
 	})
 	return fig
 }

@@ -17,13 +17,14 @@ var Fig8Sizes = []int{16, 256, 1 << 10, 8 << 10, 32 << 10, 128 << 10}
 // traverses the whole posted queue before finding its match, per the
 // paper's Section 6.5.2 algorithm.
 func ReceiveQueueLatency(kind cluster.Kind, size, depth, iters int) sim.Time {
-	cfg := mpi.ConfigFor(kind)
-	if cfg.EagerCredits > 0 && cfg.EagerCredits < depth+64 {
-		cfg.EagerCredits = depth + 64
-	}
 	tb := cluster.New(kind, 2)
 	defer tb.Close()
-	w := mpi.NewWorld(tb, cfg)
+	return receiveQueueLatencyOn(tb, mpi.NewWorld(tb, queueConfig(kind, depth)), size, depth, iters)
+}
+
+// receiveQueueLatencyOn is ReceiveQueueLatency on a caller-built (possibly
+// ablated) two-rank world.
+func receiveQueueLatencyOn(tb *cluster.Testbed, w *mpi.World, size, depth, iters int) sim.Time {
 	var lat sim.Time
 	for r := 0; r < 2; r++ {
 		r := r
@@ -67,24 +68,10 @@ func ReceiveQueueLatency(kind cluster.Kind, size, depth, iters int) sim.Time {
 // Fig8 reproduces Figure 8: ratio of loaded receive-queue latency over
 // empty-queue latency.
 func Fig8(kind cluster.Kind, sizes, depths []int) Figure {
-	fig := Figure{
+	return queueRatioFigure(Figure{
 		ID:     "fig8-recvqueue-" + kind.String(),
 		Title:  "Receive queue size effect (" + kind.String() + ")",
 		XLabel: "pre-posted receives",
 		YLabel: "latency ratio (loaded / empty)",
-	}
-	const iters = 12
-	base := make([]sim.Time, len(sizes))
-	forEachWorld(len(sizes), func(i int) {
-		base[i] = ReceiveQueueLatency(kind, sizes[i], 0, iters)
-	})
-	labels := make([]string, len(sizes))
-	for i, size := range sizes {
-		labels[i] = fmtX(float64(size))
-	}
-	fig.Series = gridSeries(labels, floats(depths), func(si, xi int) float64 {
-		lat := ReceiveQueueLatency(kind, sizes[si], depths[xi], iters)
-		return float64(lat) / float64(base[si])
-	})
-	return fig
+	}, kind, sizes, depths, ReceiveQueueLatency)
 }

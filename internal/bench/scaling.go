@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/congestion"
@@ -224,54 +225,35 @@ func HaloScale(kind cluster.Kind, px, py, n, iters int, opts ScaleOpts) (ScaleRe
 	})
 }
 
-// AlltoallTime measures the completion time of one n-byte-per-pair
-// Alltoall across `nodes` ranks on the single-switch testbed.
-func AlltoallTime(kind cluster.Kind, nodes, n, iters int) (sim.Time, error) {
-	res, err := AlltoallScale(kind, nodes, n, iters, ScaleOpts{})
-	return res.Time, err
-}
-
-// AllgatherTime measures one n-byte-per-rank Allgather across `nodes` on
-// the single-switch testbed.
-func AllgatherTime(kind cluster.Kind, nodes, n, iters int) (sim.Time, error) {
-	res, err := AllgatherScale(kind, nodes, n, iters, ScaleOpts{})
-	return res.Time, err
-}
-
 // ExtScalingAlltoall builds the node-count sweep for Alltoall (the
 // connection-fan-out stressor: at 16 nodes each verbs process drives 15 QP
 // pairs, where the IB context cache has long since overflowed).
 func ExtScalingAlltoall(nodeCounts []int, n int) Figure {
-	fig := Figure{
-		ID:     "ext-scaling-alltoall",
-		Title:  fmt.Sprintf("Alltoall completion time vs cluster size (%dB per pair)", n),
-		XLabel: "nodes",
-		YLabel: "time per alltoall (us)",
-	}
-	fig.Series = gridSeries(kindLabels(""), floats(nodeCounts), func(si, xi int) float64 {
-		t, err := AlltoallTime(cluster.Kinds[si], nodeCounts[xi], n, 4)
-		if err != nil {
-			panic(fmt.Sprintf("bench: clean alltoall run failed: %v", err))
-		}
-		return t.Micros()
-	})
-	return fig
+	return extScaling("Alltoall", "pair", nodeCounts, n, AlltoallScale)
 }
 
 // ExtScalingAllgather builds the node-count sweep for Allgather.
 func ExtScalingAllgather(nodeCounts []int, n int) Figure {
+	return extScaling("Allgather", "rank", nodeCounts, n, AllgatherScale)
+}
+
+// extScaling sweeps one collective's single-switch completion time over
+// the node counts, n bytes per `per`.
+func extScaling(name, per string, nodeCounts []int, n int,
+	run func(kind cluster.Kind, nodes, n, iters int, opts ScaleOpts) (ScaleResult, error)) Figure {
+	op := strings.ToLower(name)
 	fig := Figure{
-		ID:     "ext-scaling-allgather",
-		Title:  fmt.Sprintf("Allgather completion time vs cluster size (%dB per rank)", n),
+		ID:     "ext-scaling-" + op,
+		Title:  fmt.Sprintf("%s completion time vs cluster size (%dB per %s)", name, n, per),
 		XLabel: "nodes",
-		YLabel: "time per allgather (us)",
+		YLabel: "time per " + op + " (us)",
 	}
 	fig.Series = gridSeries(kindLabels(""), floats(nodeCounts), func(si, xi int) float64 {
-		t, err := AllgatherTime(cluster.Kinds[si], nodeCounts[xi], n, 4)
+		res, err := run(cluster.Kinds[si], nodeCounts[xi], n, 4, ScaleOpts{})
 		if err != nil {
-			panic(fmt.Sprintf("bench: clean allgather run failed: %v", err))
+			panic(fmt.Sprintf("bench: clean %s run failed: %v", op, err))
 		}
-		return t.Micros()
+		return res.Time.Micros()
 	})
 	return fig
 }

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -55,6 +56,27 @@ func (k Kind) String() string {
 		return "MXoE"
 	}
 	return "unknown"
+}
+
+// Slug returns the lowercase stack name the command-line tools accept and
+// figure/CSV identifiers use: iwarp, ib, mxom or mxoe.
+func (k Kind) Slug() string { return strings.ToLower(k.String()) }
+
+// ParseKind resolves a stack name: any Kind's Slug, case-insensitively, or
+// one of the aliases "infiniband" (IB) and "myrinet" (MXoM).
+func ParseKind(s string) (Kind, bool) {
+	switch s = strings.ToLower(s); s {
+	case "infiniband":
+		return IB, true
+	case "myrinet":
+		return MXoM, true
+	}
+	for _, k := range Kinds {
+		if k.Slug() == s {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // IsMX reports whether the stack is an MX library flavour.

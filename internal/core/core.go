@@ -338,15 +338,12 @@ func IDs() []string {
 // so the list can never drift from the catalogue.
 func IDList() string { return strings.Join(IDs(), ", ") }
 
-// OnExperiment, when non-nil, is called by RunAll before each experiment
-// starts, with the experiment and its position in the run. cmd/figures
-// -progress uses it for stderr progress lines; it must not write to the
-// figure output stream.
-var OnExperiment func(e Experiment, i, n int)
-
 // RunAll runs every experiment (or just `only`, if non-empty), writing text
 // tables to w and, when csvDir is non-empty, one CSV per figure.
-func RunAll(w io.Writer, only string, csvDir string, scale int) error {
+// onExperiment, when non-nil, is called before each experiment starts, with
+// the experiment and its position in the run; cmd/figures -progress uses it
+// for stderr progress lines, so it must not write to w.
+func RunAll(w io.Writer, only string, csvDir string, scale int, onExperiment func(e Experiment, i, n int)) error {
 	var todo []Experiment
 	for _, e := range Experiments() {
 		if only != "" && e.ID != only {
@@ -355,8 +352,8 @@ func RunAll(w io.Writer, only string, csvDir string, scale int) error {
 		todo = append(todo, e)
 	}
 	for i, e := range todo {
-		if OnExperiment != nil {
-			OnExperiment(e, i, len(todo))
+		if onExperiment != nil {
+			onExperiment(e, i, len(todo))
 		}
 		var onFigure func(fig bench.Figure) error
 		if csvDir != "" {

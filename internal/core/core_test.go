@@ -102,7 +102,7 @@ func TestRunExperimentCollectsFigures(t *testing.T) {
 func TestRunAllSingleExperimentThinned(t *testing.T) {
 	var sb strings.Builder
 	// Scale 8 keeps this a smoke test; fig1 is the cheapest experiment.
-	if err := RunAll(&sb, "fig1", "", 8); err != nil {
+	if err := RunAll(&sb, "fig1", "", 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

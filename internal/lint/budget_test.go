@@ -54,7 +54,7 @@ func TestAllowDirectiveBudget(t *testing.T) {
 		"noalloc":     15,
 		"nogoroutine": 0,
 		"sharedstate": 1,
-		"tracekeys":   9,
+		"tracekeys":   8,
 	}
 	for check, n := range want {
 		if got[check] != n {

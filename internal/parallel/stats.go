@@ -35,11 +35,6 @@ type PoolStats struct {
 	QueueHighWater int64
 	// TaskSeconds summarizes task wall latency in seconds.
 	TaskSeconds stats.Summary
-	// WorldShards is the per-world shard count the run was configured with
-	// (0 = unsharded worlds). Tasks are whole worlds, so a run at j workers
-	// and s shards per world drives up to j*s shard goroutines; the summary
-	// surfaces it so a wide busy=..../worker spread reads correctly.
-	WorldShards int
 }
 
 var poolMu sync.Mutex
@@ -50,7 +45,6 @@ var pool struct {
 	hist           *metrics.Histogram
 	progress       func(done, total int)
 	scope          *Scope
-	worldShards    int
 }
 
 func poolHist() *metrics.Histogram {
@@ -83,25 +77,6 @@ func taskDone(worker int, d time.Duration, done, total int) {
 	scopeTaskDone(done, total)
 }
 
-// SetWorldShards records the per-world shard count of the current run (0 =
-// unsharded) for the pool summary and progress reporting. Purely
-// observational: the pool itself schedules whole worlds either way.
-func SetWorldShards(n int) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	pool.worldShards = n
-}
-
-// WorldShards returns the recorded per-world shard count.
-func WorldShards() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return pool.worldShards
-}
-
 // SetProgress installs a hook called after every task completion with the
 // batch's done and total counts. The hook runs under the pool's stats lock
 // (so calls are serialized) on whichever worker finished the task; keep it
@@ -123,7 +98,6 @@ func Stats() PoolStats {
 		BusyByWorker:   append([]time.Duration(nil), pool.busy...),
 		QueueHighWater: pool.queueHWM,
 		TaskSeconds:    poolHist().Summary(),
-		WorldShards:    pool.worldShards,
 	}
 	return s
 }
@@ -154,12 +128,8 @@ func Summary() string {
 	if s.TaskSeconds.Count > 0 {
 		mean = s.TaskSeconds.Sum / float64(s.TaskSeconds.Count)
 	}
-	shards := ""
-	if s.WorldShards > 0 {
-		shards = fmt.Sprintf(" shards=%d/world", s.WorldShards)
-	}
-	return fmt.Sprintf("pool: j=%d%s workers=%d tasks=%d batches=%d queue-hwm=%d busy=%s..%s/worker task=%.3fs mean, %.3fs max",
-		s.Jobs, shards, len(s.BusyByWorker), s.Tasks, s.Batches, s.QueueHighWater,
+	return fmt.Sprintf("pool: j=%d workers=%d tasks=%d batches=%d queue-hwm=%d busy=%s..%s/worker task=%.3fs mean, %.3fs max",
+		s.Jobs, len(s.BusyByWorker), s.Tasks, s.Batches, s.QueueHighWater,
 		busyMin.Round(time.Millisecond), busyMax.Round(time.Millisecond),
 		mean, s.TaskSeconds.Max)
 }

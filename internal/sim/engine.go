@@ -78,12 +78,6 @@ type Engine struct {
 	closed  bool
 	err     error
 
-	// Tracer, if non-nil, receives a line for every traced action. It is
-	// the legacy printf debug hook; structured tracing (Trc) has replaced it
-	// internally, but the field and the Trace method keep working for
-	// third-party callers.
-	Tracer func(t Time, who, msg string)
-
 	trc *trace.Tracer
 	reg *metrics.Registry
 
@@ -125,20 +119,6 @@ func (e *Engine) StartTrace(maxEvents int) *trace.Tracer {
 	t := trace.New(func() int64 { return int64(e.now) }, maxEvents)
 	e.trc = t
 	return t
-}
-
-// Trace formats and emits a debug message: to the legacy Tracer hook if one
-// is installed, and as a structured instant event if tracing is enabled.
-// Kept for compatibility; new instrumentation should use Trc directly.
-func (e *Engine) Trace(who, format string, args ...any) {
-	if e.Tracer == nil && !e.trc.Enabled() {
-		return
-	}
-	msg := fmt.Sprintf(format, args...)
-	if e.Tracer != nil {
-		e.Tracer(e.now, who, msg)
-	}
-	e.trc.Instant(who, msg) //simlint:allow tracekeys legacy free-form debug hook; the Enabled/Tracer guard above keeps the disabled path allocation-free
 }
 
 // alloc takes an event node from the free list, or carves one from the

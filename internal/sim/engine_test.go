@@ -521,43 +521,6 @@ func TestScheduleAtPastPanics(t *testing.T) {
 	e.ScheduleAt(0, func() {})
 }
 
-func TestTraceHook(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.Tracer = func(tm Time, who, msg string) {
-		lines = append(lines, fmt.Sprintf("%v %s %s", tm, who, msg))
-	}
-	e.Go("p", func(p *Proc) {
-		p.Sleep(Microsecond)
-		e.Trace("p", "hello %d", 1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 || lines[0] != "1us p hello 1" {
-		t.Errorf("trace lines = %v", lines)
-	}
-}
-
-func TestTraceShimFeedsStructuredTracer(t *testing.T) {
-	e := NewEngine()
-	tr := e.StartTrace(0)
-	e.Go("p", func(p *Proc) {
-		p.Sleep(Microsecond)
-		e.Trace("p", "hello %d", 1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	evs := tr.Events()
-	if len(evs) != 1 {
-		t.Fatalf("events = %d, want 1", len(evs))
-	}
-	if evs[0].Who != "p" || evs[0].Name != "hello 1" || evs[0].Ts != int64(Microsecond) {
-		t.Errorf("event = %+v", evs[0])
-	}
-}
-
 func TestEngineMetrics(t *testing.T) {
 	e := NewEngine()
 	e.Go("a", func(p *Proc) { p.Sleep(Microsecond) })

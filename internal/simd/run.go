@@ -89,9 +89,10 @@ func executeSpec(s spec.Spec, canonical []byte, version string) (res *Result, er
 // the same seam cmd/netbench uses — cannot see anyone else's worlds.
 func runCustom(s spec.Spec, res *Result) (*Result, error) {
 	c := s.Custom
-	kind, err := parseKind(c.Net)
-	if err != nil {
-		return nil, err
+	// spec.Normalize has already rejected every name outside spec.Nets.
+	kind, ok := cluster.ParseKind(c.Net)
+	if !ok {
+		return nil, fmt.Errorf("simd: unknown net %q", c.Net)
 	}
 	var scenario *faults.Scenario
 	if c.Faults != nil {
@@ -135,9 +136,9 @@ func runCustom(s spec.Spec, res *Result) (*Result, error) {
 		fmt.Fprintf(&table, "%s MPI ping-pong latency, %d B: %.3f us\n", kind, c.Size, lat.Micros())
 		res.CSVs = append(res.CSVs, customCSV(c, "latency_us", lat.Micros()))
 	case "mpi-bandwidth":
-		mode, err := parseMode(c.Mode)
-		if err != nil {
-			return nil, err
+		mode, ok := bench.ParseMode(c.Mode)
+		if !ok {
+			return nil, fmt.Errorf("simd: unknown bandwidth mode %q", c.Mode)
 		}
 		bw := bench.MPIBandwidth(kind, mode, c.Size, c.Iters)
 		fmt.Fprintf(&table, "%s MPI %s bandwidth, %d B: %.1f MB/s\n", kind, mode, c.Size, bw)
@@ -145,6 +146,7 @@ func runCustom(s spec.Spec, res *Result) (*Result, error) {
 	case "alltoall", "allgather", "allreduce", "halo":
 		var r bench.ScaleResult
 		var ranks int
+		var err error
 		switch c.Benchmark {
 		case "alltoall":
 			ranks = c.Ranks
@@ -188,30 +190,4 @@ func customCSV(c *spec.Custom, column string, v float64) CSVFile {
 		ID:      fmt.Sprintf("custom-%s-%s", c.Benchmark, c.Net),
 		Content: fmt.Sprintf("size,%s\n%d,%.6g\n", column, c.Size, v),
 	}
-}
-
-func parseKind(s string) (cluster.Kind, error) {
-	switch s {
-	case "iwarp":
-		return cluster.IWARP, nil
-	case "ib":
-		return cluster.IB, nil
-	case "mxom":
-		return cluster.MXoM, nil
-	case "mxoe":
-		return cluster.MXoE, nil
-	}
-	return 0, fmt.Errorf("simd: unknown net %q", s)
-}
-
-func parseMode(s string) (bench.BandwidthMode, error) {
-	switch s {
-	case "uni":
-		return bench.Unidirectional, nil
-	case "bidi":
-		return bench.Bidirectional, nil
-	case "bothway":
-		return bench.BothWay, nil
-	}
-	return 0, fmt.Errorf("simd: unknown bandwidth mode %q", s)
 }

@@ -30,7 +30,8 @@ import (
 	"repro/internal/faults"
 )
 
-// Nets are the accepted network stack names, as cmd/netbench spells them.
+// Nets are the accepted network stack names: the cluster.Kind slugs that
+// cmd/netbench also accepts (internal/simd pins the two lists equal).
 var Nets = []string{"iwarp", "ib", "mxom", "mxoe"}
 
 // Benchmarks are the accepted custom workloads. The latency/bandwidth pair
@@ -41,7 +42,7 @@ var Benchmarks = []string{
 	"alltoall", "allgather", "allreduce", "halo",
 }
 
-// Modes are the accepted mpi-bandwidth modes.
+// Modes are the accepted mpi-bandwidth modes, as bench.ParseMode names them.
 var Modes = []string{"uni", "bidi", "bothway"}
 
 // Limits bound custom workloads to what the simulator can serve
