@@ -108,9 +108,13 @@ func run(kind cluster.Kind) (sim.Time, float64) {
 }
 
 func putFloat(b *mem.Buffer, v float64) {
-	binary.LittleEndian.PutUint64(b.Bytes(), math.Float64bits(v))
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+	b.Store(0, w[:])
 }
 
 func getFloat(b *mem.Buffer) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b.Bytes()))
+	var w [8]byte
+	b.Load(w[:], 0)
+	return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
 }

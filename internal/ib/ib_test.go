@@ -308,3 +308,55 @@ func TestSendBeforeRecvPosted(t *testing.T) {
 		t.Error("early send lost data")
 	}
 }
+
+// overwriteMidFlight waits until dst holds the first byte of a Fill(seed)
+// message but not yet all of it, then overwrites the source buffer.
+func overwriteMidFlight(t *testing.T, p *sim.Proc, src, dst *mem.Buffer, seed byte) {
+	for !dst.Equal(seed, 0, 1) {
+		p.Sleep(20 * sim.Nanosecond)
+	}
+	if dst.Equal(seed, 0, dst.Len()) {
+		t.Error("message fully placed before the overwrite")
+		return
+	}
+	src.Fill(seed + 1)
+}
+
+// TestSourceWriteAfterPostKeepsPostedBytes overwrites the source buffer
+// after the NIC has taken the message and before the receiver has placed
+// its last byte, for a Send (the eager path) and an RDMA Write (the
+// rendezvous data path). The receiver must get the bytes as posted, and
+// the overwrite must cost exactly one view freeze.
+func TestSourceWriteAfterPostKeepsPostedBytes(t *testing.T) {
+	const n = 100_000
+	for _, op := range []verbs.Op{verbs.OpSend, verbs.OpWrite} {
+		t.Run(op.String(), func(t *testing.T) {
+			r := newRig(t)
+			defer r.close()
+			src, dst := r.m0.Alloc(n), r.m1.Alloc(n)
+			src.Fill(42)
+			lsrc := r.h0.Reg().RegisterFree(src, 0, n)
+			ldst := r.h1.Reg().RegisterFree(dst, 0, n)
+			r.eng.Go("receiver", func(p *sim.Proc) {
+				if op == verbs.OpSend {
+					r.qp1.PostRecv(p, verbs.WR{ID: 2, Op: verbs.OpRecv, Local: ldst})
+				}
+			})
+			r.eng.Go("sender", func(p *sim.Proc) {
+				p.Sleep(sim.Microsecond) // the receive is posted first
+				r.qp0.PostSend(p, verbs.WR{ID: 1, Op: op, Local: lsrc, Len: n, RemoteKey: ldst.Key})
+				overwriteMidFlight(t, p, src, dst, 42)
+				r.qp0.SendCQ().Poll(p)
+			})
+			if err := r.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !dst.Equal(42, 0, n) {
+				t.Error("receiver saw a write made after the post")
+			}
+			if got := r.eng.Metrics().Counter("mem.view_freezes").Value(); got != 1 {
+				t.Errorf("mem.view_freezes = %d, want 1", got)
+			}
+		})
+	}
+}

@@ -21,19 +21,20 @@ const (
 
 // packet is one IB packet on the fabric.
 type packet struct {
-	dstQPN  int
-	kind    pktKind
-	op      verbs.Op // OpWrite or OpSend for pktData
-	payload []byte
-	n       int
-	offset  int
-	stag    mem.RKey
-	first   bool
-	last    bool
-	msg     *txMsg
-	rdMsg   *txMsg
-	rd      readReq
-	ackFor  *txMsg
+	dstQPN int
+	kind   pktKind
+	op     verbs.Op  // OpWrite or OpSend for pktData
+	data   *mem.View // the message payload; this packet carries [voff, voff+n)
+	voff   int
+	n      int
+	offset int
+	stag   mem.RKey
+	first  bool
+	last   bool
+	msg    *txMsg
+	rdMsg  *txMsg
+	rd     readReq
+	ackFor *txMsg
 
 	// cause is the causal ref of the engine pass that emitted the packet;
 	// the receive side chains its rx pass from it (in-memory only, never
@@ -50,10 +51,12 @@ type readReq struct {
 	msg     *txMsg
 }
 
-// txMsg tracks an outgoing RC message.
+// txMsg tracks an outgoing RC message. data is its payload view, released
+// when the ACK completes the send.
 type txMsg struct {
-	wr  verbs.WR
-	qpn int // origin QP number on the sending HCA
+	wr   verbs.WR
+	qpn  int // origin QP number on the sending HCA
+	data *mem.View
 }
 
 // inbound assembles an incoming Send message. cause tracks the rx pass of
@@ -211,13 +214,14 @@ func (q *QP) execute(wp *sim.Proc, wr verbs.WR) {
 func (q *QP) stream(wp *sim.Proc, op verbs.Op, src *mem.Region, srcOff, n int, stag mem.RKey, remoteOff int, msg *txMsg, rdMsg *txMsg, dma bool, cause trace.Ref) {
 	h := q.hca
 	mtu := h.cfg.MTU
-	nsegs := (n + mtu - 1) / mtu
-
-	_ = nsegs
-	// Snapshot the message payload once; packets alias into it.
-	var snapshot []byte
-	if n > 0 {
-		snapshot = append([]byte(nil), src.Slice(srcOff, n)...)
+	// Snapshot the message payload once as a copy-on-write view; packets
+	// carry ranges of it. The ACK releases the sender's hold; a read
+	// response has no sender completion, so it lets go once streamed.
+	data := src.View(srcOff, n)
+	if msg != nil {
+		msg.data = data
+	} else {
+		defer data.Release()
 	}
 	// One-packet DMA prefetch (see iwarp.emitSegments for the rationale).
 	var ready sim.Time
@@ -248,7 +252,7 @@ func (q *QP) stream(wp *sim.Proc, op verbs.Op, src *mem.Region, srcOff, n int, s
 		if op == verbs.OpSend {
 			pk.offset = off
 		}
-		pk.payload = snapshot[off : off+take]
+		pk.data, pk.voff = data, off
 		q.engineSend(wp, pk.first, cause, pk)
 	}
 }
@@ -347,6 +351,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 				// The ACK returns to the QP that sent the message.
 				orig := h.qps[m.qpn]
 				orig.scq.Push(verbs.Completion{WRID: m.wr.ID, Op: m.wr.Op, Len: m.wr.Len, At: h.eng.Now(), Cause: ackRef})
+				m.data.Release()
 			}
 		case pktReadReq:
 			h.cReadReqs.Inc()
@@ -398,7 +403,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 		t := h.pcie.WriteFrom(h.eng.Now(), pk.n)
 		pkc := pk
 		h.eng.At(t, func() {
-			copy(region.Buf.Slice(region.Off+pkc.offset, pkc.n), pkc.payload)
+			pkc.data.CopyTo(region.Buf, region.Off+pkc.offset, pkc.voff, pkc.n)
 			placed := h.eng.Trc().InstantR(h.name, "placed",
 				trace.Cause(rxRef), trace.I64("bytes", int64(pkc.n)))
 			q.places.Put(verbs.Placement{Key: pkc.stag, Off: pkc.offset, Len: pkc.n, At: h.eng.Now(), Cause: placed})
@@ -432,7 +437,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 			t := h.pcie.WriteFrom(h.eng.Now(), pk.n)
 			wr, cur, pkc := q.curWR, q.cur, pk
 			h.eng.At(t, func() {
-				copy(wr.Local.Slice(wr.LocalOff+pkc.offset, pkc.n), pkc.payload)
+				pkc.data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+pkc.offset, pkc.voff, pkc.n)
 				if pkc.last {
 					placed := h.eng.Trc().InstantR(h.name, "placed",
 						trace.Cause(rxRef), trace.I64("bytes", int64(cur.got)))
@@ -441,10 +446,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 				}
 			})
 		} else {
-			for len(q.cur.buf) < pk.offset {
-				q.cur.buf = append(q.cur.buf, 0)
-			}
-			q.cur.buf = append(q.cur.buf[:pk.offset], pk.payload...)
+			q.cur.buf = pk.data.Stash(q.cur.buf, pk.offset, pk.voff, pk.n)
 			if pk.last {
 				q.ack(pk.msg, rxRef)
 			}
@@ -474,7 +476,7 @@ func (q *QP) completeEarly(m *inbound, wr verbs.WR) {
 	}
 	t := h.pcie.WriteFrom(h.eng.Now(), m.total)
 	h.eng.At(t, func() {
-		copy(wr.Local.Slice(wr.LocalOff, m.total), m.buf[:m.total])
+		wr.Local.Store(wr.LocalOff, m.buf[:m.total])
 		placed := h.eng.Trc().InstantR(h.name, "placed",
 			trace.Cause(m.cause), trace.I64("bytes", int64(m.total)))
 		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: m.total, At: h.eng.Now(), Cause: placed})

@@ -25,16 +25,17 @@ const (
 // record metadata and carries the actual payload bytes so the simulation
 // moves real data end to end.
 type ddpSeg struct {
-	kind    segKind
-	payload []byte
-	n       int
-	offset  int      // tagged: remote offset; untagged: message offset
-	stag    mem.RKey // tagged target region
-	first   bool
-	last    bool
-	msg     *txMsg  // sender bookkeeping (completion when acked)
-	rdMsg   *txMsg  // read response: requester's WQE to complete on placement
-	rd      readReq // valid when kind == segReadReq
+	kind   segKind
+	data   *mem.View // the message payload; this segment carries [voff, voff+n)
+	voff   int
+	n      int
+	offset int      // tagged: remote offset; untagged: message offset
+	stag   mem.RKey // tagged target region
+	first  bool
+	last   bool
+	msg    *txMsg  // sender bookkeeping (completion when acked)
+	rdMsg  *txMsg  // read response: requester's WQE to complete on placement
+	rd     readReq // valid when kind == segReadReq
 }
 
 // readReq is the RDMAP Read Request payload.
@@ -48,12 +49,14 @@ type readReq struct {
 }
 
 // txMsg tracks an outgoing RDMAP message across its segments. cause carries
-// the causal ref of the WQE-fetch event into the emission phase.
+// the causal ref of the WQE-fetch event into the emission phase; data is
+// the payload view, released when the last segment is acked.
 type txMsg struct {
 	wr    verbs.WR
 	segs  int
 	acked int
 	cause trace.Ref
+	data  *mem.View
 }
 
 // inbound assembles one incoming untagged (Send) message. cause tracks the
@@ -273,11 +276,14 @@ func (q *QP) emitSegments(wp *sim.Proc, kind segKind, src *mem.Region, srcOff, n
 	if kind == segUntagged {
 		maxP, hdr = q.segParams(verbs.OpSend)
 	}
-	// Snapshot the message payload once; segments alias into it. (One
-	// allocation per message instead of one per segment.)
-	var snapshot []byte
-	if n > 0 {
-		snapshot = append([]byte(nil), src.Slice(srcOff, n)...)
+	// Snapshot the message payload once as a copy-on-write view; segments
+	// carry ranges of it. The final ACK releases the sender's hold; a read
+	// response has no sender completion, so it lets go once emitted.
+	data := src.View(srcOff, n)
+	if msg != nil {
+		msg.data = data
+	} else {
+		defer data.Release()
 	}
 	// One-segment DMA prefetch: segment i+1's fetch is booked before
 	// segment i is processed, keeping the bus busy through engine time
@@ -318,7 +324,7 @@ func (q *QP) emitSegments(wp *sim.Proc, kind segKind, src *mem.Region, srcOff, n
 		if kind == segUntagged {
 			seg.offset = off
 		}
-		seg.payload = snapshot[off : off+take]
+		seg.data, seg.voff = data, off
 		r.txEngine.Release(1)
 		fpdu := r.cfg.Framing.FPDUBytes(hdr, take)
 		r.cSegsTx.Inc()
@@ -427,6 +433,7 @@ func (q *QP) recordAcked(meta any) {
 		op := seg.msg.wr.Op
 		if op == verbs.OpWrite || op == verbs.OpSend {
 			q.scq.Push(verbs.Completion{WRID: seg.msg.wr.ID, Op: op, Len: seg.msg.wr.Len, At: q.rnic.eng.Now(), Cause: q.ackCause})
+			seg.msg.data.Release()
 		}
 	}
 }
@@ -534,10 +541,10 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 		}
 		// Cross the internal bridge, then DMA into host memory.
 		t2 := r.engineToHost(seg.n + TaggedHeader)
-		payload, off, n := seg.payload, seg.offset, seg.n
+		data, voff, off, n := seg.data, seg.voff, seg.offset, seg.n
 		last, rdMsg := seg.last, seg.rdMsg
 		r.eng.At(t2, func() {
-			copy(region.Buf.Slice(region.Off+off, n), payload)
+			data.CopyTo(region.Buf, region.Off+off, voff, n)
 			placed := r.eng.Trc().InstantR(r.name, "placed",
 				trace.Cause(cause), trace.I64("bytes", int64(n)))
 			q.places.Put(verbs.Placement{Key: seg.stag, Off: off, Len: n, At: r.eng.Now(), Cause: placed})
@@ -570,10 +577,10 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			}
 			t2 := r.engineToHost(seg.n + UntaggedHeader)
 			wr, cur := q.curWR, q.cur
-			payload, off := seg.payload, seg.offset
+			data, voff, off, n := seg.data, seg.voff, seg.offset, seg.n
 			last := seg.last
 			r.eng.At(t2, func() {
-				copy(wr.Local.Slice(wr.LocalOff+off, len(payload)), payload)
+				data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+off, voff, n)
 				if last {
 					placed := r.eng.Trc().InstantR(r.name, "placed",
 						trace.Cause(cause), trace.I64("bytes", int64(cur.got)))
@@ -582,13 +589,7 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			})
 		} else {
 			// No posted receive: buffer in adapter memory until one arrives.
-			if q.cur.buf == nil {
-				q.cur.buf = make([]byte, 0, seg.n)
-			}
-			for len(q.cur.buf) < seg.offset {
-				q.cur.buf = append(q.cur.buf, 0)
-			}
-			q.cur.buf = append(q.cur.buf[:seg.offset], seg.payload...)
+			q.cur.buf = seg.data.Stash(q.cur.buf, seg.offset, seg.voff, seg.n)
 		}
 		if seg.last {
 			q.cur.total = q.cur.got
@@ -622,7 +623,7 @@ func (q *QP) completeEarly(m *inbound, wr verbs.WR) {
 	}
 	t2 := r.engineToHost(m.total)
 	r.eng.At(t2, func() {
-		copy(wr.Local.Slice(wr.LocalOff, m.total), m.buf[:m.total])
+		wr.Local.Store(wr.LocalOff, m.buf[:m.total])
 		placed := r.eng.Trc().InstantR(r.name, "placed",
 			trace.Cause(m.cause), trace.I64("bytes", int64(m.total)))
 		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: m.total, At: r.eng.Now(), Cause: placed})

@@ -192,17 +192,33 @@ func TestRegionSliceBounds(t *testing.T) {
 	if !r.Contains(0, 4096) || r.Contains(1, 4096) {
 		t.Error("Contains wrong")
 	}
-	b.Fill(1)
-	s := r.Slice(0, 16)
-	if &s[0] != &b.Bytes()[4096] {
-		t.Error("region slice not aliased to buffer")
+	r.Store(0, []byte{1, 2, 3})
+	got := make([]byte, 4)
+	b.Load(got, 4096)
+	if string(got) != "\x01\x02\x03\x00" {
+		t.Errorf("region store landed as %v at the window start", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-bounds slice did not panic")
-		}
-	}()
-	r.Slice(4000, 200)
+	r.Load(got[:3], 0)
+	if string(got[:3]) != "\x01\x02\x03" {
+		t.Errorf("region load = %v", got[:3])
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"store", func() { r.Store(4000, make([]byte, 200)) }},
+		{"load", func() { r.Load(make([]byte, 200), 4000) }},
+		{"view", func() { r.View(4000, 200) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("out-of-bounds region %s did not panic", c.name)
+				}
+			}()
+			c.f()
+		}()
+	}
 }
 
 func TestRegCacheHitsSkipCost(t *testing.T) {

@@ -49,12 +49,28 @@ func (r *Region) Contains(off, n int) bool {
 	return off >= 0 && n >= 0 && off+n <= r.Len
 }
 
-// Slice returns backing bytes of the region window [off, off+n).
-func (r *Region) Slice(off, n int) []byte {
+func (r *Region) check(op string, off, n int) {
 	if !r.Contains(off, n) {
-		panic(fmt.Sprintf("mem: region slice [%d,%d) of %d-byte region", off, off+n, r.Len))
+		panic(fmt.Sprintf("mem: region %s [%d,%d) of %d-byte region", op, off, off+n, r.Len))
 	}
-	return r.Buf.Slice(r.Off+off, n)
+}
+
+// View snapshots [off, off+n) of the region window (see Buffer.View).
+func (r *Region) View(off, n int) *View {
+	r.check("view", off, n)
+	return r.Buf.View(r.Off+off, n)
+}
+
+// Load copies [off, off+len(p)) of the region window into p.
+func (r *Region) Load(p []byte, off int) {
+	r.check("load", off, len(p))
+	r.Buf.Load(p, r.Off+off)
+}
+
+// Store copies p into the region window at [off, off+len(p)).
+func (r *Region) Store(off int, p []byte) {
+	r.check("store", off, len(p))
+	r.Buf.Store(r.Off+off, p)
 }
 
 // RegTable is one NIC's memory registration table (maps keys to pinned

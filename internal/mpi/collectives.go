@@ -105,7 +105,7 @@ func (p *Process) Reduce(pr *sim.Proc, root int, op ReduceOp, buf *mem.Buffer, o
 		p.Recv(pr, (child+root)%size, reduceTag, tmp, 0, n)
 		// Charge the combine as a warm memory pass.
 		pr.Sleep(p.host.Mem.CopyRate.TxTime(n))
-		op(buf.Slice(off, n), tmp.Slice(0, n))
+		buf.Combine(off, tmp, 0, n, op)
 	}
 }
 

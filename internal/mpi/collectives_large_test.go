@@ -70,16 +70,19 @@ func TestAlltoallNonPowerOfTwoWorld(t *testing.T) {
 			runLazy(t, kind, ranks, func(pr *sim.Proc, p *Process) {
 				send := p.Host().Mem.Alloc(ranks * n)
 				recv := p.Host().Mem.Alloc(ranks * n)
+				out := make([]byte, ranks*n)
 				for dst := 0; dst < ranks; dst++ {
 					for i := 0; i < n; i++ {
-						send.Bytes()[dst*n+i] = byte(p.Rank()*37 + dst*5 + i%7)
+						out[dst*n+i] = byte(p.Rank()*37 + dst*5 + i%7)
 					}
 				}
+				send.Store(0, out)
 				p.Alltoall(pr, send, recv, n)
+				got := contents(recv)
 				for src := 0; src < ranks; src++ {
 					for i := 0; i < n; i++ {
 						want := byte(src*37 + p.Rank()*5 + i%7)
-						if recv.Bytes()[src*n+i] != want {
+						if got[src*n+i] != want {
 							t.Fatalf("rank %d: block from %d corrupt at %d", p.Rank(), src, i)
 						}
 					}

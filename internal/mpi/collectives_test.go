@@ -48,11 +48,22 @@ func TestBcast(t *testing.T) {
 }
 
 func putF(b *mem.Buffer, i int, v float64) {
-	binary.LittleEndian.PutUint64(b.Bytes()[i*8:], math.Float64bits(v))
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+	b.Store(i*8, w[:])
 }
 
 func getF(b *mem.Buffer, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b.Bytes()[i*8:]))
+	var w [8]byte
+	b.Load(w[:], i*8)
+	return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+}
+
+// contents returns a copy of b's bytes.
+func contents(b *mem.Buffer) []byte {
+	p := make([]byte, b.Len())
+	b.Load(p, 0)
+	return p
 }
 
 func TestReduceSum(t *testing.T) {
@@ -107,13 +118,16 @@ func TestAllgather(t *testing.T) {
 			runN(t, kind, 4, func(pr *sim.Proc, p *Process) {
 				buf := p.Host().Mem.Alloc(4 * n)
 				// Each rank fills its own block with a rank-specific pattern.
-				for i := 0; i < n; i++ {
-					buf.Bytes()[p.Rank()*n+i] = byte(p.Rank()*31 + i)
+				block := make([]byte, n)
+				for i := range block {
+					block[i] = byte(p.Rank()*31 + i)
 				}
+				buf.Store(p.Rank()*n, block)
 				p.Allgather(pr, buf, n)
+				got := contents(buf)
 				for r := 0; r < 4; r++ {
 					for i := 0; i < n; i++ {
-						if buf.Bytes()[r*n+i] != byte(r*31+i) {
+						if got[r*n+i] != byte(r*31+i) {
 							t.Fatalf("rank %d: block %d corrupt at %d", p.Rank(), r, i)
 						}
 					}
@@ -127,13 +141,16 @@ func TestAllgatherLargeRendezvous(t *testing.T) {
 	const n = 64 << 10 // rendezvous on all stacks
 	runN(t, cluster.IWARP, 4, func(pr *sim.Proc, p *Process) {
 		buf := p.Host().Mem.Alloc(4 * n)
-		for i := 0; i < n; i++ {
-			buf.Bytes()[p.Rank()*n+i] = byte(p.Rank() + i)
+		block := make([]byte, n)
+		for i := range block {
+			block[i] = byte(p.Rank() + i)
 		}
+		buf.Store(p.Rank()*n, block)
 		p.Allgather(pr, buf, n)
+		got := contents(buf)
 		for r := 0; r < 4; r++ {
 			for i := 0; i < n; i += 997 {
-				if buf.Bytes()[r*n+i] != byte(r+i) {
+				if got[r*n+i] != byte(r+i) {
 					t.Fatalf("rank %d: block %d corrupt", p.Rank(), r)
 				}
 			}
@@ -149,16 +166,19 @@ func TestAlltoall(t *testing.T) {
 			runN(t, kind, 4, func(pr *sim.Proc, p *Process) {
 				send := p.Host().Mem.Alloc(4 * n)
 				recv := p.Host().Mem.Alloc(4 * n)
+				out := make([]byte, 4*n)
 				for dst := 0; dst < 4; dst++ {
 					for i := 0; i < n; i++ {
-						send.Bytes()[dst*n+i] = byte(p.Rank()*16 + dst*4 + i%4)
+						out[dst*n+i] = byte(p.Rank()*16 + dst*4 + i%4)
 					}
 				}
+				send.Store(0, out)
 				p.Alltoall(pr, send, recv, n)
+				got := contents(recv)
 				for src := 0; src < 4; src++ {
 					for i := 0; i < n; i++ {
 						want := byte(src*16 + p.Rank()*4 + i%4)
-						if recv.Bytes()[src*n+i] != want {
+						if got[src*n+i] != want {
 							t.Fatalf("rank %d: block from %d corrupt at %d", p.Rank(), src, i)
 						}
 					}

@@ -129,13 +129,13 @@ func TestNonOvertakingOrder(t *testing.T) {
 				buf := p.Host().Mem.Alloc(8)
 				if p.Rank() == 0 {
 					for i := 0; i < count; i++ {
-						buf.Bytes()[0] = byte(i)
+						buf.Store(0, []byte{byte(i)})
 						p.Send(pr, peer, 3, buf, 0, 8)
 					}
 				} else {
 					for i := 0; i < count; i++ {
 						p.Recv(pr, peer, 3, buf, 0, 8)
-						got = append(got, int(buf.Bytes()[0]))
+						got = append(got, int(contents(buf)[0]))
 					}
 				}
 			})

@@ -42,7 +42,9 @@ type wireHdr struct {
 	rkey       mem.RKey
 }
 
-func (h wireHdr) encode(b []byte) {
+// store writes the header at the start of a bounce buffer's region.
+func (h wireHdr) store(r *mem.Region) {
+	var b [hdrBytes]byte
 	b[0] = h.kind
 	binary.LittleEndian.PutUint16(b[2:], uint16(h.src))
 	binary.LittleEndian.PutUint32(b[4:], uint32(h.tag))
@@ -50,9 +52,13 @@ func (h wireHdr) encode(b []byte) {
 	binary.LittleEndian.PutUint64(b[12:], h.reqA)
 	binary.LittleEndian.PutUint64(b[20:], h.reqB)
 	binary.LittleEndian.PutUint32(b[28:], uint32(h.rkey))
+	r.Store(0, b[:])
 }
 
-func decodeHdr(b []byte) wireHdr {
+// loadHdr reads the header at the start of a bounce buffer's region.
+func loadHdr(r *mem.Region) wireHdr {
+	var b [hdrBytes]byte
+	r.Load(b[:], 0)
 	return wireHdr{
 		kind: b[0],
 		src:  int(binary.LittleEndian.Uint16(b[2:])),
@@ -265,7 +271,7 @@ func (b *vbind) sendCtrl(pr *sim.Proc, dst int, hdr wireHdr, cause trace.Ref) {
 
 func (b *vbind) sendCtrlOn(pr *sim.Proc, qp verbs.QP, hdr wireHdr, cause trace.Ref) {
 	bb := b.getSendBounce(pr)
-	hdr.encode(bb.buf.Bytes())
+	hdr.store(bb.reg)
 	qp.PostSend(pr, verbs.WR{
 		ID:    b.newWR(&wrInfo{kind: wrCtrlSend, bounce: bb}),
 		Op:    verbs.OpSend,
@@ -298,7 +304,7 @@ func (b *vbind) isend(pr *sim.Proc, req *Request, dst, tag int, buf *mem.Buffer,
 			// page touches on the user buffer: Fig. 6's eager-size effect).
 			p.host.Mem.Copy(pr, bb.buf, hdrBytes, buf, off, n)
 		}
-		hdr.encode(bb.buf.Bytes())
+		hdr.store(bb.reg)
 		b.qps[dst].PostSend(pr, verbs.WR{
 			ID:    b.newWR(&wrInfo{kind: wrCtrlSend, bounce: bb}),
 			Op:    verbs.OpSend,
@@ -448,7 +454,7 @@ func (b *vbind) handle(pr *sim.Proc, comp verbs.Completion) {
 // placed/rx event).
 func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 	p := b.p
-	hdr := decodeHdr(bb.buf.Bytes())
+	hdr := loadHdr(bb.reg)
 	switch hdr.kind {
 	case kEager, kEagerSyn:
 		ref := p.eng().Trc().InstantR(p.track, "recv.eager", trace.Cause(cause),

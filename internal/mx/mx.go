@@ -152,7 +152,7 @@ type xfer struct {
 	src, dst  *Endpoint
 	match     uint64
 	n         int
-	payload   []byte // full message bytes (eager carries per-packet slices)
+	data      *mem.View // message payload; the sender's hold drops when sendH fires
 	sendH     *Handle
 	recvH     *Handle // nil until matched
 	recvBuf   *mem.Buffer
@@ -170,8 +170,7 @@ type xfer struct {
 type packet struct {
 	kind  pktKind
 	x     *xfer
-	data  []byte
-	off   int
+	off   int // payload bytes [off, off+n) of x.data
 	n     int
 	first bool
 	last  bool
@@ -281,7 +280,13 @@ func (e *Endpoint) IsendCause(p *sim.Proc, peer *Endpoint, match uint64, buf *me
 	}
 	h := &Handle{done: sim.NewCompletion(e.eng), Len: n, Match: match, ep: e}
 	x := &xfer{src: e, dst: peer, match: match, n: n, sendH: h}
-	x.payload = append([]byte(nil), buf.Slice(off, n)...)
+	if peer.eng == e.eng {
+		x.data = buf.View(off, n)
+	} else {
+		// The receiver runs on another shard's engine, which would read a
+		// live view while this one writes the buffer: copy now instead.
+		x.data = buf.Snapshot(off, n)
+	}
 	post := e.eng.Now()
 	p.Sleep(e.cfg.PostOverhead)
 	x.txCause = e.eng.Trc().CompleteR(e.name, "doorbell", int64(post), int64(e.eng.Now()),
@@ -375,7 +380,6 @@ func (e *Endpoint) txPackets(np *sim.Proc, x *xfer, dma bool) {
 		e.sendPacket(x, &packet{
 			kind:  pktEager,
 			x:     x,
-			data:  x.payload[off : off+take],
 			off:   off,
 			n:     take,
 			first: off == 0,
@@ -393,6 +397,7 @@ func (e *Endpoint) txPackets(np *sim.Proc, x *xfer, dma bool) {
 	x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "tx-done", int64(t0), int64(np.Now()),
 		trace.Cause(x.txCause))
 	x.sendH.done.Fire()
+	x.data.Release()
 }
 
 // rndvSend performs the sender half of the internal rendezvous.
@@ -505,7 +510,7 @@ func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off,
 			if x.unexpData != nil && x.n > 0 {
 				ringCopy := e.hostMem.CopyRate.TxTime(x.n) + e.hostMem.TouchCost(buf, off, x.n)
 				np.Sleep(ringCopy)
-				copy(buf.Slice(off, x.n), x.unexpData[:x.n])
+				buf.Store(off, x.unexpData[:x.n])
 			}
 			h.Cause = x.rxCause
 			h.done.Fire()
@@ -555,6 +560,7 @@ func (e *Endpoint) rxLoop(p *sim.Proc) {
 			pk.x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "rx-ack", int64(t0), int64(p.Now()),
 				trace.Cause(pk.cause))
 			pk.x.sendH.done.Fire()
+			pk.x.data.Release()
 		}
 	}
 }
@@ -632,9 +638,7 @@ func (e *Endpoint) rxEager(p *sim.Proc, pk *packet) {
 		// Matched: DMA straight into the user buffer.
 		t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
 		e.eng.At(t, func() {
-			if pk.n > 0 {
-				copy(x.recvBuf.Slice(x.recvOff+pk.off, pk.n), pk.data)
-			}
+			x.data.CopyTo(x.recvBuf, x.recvOff+pk.off, pk.off, pk.n)
 			x.got += pk.n
 			if pk.last {
 				x.recvH.Cause = e.eng.Trc().InstantR(e.name, "placed", trace.Cause(rxRef))
@@ -646,9 +650,7 @@ func (e *Endpoint) rxEager(p *sim.Proc, pk *packet) {
 	// Unexpected: DMA into the host unexpected ring.
 	t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
 	e.eng.At(t, func() {
-		if pk.n > 0 {
-			copy(x.unexpData[pk.off:pk.off+pk.n], pk.data)
-		}
+		x.data.Stash(x.unexpData, pk.off, pk.off, pk.n)
 		x.got += pk.n
 		if pk.last {
 			x.rxCause = e.eng.Trc().InstantR(e.name, "placed", trace.Cause(rxRef))
@@ -718,7 +720,6 @@ func (e *Endpoint) rxCTS(p *sim.Proc, pk *packet) {
 			e.sendPacket(x, &packet{
 				kind:  pktRndvData,
 				x:     x,
-				data:  x.payload[off : off+take],
 				off:   off,
 				n:     take,
 				first: off == 0,
@@ -738,7 +739,7 @@ func (e *Endpoint) rxRndvData(p *sim.Proc, pk *packet) {
 		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
 	t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
 	e.eng.At(t, func() {
-		copy(x.recvBuf.Slice(x.recvOff+pk.off, pk.n), pk.data)
+		x.data.CopyTo(x.recvBuf, x.recvOff+pk.off, pk.off, pk.n)
 		x.got += pk.n
 		if pk.last {
 			placed := e.eng.Trc().InstantR(e.name, "placed", trace.Cause(rxRef))

@@ -365,3 +365,51 @@ func TestZeroByteMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSourceWriteAfterPostKeepsPostedBytes overwrites the source buffer
+// after Isend and before the receiver has placed the last byte, on the
+// eager and the rendezvous path. The receiver must get the bytes as
+// posted, and the overwrite must cost exactly one view freeze. An eager
+// send completes locally before its bytes are placed, so the sender's
+// completion alone must not release the payload.
+func TestSourceWriteAfterPostKeepsPostedBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"eager", 30 << 10}, {"rendezvous", 100_000}} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			defer r.close()
+			src, dst := r.m0.Alloc(c.n), r.m1.Alloc(c.n)
+			src.Fill(42)
+			r.eng.Go("recv", func(p *sim.Proc) {
+				r.e1.Irecv(p, 0x42, ^uint64(0), dst, 0, c.n).Wait(p)
+			})
+			r.eng.Go("send", func(p *sim.Proc) {
+				p.Sleep(sim.Microsecond)
+				h := r.e0.Isend(p, r.e1, 0x42, src, 0, c.n)
+				if c.name == "eager" {
+					h.Wait(p) // local completion, bytes still in flight
+				}
+				for !dst.Equal(42, 0, 1) {
+					p.Sleep(20 * sim.Nanosecond)
+				}
+				if dst.Equal(42, 0, c.n) {
+					t.Error("message fully placed before the overwrite")
+					return
+				}
+				src.Fill(43)
+				h.Wait(p)
+			})
+			if err := r.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !dst.Equal(42, 0, c.n) {
+				t.Error("receiver saw a write made after the post")
+			}
+			if got := r.eng.Metrics().Counter("mem.view_freezes").Value(); got != 1 {
+				t.Errorf("mem.view_freezes = %d, want 1", got)
+			}
+		})
+	}
+}

@@ -128,7 +128,8 @@ func (h *hostTCP) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	for o := off; o < off+n; o += chunk {
 		c := min(chunk, off+n-o)
 		pr.Sleep(h.cfg.ChecksumCopyRate.TxTime(c) + h.mem.TouchCost(buf, o, c))
-		payload := append([]byte(nil), buf.Slice(o, c)...)
+		payload := make([]byte, c)
+		buf.Load(payload, o)
 		h.conn.Send(c, payload)
 		h.txKick.Put(struct{}{})
 		h.cpu.Release(1)
@@ -144,7 +145,7 @@ func (h *hostTCP) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	h.cpu.Acquire(pr, 1)
 	pr.Sleep(h.cfg.SyscallCost)
 	pr.Sleep(h.mem.CopyRate.TxTime(n) + h.mem.TouchCost(buf, off, n))
-	copy(buf.Slice(off, n), h.rcv.take(n))
+	buf.Store(off, h.rcv.take(n))
 	h.cpu.Release(1)
 }
 

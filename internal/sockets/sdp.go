@@ -177,17 +177,20 @@ func (s *sdp) getBounce(p *sim.Proc) *sdpBounce {
 	return bb
 }
 
-func (s *sdp) sendCtrl(p *sim.Proc, kind byte, n int, id uint64, rkey mem.RKey, payload []byte) {
+// sendCtrl sends one SDP message from a private buffer. A non-nil src
+// makes it a bcopy data message carrying [off, off+n) of src.
+func (s *sdp) sendCtrl(p *sim.Proc, kind byte, n int, id uint64, rkey mem.RKey, src *mem.Buffer, off int) {
 	bb := s.getBounce(p)
-	hdr := bb.buf.Bytes()
+	var hdr [sdpHdr]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
 	binary.LittleEndian.PutUint64(hdr[8:], id)
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(rkey))
+	bb.buf.Store(0, hdr[:])
 	ln := sdpHdr
-	if payload != nil {
-		copy(bb.buf.Bytes()[sdpHdr:], payload)
-		ln += len(payload)
+	if src != nil {
+		bb.buf.CopyFrom(sdpHdr, src, off, n)
+		ln += n
 	}
 	s.qp.PostSend(p, verbs.WR{ID: s.newWR(&sdpWR{bounce: bb}), Op: verbs.OpSend, Local: bb.reg, Len: ln})
 }
@@ -201,7 +204,7 @@ func (s *sdp) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	if n <= sdpBcopyMax {
 		// bcopy: one copy into the private buffer, then fire and forget.
 		pr.Sleep(s.host.Mem.CopyRate.TxTime(n) + s.host.Mem.TouchCost(buf, off, n))
-		s.sendCtrl(pr, sdpData, n, 0, 0, buf.Slice(off, n))
+		s.sendCtrl(pr, sdpData, n, 0, 0, buf, off)
 		return
 	}
 	// zcopy: pin, advertise, wait for the RDMA write round to complete.
@@ -210,7 +213,7 @@ func (s *sdp) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	id := s.nextID
 	z := &zcopySend{region: region, done: sim.NewCompletion(s.eng)}
 	s.pending[id] = z
-	s.sendCtrl(pr, sdpSrcAvail, n, id, 0, nil)
+	s.sendCtrl(pr, sdpSrcAvail, n, id, 0, nil, 0)
 	z.done.Wait(pr)
 	s.regs.Put(pr, region)
 }
@@ -261,7 +264,7 @@ func (s *sdp) match(p *sim.Proc) {
 			req.zcopy = true
 			s.zwait = req
 			req.region = s.regs.Get(p, req.buf, req.off, req.n)
-			s.sendCtrl(p, sdpSinkAvail, req.n, sa.id, req.region.Key, nil)
+			s.sendCtrl(p, sdpSinkAvail, req.n, sa.id, req.region.Key, nil, 0)
 			return
 		}
 		if s.buffered() < req.n {
@@ -279,11 +282,10 @@ func (s *sdp) match(p *sim.Proc) {
 // copyOut moves req.n head bytes of the item stream into the user buffer.
 func (s *sdp) copyOut(req *recvReq) {
 	need := req.n
-	dst := req.buf.Slice(req.off, req.n)
 	for need > 0 {
 		it := &s.items[0]
 		take := min(len(it.data), need)
-		copy(dst[req.n-need:], it.data[:take])
+		req.buf.Store(req.off+req.n-need, it.data[:take])
 		it.data = it.data[take:]
 		need -= take
 		if len(it.data) == 0 {
@@ -313,7 +315,7 @@ func (s *sdp) handleSend(p *sim.Proc, comp verbs.Completion) {
 	delete(s.wrs, comp.WRID)
 	if w.write != nil {
 		// RDMA write done: notify the sink, release the sender.
-		s.sendCtrl(p, sdpWrCompl, 0, w.id, 0, nil)
+		s.sendCtrl(p, sdpWrCompl, 0, w.id, 0, nil, 0)
 		w.write.done.Fire()
 		return
 	}
@@ -326,14 +328,17 @@ func (s *sdp) handleRecv(p *sim.Proc, comp verbs.Completion) {
 	w := s.wrs[comp.WRID]
 	delete(s.wrs, comp.WRID)
 	bb := w.bounce
-	hdr := bb.buf.Bytes()
+	var hdr [sdpHdr]byte
+	bb.buf.Load(hdr[:], 0)
 	kind := hdr[0]
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
 	id := binary.LittleEndian.Uint64(hdr[8:])
 	rkey := mem.RKey(binary.LittleEndian.Uint32(hdr[16:]))
 	switch kind {
 	case sdpData:
-		s.items = append(s.items, rxItem{data: append([]byte(nil), bb.buf.Slice(sdpHdr, n)...)})
+		data := make([]byte, n)
+		bb.buf.Load(data, sdpHdr)
+		s.items = append(s.items, rxItem{data: data})
 		s.match(p)
 	case sdpSrcAvail:
 		s.items = append(s.items, rxItem{src: &srcAvail{n: n, id: id}})

@@ -118,7 +118,8 @@ func (t *toe) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	for o := off; o < off+n; o += chunk {
 		c := min(chunk, off+n-o)
 		pr.Sleep(t.mem.CopyRate.TxTime(c) + t.mem.TouchCost(buf, o, c))
-		payload := append([]byte(nil), buf.Slice(o, c)...)
+		payload := make([]byte, c)
+		buf.Load(payload, o)
 		t.conn.Send(c, payload)
 		t.txKick.Put(struct{}{})
 	}
@@ -129,7 +130,7 @@ func (t *toe) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	t.rcv.await(pr, n)
 	pr.Sleep(t.cfg.SyscallCost)
 	pr.Sleep(t.mem.CopyRate.TxTime(n) + t.mem.TouchCost(buf, off, n))
-	copy(buf.Slice(off, n), t.rcv.take(n))
+	buf.Store(off, t.rcv.take(n))
 }
 
 // txLoop is the NIC transmit engine: DMA the segment across PCIe and the
