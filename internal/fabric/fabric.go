@@ -82,6 +82,11 @@ type Frame struct {
 // Endpoint receives frames. Deliver is called in engine context (from a
 // scheduled event); implementations typically enqueue to a sim.Queue that a
 // NIC process drains.
+//
+// The *Frame is valid only for the duration of the call: it lives in the
+// fabric's pooled hop, which is recycled for another frame as soon as
+// Deliver returns. An endpoint copies out what it keeps (the Payload, the
+// marks, the Cause) and never retains the pointer.
 type Endpoint interface {
 	Deliver(f *Frame)
 }
@@ -206,6 +211,10 @@ type Network struct {
 	// internal/faults compiles scenarios into one DropFn closure (which may
 	// also mark frames Corrupt and return false), and tests of the reliable
 	// transports above the fabric attach through the same hook.
+	//
+	// As with Endpoint.Deliver, the *Frame is valid only for the duration
+	// of the call: it is the fabric's in-flight copy of the sent frame, and
+	// a dropped frame's hop is recycled when DropFn returns.
 	DropFn func(f *Frame) bool
 
 	// cc holds the precomputed congestion thresholds; cc.on gates every
@@ -214,7 +223,7 @@ type Network struct {
 	cc ccState
 
 	// Long-lived bound callbacks, one each, shared by every frame: the hop
-	// pipeline schedules with Engine.AtArg(at, fn, hop-or-frame) instead of
+	// pipeline schedules with Engine.AtArg(at, fn, hop-or-line) instead of
 	// capturing closures, so the per-frame path allocates nothing.
 	deliverFn, arriveFn, drainFn func(any)
 
@@ -394,12 +403,14 @@ const (
 	stageDstDn          // arrival at the destination port's switch->endpoint line
 )
 
-// hop is one frame in flight between shared lines. Hops come from
-// per-shard free lists (they migrate: taken by the source shard, returned
-// by the delivering shard) so forwarding stays allocation-free in steady
+// hop is one frame in flight, from Send to delivery. It holds the frame by
+// value: Send copies the caller's frame in, so the caller's Frame never
+// escapes, and the endpoint reads the hop's copy. Hops come from per-shard
+// free lists (they migrate: taken by the source shard, returned by the
+// delivering shard) so the whole wire path stays allocation-free in steady
 // state.
 type hop struct {
-	f     *Frame
+	f     Frame
 	at    sim.Time // arrival at the line the hop is headed for
 	wire  int
 	seq   uint64 // per-source-port send sequence: the deterministic tiebreak
@@ -476,16 +487,27 @@ func (q *hopQueue) pop() *hop {
 // destination endpoint receives the frame from a scheduled event. Send
 // must be called in engine context and never blocks.
 //
+// Send copies *frame into a pooled hop and keeps no reference to it, so
+// a caller may pass the address of a frame literal (which then stays on
+// the caller's stack) or reuse one frame for many sends.
+//
 //simlint:noalloc
-func (p *Port) Send(f *Frame) (txEnd sim.Time) {
+func (p *Port) Send(frame *Frame) (txEnd sim.Time) {
 	n := p.net
-	if f.Src != p.id {
-		panic(fmt.Sprintf("fabric %q: frame src %d sent from port %d", n.cfg.Name, f.Src, p.id))
+	if frame.Src != p.id {
+		panic(fmt.Sprintf("fabric %q: frame src %d sent from port %d", n.cfg.Name, frame.Src, p.id))
 	}
-	if int(f.Dst) < 0 || int(f.Dst) >= len(n.ports) {
-		panic(fmt.Sprintf("fabric %q: bad dst %d", n.cfg.Name, f.Dst))
+	if int(frame.Dst) < 0 || int(frame.Dst) >= len(n.ports) {
+		panic(fmt.Sprintf("fabric %q: bad dst %d", n.cfg.Name, frame.Dst))
 	}
 	shard := n.shardOf[p.id]
+	// The frame moves into the hop before anything else looks at it:
+	// tracing and DropFn see (and may mark) the fabric's copy. f is a new
+	// variable rather than a reassigned parameter so escape analysis, which
+	// is flow-insensitive, still sees that frame does not escape.
+	h := n.newHop(shard)
+	h.f = *frame
+	f := &h.f
 	si := &n.per[shard]
 	eng := n.engs[shard]
 	now := eng.Now()
@@ -514,11 +536,10 @@ func (p *Port) Send(f *Frame) (txEnd sim.Time) {
 	if n.DropFn != nil && n.DropFn(f) { //simlint:allow noalloc fault-injection hook; its allocations belong to the scenario, and the nil fast path is branch-only
 		si.dropped++
 		si.cDropped.Inc()
+		n.freeHop(shard, h)
 		return txEnd
 	}
 
-	h := n.newHop(shard)
-	h.f = f
 	h.wire = wire
 	h.seq = p.seq
 	p.seq++
@@ -554,7 +575,7 @@ func (n *Network) newHop(s int) *hop {
 //
 //simlint:noalloc
 func (n *Network) freeHop(s int, h *hop) {
-	h.f = nil
+	h.f = Frame{}
 	n.free[s] = append(n.free[s], h) //simlint:allow noalloc free-list growth is amortized; steady state recycles in place
 }
 
@@ -626,7 +647,7 @@ func (n *Network) drain(v any) {
 	tr := eng.Trc()
 	for len(l.pending) > 0 && l.pending[0].at <= now {
 		h := l.pending.pop()
-		f := h.f
+		f := &h.f
 		if n.cc.on {
 			// Bounded queues on the shared lines: over the cap the switch
 			// discards the frame (real hardware has finite buffers); over
@@ -685,33 +706,36 @@ func (n *Network) drain(v any) {
 			continue
 		}
 		// Final hop: the destination port's dn line; deliver after the
-		// egress serialization and the last cable.
+		// egress serialization and the last cable. AtArg with the bound
+		// deliverFn and the hop argument (a pointer, so converting it to
+		// any allocates nothing) keeps the per-frame path clean; the event
+		// node itself is recycled by the engine.
 		si.hEgQueue.Observe(float64(start - now))
-		// AtArg with the bound deliverFn and the *Frame argument (a pointer,
-		// so converting it to any allocates nothing) keeps the per-frame
-		// path clean; the event node itself is recycled by the engine.
-		eng.AtArg(end+n.cfg.PropDelay, n.deliverFn, f)
-		n.freeHop(l.owner, h)
+		eng.AtArg(end+n.cfg.PropDelay, n.deliverFn, h)
 	}
 }
 
-// deliver hands a frame to its destination endpoint; it is the single
-// long-lived AtArg callback shared by every frame (see Network.deliverFn).
-// It runs on the destination's shard and counts the delivery there.
+// deliver hands a frame to its destination endpoint and recycles its hop;
+// it is the single long-lived AtArg callback shared by every frame (see
+// Network.deliverFn). It runs on the destination's shard and counts the
+// delivery there.
 //
 //simlint:noalloc
 func (n *Network) deliver(v any) {
-	f := v.(*Frame)
-	si := &n.per[n.shardOf[f.Dst]]
+	h := v.(*hop)
+	f := &h.f
+	s := n.shardOf[f.Dst]
+	si := &n.per[s]
 	if f.Background {
 		// Cross-traffic terminates here: it consumed wire time on every
 		// hop, but its tenant has no modeled endpoint to receive it.
 		si.bgDelivered++
-		return
+	} else {
+		si.delivered++
+		si.cDelivered.Inc()
+		n.ports[f.Dst].ep.Deliver(f) //simlint:allow noalloc dynamic dispatch into the endpoint; its allocations belong to the NIC model, not the fabric
 	}
-	si.delivered++
-	si.cDelivered.Inc()
-	n.ports[f.Dst].ep.Deliver(f) //simlint:allow noalloc dynamic dispatch into the endpoint; its allocations belong to the NIC model, not the fabric
+	n.freeHop(s, h)
 }
 
 // PublishLinkMetrics freezes per-port link occupancy into gauges:

@@ -6,15 +6,16 @@ import (
 	"repro/internal/sim"
 )
 
-// sink collects delivered frames with their arrival times.
+// sink collects copies of delivered frames with their arrival times. It
+// copies because the delivered *Frame is valid only during Deliver.
 type sink struct {
 	eng    *sim.Engine
-	frames []*Frame
+	frames []Frame
 	times  []sim.Time
 }
 
 func (s *sink) Deliver(f *Frame) {
-	s.frames = append(s.frames, f)
+	s.frames = append(s.frames, *f)
 	s.times = append(s.times, s.eng.Now())
 }
 

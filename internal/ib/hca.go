@@ -122,6 +122,10 @@ type HCA struct {
 
 	qps []*QP
 
+	// pkts recycles packet structs: shared by every HCA on the engine, so
+	// a packet taken by the sender is reused once the receiver is done.
+	pkts *sim.FreeList[packet]
+
 	cPktsTx, cPktsRx, cAcksRx *metrics.Counter
 	cCtxHits, cCtxMisses      *metrics.Counter
 	cReadReqs, cEngineStalls  *metrics.Counter
@@ -140,6 +144,7 @@ func New(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.Network,
 		txEngine: sim.NewResource(eng, name+"/tx-proc", 1),
 		rxEngine: sim.NewResource(eng, name+"/rx-proc", 1),
 		ctx:      newCtxCache(cfg.CtxCacheSize),
+		pkts:     sim.FreeListOf[packet](eng),
 	}
 	if cfg.VLCredits < 0 || cfg.VLs < 0 {
 		panic(fmt.Sprintf("ib %s: negative VL config %d/%d", name, cfg.VLs, cfg.VLCredits))

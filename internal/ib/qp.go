@@ -19,7 +19,10 @@ const (
 	pktAck                    // transport ACK (one per message)
 )
 
-// packet is one IB packet on the fabric.
+// packet is one IB packet on the fabric. Packets come from the engine's
+// free list (HCA.pkts) and go back to it once the receiver is done with
+// them: after placement for data, after processing for ACKs and read
+// requests. A packet whose frame the fabric drops is left to the GC.
 type packet struct {
 	dstQPN int
 	kind   pktKind
@@ -38,8 +41,17 @@ type packet struct {
 
 	// cause is the causal ref of the engine pass that emitted the packet;
 	// the receive side chains its rx pass from it (in-memory only, never
-	// wire bytes).
+	// wire bytes). Once the receiver's rx pass has run, it holds that
+	// pass's ref instead, for the deferred placement to chain from.
 	cause trace.Ref
+
+	// Receive-side placement state, set by handleData for the deferred
+	// placement event: the receiving QP, the target region of an RDMA
+	// Write, and the matched receive and its assembly for a Send.
+	rq     *QP
+	region *mem.Region
+	wr     *verbs.WR
+	in     *inbound
 }
 
 type readReq struct {
@@ -80,10 +92,18 @@ type QP struct {
 	rxQ    *sim.Queue[*packet]
 	sendQ  *sim.Queue[verbs.WR]
 
-	recvQ []verbs.WR
-	early []*inbound
+	recvQ sim.Ring[verbs.WR] // posted receive work requests
+	early sim.Ring[*inbound] // completed Sends that found no posted receive
 	cur   *inbound
 	curWR *verbs.WR
+
+	// Work requests whose doorbell is still crossing the bus, oldest first.
+	// Doorbells on one bus arrive in the order they were rung, so the
+	// event for the i-th post always pops the i-th request.
+	sqBells, rqBells sim.Ring[verbs.WR]
+
+	// logPlaces gates the Placements log (see SetPlacementLog).
+	logPlaces bool
 }
 
 func (h *HCA) newQP() *QP {
@@ -95,6 +115,8 @@ func (h *HCA) newQP() *QP {
 		places: sim.NewQueue[verbs.Placement](h.eng, h.name+"/placements"),
 		rxQ:    sim.NewQueue[*packet](h.eng, h.name+"/rxq"),
 		sendQ:  sim.NewQueue[verbs.WR](h.eng, h.name+"/sq"),
+
+		logPlaces: true,
 	}
 	h.qps = append(h.qps, q)
 	h.eng.Go(fmt.Sprintf("%s/qp%d/rx", h.name, q.qpn), q.rxLoop)
@@ -132,6 +154,12 @@ func (q *QP) RecvCQ() *verbs.CQ { return q.rcq }
 // Placements implements verbs.QP.
 func (q *QP) Placements() *sim.Queue[verbs.Placement] { return q.places }
 
+// SetPlacementLog turns the Placements log on or off. It is on from
+// Connect, so a raw-verbs reader sees every tagged placement since then; a
+// consumer that never reads it (MPI) turns it off before traffic flows, so
+// the log does not hold every placement for the world's lifetime.
+func (q *QP) SetPlacementLog(on bool) { q.logPlaces = on }
+
 // PostSend implements verbs.QP.
 func (q *QP) PostSend(p *sim.Proc, wr verbs.WR) {
 	if wr.Len <= 0 {
@@ -144,22 +172,34 @@ func (q *QP) PostSend(p *sim.Proc, wr verbs.WR) {
 		wr.Cause = tr.CompleteR(q.hca.name, "doorbell", int64(now), int64(at),
 			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
 	}
-	q.hca.eng.At(at, func() { q.sendQ.Put(wr) })
+	q.sqBells.Push(wr)
+	q.hca.eng.AtArg(at, sendBell, q)
+}
+
+// sendBell lands the oldest send doorbell of QP v on the send queue.
+func sendBell(v any) {
+	q := v.(*QP)
+	q.sendQ.Put(q.sqBells.Pop())
 }
 
 // PostRecv implements verbs.QP.
 func (q *QP) PostRecv(p *sim.Proc, wr verbs.WR) {
 	p.Sleep(q.hca.cfg.PostOverhead)
 	at := q.hca.pcie.Doorbell(32)
-	q.hca.eng.At(at, func() {
-		if len(q.early) > 0 {
-			m := q.early[0]
-			q.early = q.early[1:]
-			q.completeEarly(m, wr)
-			return
-		}
-		q.recvQ = append(q.recvQ, wr)
-	})
+	q.rqBells.Push(wr)
+	q.hca.eng.AtArg(at, recvBell, q)
+}
+
+// recvBell lands the oldest receive doorbell of QP v: an early-arrived Send
+// consumes it at once, otherwise it joins the posted receives.
+func recvBell(v any) {
+	q := v.(*QP)
+	wr := q.rqBells.Pop()
+	if q.early.Len() > 0 {
+		q.completeEarly(q.early.Pop(), wr)
+		return
+	}
+	q.recvQ.Push(wr)
 }
 
 // execute runs one WQE on the send processor.
@@ -189,7 +229,8 @@ func (q *QP) execute(wp *sim.Proc, wr verbs.WR) {
 				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
 		}
 		msg := &txMsg{wr: wr, qpn: q.qpn}
-		q.engineSend(wp, true, wr.Cause, &packet{
+		pk := h.pkts.Get()
+		*pk = packet{
 			dstQPN: q.peer.qpn,
 			kind:   pktReadReq,
 			n:      28,
@@ -201,7 +242,8 @@ func (q *QP) execute(wp *sim.Proc, wr verbs.WR) {
 				sinkOff: wr.LocalOff,
 				msg:     msg,
 			},
-		})
+		}
+		q.engineSend(wp, true, wr.Cause, pk)
 	default:
 		panic(fmt.Sprintf("ib %s: bad op %v on send queue", h.name, wr.Op))
 	}
@@ -237,7 +279,8 @@ func (q *QP) stream(wp *sim.Proc, op verbs.Op, src *mem.Region, srcOff, n int, s
 			}
 			wp.SleepUntil(cur)
 		}
-		pk := &packet{
+		pk := h.pkts.Get()
+		*pk = packet{
 			dstQPN: q.peer.qpn,
 			kind:   pktData,
 			op:     op,
@@ -288,6 +331,8 @@ func (q *QP) engineSend(wp *sim.Proc, firstOfMsg bool, cause trace.Ref, pk *pack
 		pk.cause = tr.CompleteR(h.name, "tx-pkt", int64(t0), int64(h.eng.Now()),
 			trace.Cause(cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(pk.n)))
 	}
+	// Read before emit: from there on the packet belongs to the receiver.
+	cqe := pk.last || pk.kind != pktData
 	txEnd := q.emit(pk)
 	if vl != nil {
 		// The credit comes back once the switch has forwarded the packet
@@ -296,13 +341,16 @@ func (q *QP) engineSend(wp *sim.Proc, firstOfMsg bool, cause trace.Ref, pk *pack
 		// HCA's own engine, so flow control adds no cross-shard edges. A
 		// stalled or congested uplink pushes txEnd out and starves the
 		// lane — exactly the lossless backpressure IB trades drops for.
-		h.eng.At(txEnd+h.cfg.CreditReturn, func() { vl.Release(1) })
+		h.eng.AtArg(txEnd+h.cfg.CreditReturn, returnCredit, vl)
 	}
-	if pk.last || pk.kind != pktData {
+	if cqe {
 		wp.Sleep(h.cfg.CqeTime)
 	}
 	h.txEngine.Release(1)
 }
+
+// returnCredit gives one credit back to the virtual lane v.
+func returnCredit(v any) { v.(*sim.Resource).Release(1) }
 
 // dmaRead books one chained, fair-shared payload fetch and returns its
 // completion time.
@@ -353,6 +401,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 				orig.scq.Push(verbs.Completion{WRID: m.wr.ID, Op: m.wr.Op, Len: m.wr.Len, At: h.eng.Now(), Cause: ackRef})
 				m.data.Release()
 			}
+			h.pkts.Put(pk)
 		case pktReadReq:
 			h.cReadReqs.Inc()
 			t0 := h.eng.Now()
@@ -363,6 +412,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 					trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
 			}
 			rd := pk.rd
+			h.pkts.Put(pk)
 			region, ok := h.reg.Lookup(rd.srcKey)
 			if !ok {
 				panic(fmt.Sprintf("ib %s: read request for unknown rkey %d", h.name, rd.srcKey))
@@ -394,67 +444,49 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 			trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(pk.n)))
 	}
 
+	pk.cause = rxRef
+	pk.rq = q
+
 	switch {
 	case pk.op == verbs.OpWrite:
 		region, ok := h.reg.Lookup(pk.stag)
 		if !ok {
 			panic(fmt.Sprintf("ib %s: RDMA write to unknown rkey %d", h.name, pk.stag))
 		}
-		t := h.pcie.WriteFrom(h.eng.Now(), pk.n)
-		pkc := pk
-		h.eng.At(t, func() {
-			pkc.data.CopyTo(region.Buf, region.Off+pkc.offset, pkc.voff, pkc.n)
-			placed := h.eng.Trc().InstantR(h.name, "placed",
-				trace.Cause(rxRef), trace.I64("bytes", int64(pkc.n)))
-			q.places.Put(verbs.Placement{Key: pkc.stag, Off: pkc.offset, Len: pkc.n, At: h.eng.Now(), Cause: placed})
-			if pkc.last {
-				if pkc.rdMsg != nil {
-					q.scq.Push(verbs.Completion{WRID: pkc.rdMsg.wr.ID, Op: verbs.OpRead, Len: pkc.rdMsg.wr.Len, At: h.eng.Now(), Cause: placed})
-				} else if pkc.msg != nil {
-					q.ack(pkc.msg, placed)
-				}
-			}
-		})
+		pk.region = region
+		h.eng.AtArg(h.pcie.WriteFrom(h.eng.Now(), pk.n), placeWrite, pk)
 	case pk.op == verbs.OpSend:
 		if pk.first {
 			q.cur = &inbound{}
 			q.curWR = nil
-			if len(q.recvQ) > 0 {
-				wr := q.recvQ[0]
-				q.recvQ = q.recvQ[1:]
+			if q.recvQ.Len() > 0 {
+				wr := q.recvQ.Pop()
 				q.curWR = &wr
 			}
 		}
 		if q.cur == nil {
 			panic(fmt.Sprintf("ib %s: send continuation with no assembly", h.name))
 		}
-		q.cur.got += pk.n
-		q.cur.cause = rxRef
+		cur, last := q.cur, pk.last
+		cur.got += pk.n
+		cur.cause = rxRef
 		if q.curWR != nil {
 			if pk.offset+pk.n > q.curWR.Local.Len {
 				panic(fmt.Sprintf("ib %s: send overruns recv buffer", h.name))
 			}
-			t := h.pcie.WriteFrom(h.eng.Now(), pk.n)
-			wr, cur, pkc := q.curWR, q.cur, pk
-			h.eng.At(t, func() {
-				pkc.data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+pkc.offset, pkc.voff, pkc.n)
-				if pkc.last {
-					placed := h.eng.Trc().InstantR(h.name, "placed",
-						trace.Cause(rxRef), trace.I64("bytes", int64(cur.got)))
-					q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: cur.got, At: h.eng.Now(), Cause: placed})
-					q.ack(pkc.msg, placed)
-				}
-			})
+			pk.wr, pk.in = q.curWR, cur
+			h.eng.AtArg(h.pcie.WriteFrom(h.eng.Now(), pk.n), placeSend, pk)
 		} else {
-			q.cur.buf = pk.data.Stash(q.cur.buf, pk.offset, pk.voff, pk.n)
-			if pk.last {
+			cur.buf = pk.data.Stash(cur.buf, pk.offset, pk.voff, pk.n)
+			if last {
 				q.ack(pk.msg, rxRef)
 			}
+			h.pkts.Put(pk)
 		}
-		if pk.last {
-			q.cur.total = q.cur.got
+		if last {
+			cur.total = cur.got
 			if q.curWR == nil {
-				q.early = append(q.early, q.cur)
+				q.early.Push(cur)
 			}
 			q.cur = nil
 			q.curWR = nil
@@ -462,10 +494,51 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 	}
 }
 
+// placeWrite lands an RDMA Write (or Read Response) packet in its target
+// region once the host DMA write completes, then recycles the packet.
+func placeWrite(v any) {
+	pk := v.(*packet)
+	q := pk.rq
+	h := q.hca
+	pk.data.CopyTo(pk.region.Buf, pk.region.Off+pk.offset, pk.voff, pk.n)
+	placed := h.eng.Trc().InstantR(h.name, "placed",
+		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
+	if q.logPlaces {
+		q.places.Put(verbs.Placement{Key: pk.stag, Off: pk.offset, Len: pk.n, At: h.eng.Now(), Cause: placed})
+	}
+	if pk.last {
+		if pk.rdMsg != nil {
+			q.scq.Push(verbs.Completion{WRID: pk.rdMsg.wr.ID, Op: verbs.OpRead, Len: pk.rdMsg.wr.Len, At: h.eng.Now(), Cause: placed})
+		} else if pk.msg != nil {
+			q.ack(pk.msg, placed)
+		}
+	}
+	h.pkts.Put(pk)
+}
+
+// placeSend lands a Send packet in its matched receive buffer once the host
+// DMA write completes, completing the receive on the last packet, then
+// recycles the packet.
+func placeSend(v any) {
+	pk := v.(*packet)
+	q, wr := pk.rq, pk.wr
+	h := q.hca
+	pk.data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+pk.offset, pk.voff, pk.n)
+	if pk.last {
+		placed := h.eng.Trc().InstantR(h.name, "placed",
+			trace.Cause(pk.cause), trace.I64("bytes", int64(pk.in.got)))
+		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: pk.in.got, At: h.eng.Now(), Cause: placed})
+		q.ack(pk.msg, placed)
+	}
+	h.pkts.Put(pk)
+}
+
 // ack emits a transport ACK for a fully-arrived message, caused by the event
 // that finished the message (placement or final rx pass).
 func (q *QP) ack(msg *txMsg, cause trace.Ref) {
-	q.emit(&packet{dstQPN: q.peer.qpn, kind: pktAck, n: 0, ackFor: msg, cause: cause})
+	pk := q.hca.pkts.Get()
+	*pk = packet{dstQPN: q.peer.qpn, kind: pktAck, n: 0, ackFor: msg, cause: cause}
+	q.emit(pk)
 }
 
 // completeEarly flushes a buffered early Send into a just-posted receive.

@@ -319,7 +319,7 @@ func TestLossRecoveryEndToEnd(t *testing.T) {
 	defer r.close()
 	rng := sim.NewRNG(99)
 	r.net.DropFn = func(f *fabric.Frame) bool {
-		ws := f.Payload.(wireSeg)
+		ws := f.Payload.(*wireSeg)
 		return ws.seg.Len > 0 && rng.Float64() < 0.05
 	}
 	src := r.m0.Alloc(200_000)

@@ -36,6 +36,33 @@ type ddpSeg struct {
 	msg    *txMsg  // sender bookkeeping (completion when acked)
 	rdMsg  *txMsg  // read response: requester's WQE to complete on placement
 	rd     readReq // valid when kind == segReadReq
+
+	// Sender-side state for the pipeline event that hands the segment to
+	// TCP (see enterTCP): the sending QP, the FPDU size and the tx-engine
+	// pass that built it.
+	src     *QP
+	fpdu    int
+	txCause trace.Ref
+}
+
+// rxPass carries an arrived data segment from the end of its rx-engine
+// pass through the remaining rx pipeline stages (see finishRx).
+type rxPass struct {
+	q   *QP
+	seg tcpsim.Segment
+	ecn bool      // the fabric ECN-marked the segment
+	ref trace.Ref // the rx-engine pass
+}
+
+// placement carries one DDP segment from its rx pass to the host DMA write
+// that lands it (see placeTagged and placeUntagged).
+type placement struct {
+	q      *QP
+	seg    *ddpSeg
+	region *mem.Region // tagged: the target region
+	wr     *verbs.WR   // untagged: the matched receive
+	in     *inbound    // untagged: the message being assembled
+	cause  trace.Ref   // the rx-engine pass that completed the segment
 }
 
 // readReq is the RDMAP Read Request payload.
@@ -83,10 +110,18 @@ type QP struct {
 	sendQ  *sim.Queue[verbs.WR]
 	emitQ  *sim.Queue[*fetchedWR]
 
-	recvQ []verbs.WR // posted receive work requests, FIFO
-	early []*inbound // completed untagged messages with no posted recv
-	cur   *inbound   // in-assembly untagged message
-	curWR *verbs.WR  // matched recv for cur, nil if none was posted
+	recvQ sim.Ring[verbs.WR] // posted receive work requests
+	early sim.Ring[*inbound] // completed untagged messages with no posted recv
+	cur   *inbound           // in-assembly untagged message
+	curWR *verbs.WR          // matched recv for cur, nil if none was posted
+
+	// Work requests whose doorbell is still crossing the bus, oldest first.
+	// Doorbells on one bus arrive in the order they were rung, so the
+	// event for the i-th post always pops the i-th request.
+	sqBells, rqBells sim.Ring[verbs.WR]
+
+	// logPlaces gates the Placements log (see SetPlacementLog).
+	logPlaces bool
 
 	// Causal bookkeeping (RefNone with tracing off). txCause is the
 	// tx-engine event whose FPDU the next emitted TCP segments carry;
@@ -114,6 +149,8 @@ func (r *RNIC) newQP() *QP {
 		rxQ:    sim.NewQueue[rxSeg](r.eng, r.name+"/rxq"),
 		sendQ:  sim.NewQueue[verbs.WR](r.eng, r.name+"/sq"),
 		emitQ:  sim.NewQueue[*fetchedWR](r.eng, r.name+"/emitq"),
+
+		logPlaces: true,
 	}
 	q.conn.MSS = r.cfg.MSS
 	q.conn.WindowBytes = r.cfg.TCPWindow
@@ -221,6 +258,12 @@ func (q *QP) RecvCQ() *verbs.CQ { return q.rcq }
 // Placements implements verbs.QP.
 func (q *QP) Placements() *sim.Queue[verbs.Placement] { return q.places }
 
+// SetPlacementLog turns the Placements log on or off. It is on from
+// Connect, so a raw-verbs reader sees every tagged placement since then; a
+// consumer that never reads it (MPI) turns it off before traffic flows, so
+// the log does not hold every placement for the world's lifetime.
+func (q *QP) SetPlacementLog(on bool) { q.logPlaces = on }
+
 // PostSend implements verbs.QP: host builds the WQE, rings the doorbell, and
 // the RNIC executes the operation asynchronously.
 func (q *QP) PostSend(p *sim.Proc, wr verbs.WR) {
@@ -234,24 +277,35 @@ func (q *QP) PostSend(p *sim.Proc, wr verbs.WR) {
 		wr.Cause = tr.CompleteR(q.rnic.name, "doorbell", int64(now), int64(at),
 			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
 	}
-	q.rnic.eng.At(at, func() { q.sendQ.Put(wr) })
+	q.sqBells.Push(wr)
+	q.rnic.eng.AtArg(at, sendBell, q)
+}
+
+// sendBell lands the oldest send doorbell of QP v on the send queue.
+func sendBell(v any) {
+	q := v.(*QP)
+	q.sendQ.Put(q.sqBells.Pop())
 }
 
 // PostRecv implements verbs.QP.
 func (q *QP) PostRecv(p *sim.Proc, wr verbs.WR) {
 	p.Sleep(q.rnic.cfg.PostOverhead)
 	at := q.rnic.pcie.Doorbell(32)
-	q.rnic.eng.At(at, func() {
-		// An early-arrived message (no recv had been posted) is consumed
-		// immediately; otherwise the WR queues.
-		if len(q.early) > 0 {
-			m := q.early[0]
-			q.early = q.early[1:]
-			q.completeEarly(m, wr)
-			return
-		}
-		q.recvQ = append(q.recvQ, wr)
-	})
+	q.rqBells.Push(wr)
+	q.rnic.eng.AtArg(at, recvBell, q)
+}
+
+// recvBell lands the oldest receive doorbell of QP v. An early-arrived
+// message (no recv had been posted) consumes it immediately; otherwise the
+// WR queues.
+func recvBell(v any) {
+	q := v.(*QP)
+	wr := q.rqBells.Pop()
+	if q.early.Len() > 0 {
+		q.completeEarly(q.early.Pop(), wr)
+		return
+	}
+	q.recvQ.Push(wr)
 }
 
 // sendData pushes one RDMAP message through the full transmit pipeline in
@@ -312,34 +366,42 @@ func (q *QP) emitSegments(wp *sim.Proc, kind segKind, src *mem.Region, srcOff, n
 				trace.Cause(cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(take)))
 		}
 		seg := &ddpSeg{
-			kind:   kind,
-			n:      take,
-			offset: remoteOff + off,
-			stag:   stag,
-			first:  off == 0,
-			last:   off+take == n,
-			msg:    msg,
-			rdMsg:  rdMsg,
+			kind:    kind,
+			n:       take,
+			offset:  remoteOff + off,
+			stag:    stag,
+			first:   off == 0,
+			last:    off+take == n,
+			msg:     msg,
+			rdMsg:   rdMsg,
+			src:     q,
+			fpdu:    r.cfg.Framing.FPDUBytes(hdr, take),
+			txCause: segCause,
 		}
 		if kind == segUntagged {
 			seg.offset = off
 		}
 		seg.data, seg.voff = data, off
 		r.txEngine.Release(1)
-		fpdu := r.cfg.Framing.FPDUBytes(hdr, take)
 		r.cSegsTx.Inc()
 		framing, markers := r.cfg.Framing.FramingOverhead(hdr, take)
 		r.cFramingBytes.Add(int64(framing))
 		r.cMarkerBytes.Add(int64(markers))
 		// The remaining pipeline stages add latency without occupying an
 		// engine slot; scheduling preserves per-connection segment order.
-		r.eng.After(r.cfg.TxPipeDelay, func() {
-			q.txCause = segCause
-			q.conn.Send(fpdu, seg)
-			q.drainTx()
-		})
+		r.eng.AfterArg(r.cfg.TxPipeDelay, enterTCP, seg)
 		off += take
 	}
+}
+
+// enterTCP hands DDP segment v to its QP's TCP connection at the end of
+// the transmit pipeline and sends what the window allows.
+func enterTCP(v any) {
+	seg := v.(*ddpSeg)
+	q := seg.src
+	q.txCause = seg.txCause
+	q.conn.Send(seg.fpdu, seg)
+	q.drainTx()
 }
 
 // sendReadRequest emits an RDMAP Read Request for wr (an OpRead WQE).
@@ -411,11 +473,13 @@ func (q *QP) drainTx() {
 // rx pass that decided to acknowledge). ece rides the TCP header of pure
 // ACKs echoing a fabric ECN mark back to the data sender.
 func (q *QP) emit(seg tcpsim.Segment, ece bool) {
+	ws := q.rnic.wsegFree.Get()
+	*ws = wireSeg{dstQPN: q.peer.qpn, seg: seg, ece: ece}
 	q.rnic.port.Send(&fabric.Frame{
 		Src:     q.rnic.port.ID(),
 		Dst:     q.peer.rnic.port.ID(),
 		Bytes:   q.conn.WireBytes(seg),
-		Payload: wireSeg{dstQPN: q.peer.qpn, seg: seg, ece: ece},
+		Payload: ws,
 		Flow:    q.qpn, // per-connection ECMP path on multi-switch fabrics
 		Cause:   q.txCause,
 	})
@@ -507,25 +571,31 @@ func (q *QP) rxLoop(p *sim.Proc) {
 			}
 			continue
 		}
-		seg := tseg
-		ecnMarked := rx.ecn
-		r.eng.After(r.cfg.RxPipeDelay, func() {
-			// Completions raised from Input's ACK processing (piggybacked
-			// acks) and the ACK we send back are both enabled by this
-			// segment's rx pass.
-			q.ackCause = rxRef
-			recs, ack, need := q.conn.Input(seg)
-			if need {
-				q.txCause = rxRef
-				// Echo a fabric ECN mark back on the ACK (DCTCP-style
-				// per-segment echo; the sender's cut hygiene is one per
-				// window).
-				q.emit(ack, ecnMarked)
-			}
-			for _, rec := range recs {
-				q.handleSeg(rec.Meta.(*ddpSeg), rxRef)
-			}
-		})
+		ps := r.passFree.Get()
+		*ps = rxPass{q: q, seg: tseg, ecn: rx.ecn, ref: rxRef}
+		r.eng.AfterArg(r.cfg.RxPipeDelay, finishRx, ps)
+	}
+}
+
+// finishRx runs at the end of rx pass v's pipeline: TCP input, the ACK
+// back to the sender, and DDP handling of every record the segment
+// completed.
+func finishRx(v any) {
+	ps := v.(*rxPass)
+	q, seg, ecnMarked, rxRef := ps.q, ps.seg, ps.ecn, ps.ref
+	q.rnic.passFree.Put(ps)
+	// Completions raised from Input's ACK processing (piggybacked acks) and
+	// the ACK we send back are both enabled by this segment's rx pass.
+	q.ackCause = rxRef
+	recs, ack, need := q.conn.Input(seg)
+	if need {
+		q.txCause = rxRef
+		// Echo a fabric ECN mark back on the ACK (DCTCP-style per-segment
+		// echo; the sender's cut hygiene is one per window).
+		q.emit(ack, ecnMarked)
+	}
+	for _, rec := range recs {
+		q.handleSeg(rec.Meta.(*ddpSeg), rxRef)
 	}
 }
 
@@ -540,28 +610,16 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			panic(fmt.Sprintf("iwarp %s: tagged placement into unknown STag %d", r.name, seg.stag))
 		}
 		// Cross the internal bridge, then DMA into host memory.
-		t2 := r.engineToHost(seg.n + TaggedHeader)
-		data, voff, off, n := seg.data, seg.voff, seg.offset, seg.n
-		last, rdMsg := seg.last, seg.rdMsg
-		r.eng.At(t2, func() {
-			data.CopyTo(region.Buf, region.Off+off, voff, n)
-			placed := r.eng.Trc().InstantR(r.name, "placed",
-				trace.Cause(cause), trace.I64("bytes", int64(n)))
-			q.places.Put(verbs.Placement{Key: seg.stag, Off: off, Len: n, At: r.eng.Now(), Cause: placed})
-			if rdMsg != nil && last {
-				// Last RDMA Read Response segment: complete the requester's
-				// OpRead WQE. q is the requester-side QP here.
-				q.scq.Push(verbs.Completion{WRID: rdMsg.wr.ID, Op: verbs.OpRead, Len: rdMsg.wr.Len, At: r.eng.Now(), Cause: placed})
-			}
-		})
+		pl := r.placeFree.Get()
+		*pl = placement{q: q, seg: seg, region: region, cause: cause}
+		r.eng.AtArg(r.engineToHost(seg.n+TaggedHeader), placeTagged, pl)
 
 	case segUntagged:
 		if seg.first {
 			q.cur = &inbound{}
 			q.curWR = nil
-			if len(q.recvQ) > 0 {
-				wr := q.recvQ[0]
-				q.recvQ = q.recvQ[1:]
+			if q.recvQ.Len() > 0 {
+				wr := q.recvQ.Pop()
 				q.curWR = &wr
 			}
 		}
@@ -575,18 +633,9 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			if seg.offset+seg.n > q.curWR.Local.Len {
 				panic(fmt.Sprintf("iwarp %s: send overruns %d-byte recv buffer", r.name, q.curWR.Local.Len))
 			}
-			t2 := r.engineToHost(seg.n + UntaggedHeader)
-			wr, cur := q.curWR, q.cur
-			data, voff, off, n := seg.data, seg.voff, seg.offset, seg.n
-			last := seg.last
-			r.eng.At(t2, func() {
-				data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+off, voff, n)
-				if last {
-					placed := r.eng.Trc().InstantR(r.name, "placed",
-						trace.Cause(cause), trace.I64("bytes", int64(cur.got)))
-					q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: cur.got, At: r.eng.Now(), Cause: placed})
-				}
-			})
+			pl := r.placeFree.Get()
+			*pl = placement{q: q, seg: seg, wr: q.curWR, in: q.cur, cause: cause}
+			r.eng.AtArg(r.engineToHost(seg.n+UntaggedHeader), placeUntagged, pl)
 		} else {
 			// No posted receive: buffer in adapter memory until one arrives.
 			q.cur.buf = seg.data.Stash(q.cur.buf, seg.offset, seg.voff, seg.n)
@@ -594,7 +643,7 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 		if seg.last {
 			q.cur.total = q.cur.got
 			if q.curWR == nil {
-				q.early = append(q.early, q.cur)
+				q.early.Push(q.cur)
 				r.cEarlyArrivals.Inc()
 			}
 			q.cur = nil
@@ -611,6 +660,42 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 		r.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", r.name, q.qpn), func(rp *sim.Proc) {
 			q.sendData(rp, segTagged, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, cause)
 		})
+	}
+}
+
+// placeTagged lands a tagged segment in its target region once the host
+// DMA write of placement v completes.
+func placeTagged(v any) {
+	pl := v.(*placement)
+	q, seg, region, cause := pl.q, pl.seg, pl.region, pl.cause
+	q.rnic.placeFree.Put(pl)
+	r := q.rnic
+	seg.data.CopyTo(region.Buf, region.Off+seg.offset, seg.voff, seg.n)
+	placed := r.eng.Trc().InstantR(r.name, "placed",
+		trace.Cause(cause), trace.I64("bytes", int64(seg.n)))
+	if q.logPlaces {
+		q.places.Put(verbs.Placement{Key: seg.stag, Off: seg.offset, Len: seg.n, At: r.eng.Now(), Cause: placed})
+	}
+	if seg.rdMsg != nil && seg.last {
+		// Last RDMA Read Response segment: complete the requester's OpRead
+		// WQE. q is the requester-side QP here.
+		q.scq.Push(verbs.Completion{WRID: seg.rdMsg.wr.ID, Op: verbs.OpRead, Len: seg.rdMsg.wr.Len, At: r.eng.Now(), Cause: placed})
+	}
+}
+
+// placeUntagged lands an untagged segment in its matched receive buffer
+// once the host DMA write of placement v completes, completing the receive
+// on the message's last segment.
+func placeUntagged(v any) {
+	pl := v.(*placement)
+	q, seg, wr, cur, cause := pl.q, pl.seg, pl.wr, pl.in, pl.cause
+	q.rnic.placeFree.Put(pl)
+	r := q.rnic
+	seg.data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+seg.offset, seg.voff, seg.n)
+	if seg.last {
+		placed := r.eng.Trc().InstantR(r.name, "placed",
+			trace.Cause(cause), trace.I64("bytes", int64(cur.got)))
+		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: cur.got, At: r.eng.Now(), Cause: placed})
 	}
 }
 

@@ -118,6 +118,12 @@ type RNIC struct {
 	maxUntagged int
 	txChainEnd  sim.Time // host-DMA read pipeline chain (see hostToEngine)
 
+	// Per-engine free lists (shared by every RNIC on the engine) for the
+	// per-frame structs: the frame payload and the deferred rx steps.
+	wsegFree  *sim.FreeList[wireSeg]
+	passFree  *sim.FreeList[rxPass]
+	placeFree *sim.FreeList[placement]
+
 	cSegsTx, cSegsRx, cAcksRx   *metrics.Counter
 	cReadReqs, cEarlyArrivals   *metrics.Counter
 	cFramingBytes, cMarkerBytes *metrics.Counter
@@ -128,7 +134,8 @@ type RNIC struct {
 // wireSeg is the fabric frame payload: a TCP segment addressed to a QP.
 // ece is the TCP header's ECN-Echo bit: the data receiver sets it on the
 // ACK it returns for a segment the fabric ECN-marked, closing the DCQCN
-// feedback loop back to the sender.
+// feedback loop back to the sender. It travels as a pointer taken from the
+// engine's free list; Deliver copies it out and gives it back.
 type wireSeg struct {
 	dstQPN int
 	seg    tcpsim.Segment
@@ -138,17 +145,20 @@ type wireSeg struct {
 // New creates an RNIC attached to hostMem and the Ethernet fabric.
 func New(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.Network, cfg Config) *RNIC {
 	r := &RNIC{
-		eng:      eng,
-		name:     name,
-		cfg:      cfg,
-		hostMem:  hostMem,
-		reg:      mem.NewRegTable(eng, name, cfg.RegCost),
-		pcie:     pci.New(eng, cfg.PCIe),
-		bridge:   pci.New(eng, cfg.Bridge),
-		txEngine: sim.NewResource(eng, name+"/tx-engine", cfg.PipelineWidth),
-		rxEngine: sim.NewResource(eng, name+"/rx-engine", cfg.PipelineWidth),
-		txSched:  sim.NewResource(eng, name+"/tx-sched", 1),
-		rxSched:  sim.NewResource(eng, name+"/rx-sched", 1),
+		eng:       eng,
+		name:      name,
+		cfg:       cfg,
+		hostMem:   hostMem,
+		reg:       mem.NewRegTable(eng, name, cfg.RegCost),
+		pcie:      pci.New(eng, cfg.PCIe),
+		bridge:    pci.New(eng, cfg.Bridge),
+		txEngine:  sim.NewResource(eng, name+"/tx-engine", cfg.PipelineWidth),
+		rxEngine:  sim.NewResource(eng, name+"/rx-engine", cfg.PipelineWidth),
+		txSched:   sim.NewResource(eng, name+"/tx-sched", 1),
+		rxSched:   sim.NewResource(eng, name+"/rx-sched", 1),
+		wsegFree:  sim.FreeListOf[wireSeg](eng),
+		passFree:  sim.FreeListOf[rxPass](eng),
+		placeFree: sim.FreeListOf[placement](eng),
 	}
 	r.maxTagged = cfg.Framing.MaxPayload(TaggedHeader, cfg.MSS)
 	r.maxUntagged = cfg.Framing.MaxPayload(UntaggedHeader, cfg.MSS)
@@ -237,11 +247,12 @@ func (r *RNIC) engineToHost(bytes int) sim.Time {
 // fabric's Corrupt mark rides along so the receive path can reject the
 // FPDU on the MPA CRC after paying for the engine work of checking it.
 func (r *RNIC) Deliver(f *fabric.Frame) {
-	ws := f.Payload.(wireSeg)
+	ws := f.Payload.(*wireSeg)
 	if ws.dstQPN < 0 || ws.dstQPN >= len(r.qps) {
 		panic(fmt.Sprintf("iwarp %s: frame for unknown QP %d", r.name, ws.dstQPN))
 	}
 	r.qps[ws.dstQPN].rxQ.Put(rxSeg{seg: ws.seg, corrupt: f.Corrupt, ecn: f.ECN, ece: ws.ece, cause: f.Cause})
+	r.wsegFree.Put(ws)
 }
 
 // StallEngines implements faults.EngineStaller: the protocol engine stops

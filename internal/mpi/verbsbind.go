@@ -118,9 +118,10 @@ type vbind struct {
 	reqs     map[uint64]*Request
 }
 
-// cqSetter is implemented by both iwarp.QP and ib.QP.
-type cqSetter interface {
+// providerQP is what both iwarp.QP and ib.QP offer beyond verbs.QP.
+type providerQP interface {
 	SetCQs(scq, rcq *verbs.CQ)
+	SetPlacementLog(on bool)
 }
 
 func newVBind(p *Process) *vbind {
@@ -137,9 +138,14 @@ func newVBind(p *Process) *vbind {
 	return b
 }
 
+// addPeer wires rank's QPs to the process's shared CQ. MPI learns of
+// RDMA Write arrival from completions and headers, never from the
+// Placements log, so the QPs stop logging there.
 func (b *vbind) addPeer(rank int, ctrl, data verbs.QP) {
-	ctrl.(cqSetter).SetCQs(b.cq, b.cq)
-	data.(cqSetter).SetCQs(b.cq, b.cq)
+	for _, qp := range []verbs.QP{ctrl, data} {
+		qp.(providerQP).SetCQs(b.cq, b.cq)
+		qp.(providerQP).SetPlacementLog(false)
+	}
 	b.qps[rank] = ctrl
 	b.dataQPs[rank] = data
 }

@@ -166,7 +166,11 @@ type xfer struct {
 	rxCause trace.Ref
 }
 
-// packet is the fabric payload.
+// packet is the fabric payload. Packets come from the sending engine's
+// free list (Endpoint.pkts) and go back to the receiving engine's once the
+// receiver is done with them: after placement for data, after processing
+// for RTS, CTS and ACK. A packet whose frame the fabric drops is left to
+// the GC.
 type packet struct {
 	kind  pktKind
 	x     *xfer
@@ -174,7 +178,10 @@ type packet struct {
 	n     int
 	first bool
 	last  bool
-	cause trace.Ref // causal ref of the event that emitted / delivered this packet
+	// cause is the causal ref of the event that emitted / delivered this
+	// packet; once the receiver's rx pass has run, that pass's ref, for the
+	// deferred placement to chain from.
+	cause trace.Ref
 }
 
 // postedRecv is one NIC-resident receive entry.
@@ -203,6 +210,9 @@ type Endpoint struct {
 	rxQ        *sim.Queue[*packet]
 	chainEnd   sim.Time // host-DMA read pipeline chain
 
+	// pkts recycles packet structs, shared by every endpoint on the engine.
+	pkts *sim.FreeList[packet]
+
 	// Stats.
 	EagerSent, RndvSent     int64
 	UnexpectedArrivals      int64
@@ -227,6 +237,7 @@ func NewEndpoint(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.
 		pcie:    pci.New(eng, cfg.PCIe),
 		nic:     sim.NewResource(eng, name+"/nic-proc", 1),
 		rxQ:     sim.NewQueue[*packet](eng, name+"/rxq"),
+		pkts:    sim.FreeListOf[packet](eng),
 	}
 	e.regs = mem.NewRegCache(mem.NewRegTable(eng, name+"/reg", cfg.RegCost), cfg.RegCacheSize)
 	e.port = net.Attach(e)
@@ -377,7 +388,7 @@ func (e *Endpoint) txPackets(np *sim.Proc, x *xfer, dma bool) {
 		e.nic.Use(np, e.cfg.TxPktTime)
 		x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
 			trace.Cause(x.txCause), trace.I64("bytes", int64(take)))
-		e.sendPacket(x, &packet{
+		e.sendPacket(x.dst, packet{
 			kind:  pktEager,
 			x:     x,
 			off:   off,
@@ -412,7 +423,7 @@ func (e *Endpoint) rndvSend(p *sim.Proc, x *xfer, buf *mem.Buffer, off int) {
 			e.nic.Use(np, e.cfg.TxPktTime)
 			x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
 				trace.Cause(x.txCause), trace.Str("pkt", "rts"))
-			e.sendPacket(x, &packet{kind: pktRTS, x: x, n: 16, cause: x.txCause})
+			e.sendPacket(x.dst, packet{kind: pktRTS, x: x, n: 16, cause: x.txCause})
 		})
 	})
 }
@@ -428,19 +439,11 @@ func (e *Endpoint) pin(np *sim.Proc, buf *mem.Buffer, off, n int) {
 	}
 }
 
-// sendPacket places a packet on the fabric toward x.dst.
-func (e *Endpoint) sendPacket(x *xfer, pk *packet) {
-	e.port.Send(&fabric.Frame{
-		Src:     e.port.ID(),
-		Dst:     x.dst.port.ID(),
-		Bytes:   pk.n + e.cfg.PacketHeader,
-		Payload: pk,
-		Cause:   pk.cause,
-	})
-}
-
-// sendPacketTo is sendPacket toward the transfer's source (CTS, ACK).
-func (e *Endpoint) sendPacketTo(dst *Endpoint, pk *packet) {
+// sendPacket places a copy of pkt, in a packet from the free list, on the
+// fabric toward dst.
+func (e *Endpoint) sendPacket(dst *Endpoint, pkt packet) {
+	pk := e.pkts.Get()
+	*pk = pkt
 	e.port.Send(&fabric.Frame{
 		Src:     e.port.ID(),
 		Dst:     dst.port.ID(),
@@ -537,7 +540,7 @@ func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off,
 		e.nic.Use(np, e.cfg.TxPktTime)
 		x.rxCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
 			trace.Cause(x.rxCause), trace.Str("pkt", "cts"))
-		e.sendPacketTo(x.src, &packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
+		e.sendPacket(x.src, packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
 	})
 }
 
@@ -550,8 +553,10 @@ func (e *Endpoint) rxLoop(p *sim.Proc) {
 			e.rxEager(p, pk)
 		case pktRTS:
 			e.rxRTS(p, pk)
+			e.pkts.Put(pk)
 		case pktCTS:
 			e.rxCTS(p, pk)
+			e.pkts.Put(pk)
 		case pktRndvData:
 			e.rxRndvData(p, pk)
 		case pktRndvAck:
@@ -561,6 +566,7 @@ func (e *Endpoint) rxLoop(p *sim.Proc) {
 				trace.Cause(pk.cause))
 			pk.x.sendH.done.Fire()
 			pk.x.data.Release()
+			e.pkts.Put(pk)
 		}
 	}
 }
@@ -632,31 +638,45 @@ func (e *Endpoint) rxEager(p *sim.Proc, pk *packet) {
 		}
 	}
 	e.nic.Release(1)
-	rxRef := e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(e.eng.Now()),
+	pk.cause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(e.eng.Now()),
 		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
+	t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
 	if x.recvH != nil {
 		// Matched: DMA straight into the user buffer.
-		t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
-		e.eng.At(t, func() {
-			x.data.CopyTo(x.recvBuf, x.recvOff+pk.off, pk.off, pk.n)
-			x.got += pk.n
-			if pk.last {
-				x.recvH.Cause = e.eng.Trc().InstantR(e.name, "placed", trace.Cause(rxRef))
-				x.recvH.done.Fire()
-			}
-		})
+		e.eng.AtArg(t, placeEager, pk)
 		return
 	}
 	// Unexpected: DMA into the host unexpected ring.
-	t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
-	e.eng.At(t, func() {
-		x.data.Stash(x.unexpData, pk.off, pk.off, pk.n)
-		x.got += pk.n
-		if pk.last {
-			x.rxCause = e.eng.Trc().InstantR(e.name, "placed", trace.Cause(rxRef))
-			x.arrived.Fire()
-		}
-	})
+	e.eng.AtArg(t, stashEager, pk)
+}
+
+// placeEager lands matched eager packet v in the user buffer once its host
+// DMA write completes, completing the receive on the last packet.
+func placeEager(v any) {
+	pk := v.(*packet)
+	x, e := pk.x, pk.x.dst
+	x.data.CopyTo(x.recvBuf, x.recvOff+pk.off, pk.off, pk.n)
+	x.got += pk.n
+	if pk.last {
+		x.recvH.Cause = e.eng.Trc().InstantR(e.name, "placed", trace.Cause(pk.cause))
+		x.recvH.done.Fire()
+	}
+	e.pkts.Put(pk)
+}
+
+// stashEager lands unexpected eager packet v in the host unexpected ring
+// once its host DMA write completes, marking the message arrived on the
+// last packet.
+func stashEager(v any) {
+	pk := v.(*packet)
+	x, e := pk.x, pk.x.dst
+	x.data.Stash(x.unexpData, pk.off, pk.off, pk.n)
+	x.got += pk.n
+	if pk.last {
+		x.rxCause = e.eng.Trc().InstantR(e.name, "placed", trace.Cause(pk.cause))
+		x.arrived.Fire()
+	}
+	e.pkts.Put(pk)
 }
 
 // rxRTS handles a rendezvous request: match now or park it as unexpected.
@@ -692,7 +712,7 @@ func (e *Endpoint) rxRTS(p *sim.Proc, pk *packet) {
 		e.nic.Use(np, e.cfg.TxPktTime)
 		x.rxCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
 			trace.Cause(x.rxCause), trace.Str("pkt", "cts"))
-		e.sendPacketTo(x.src, &packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
+		e.sendPacket(x.src, packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
 	})
 }
 
@@ -717,7 +737,7 @@ func (e *Endpoint) rxCTS(p *sim.Proc, pk *packet) {
 			e.nic.Use(np, e.cfg.TxPktTime)
 			x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t1), int64(np.Now()),
 				trace.Cause(x.txCause), trace.I64("bytes", int64(take)))
-			e.sendPacket(x, &packet{
+			e.sendPacket(x.dst, packet{
 				kind:  pktRndvData,
 				x:     x,
 				off:   off,
@@ -732,21 +752,26 @@ func (e *Endpoint) rxCTS(p *sim.Proc, pk *packet) {
 
 // rxRndvData places rendezvous payload at the receiver.
 func (e *Endpoint) rxRndvData(p *sim.Proc, pk *packet) {
-	x := pk.x
 	t0 := p.Now()
 	e.nic.Use(p, e.cfg.RxPktTime)
-	rxRef := e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(p.Now()),
+	pk.cause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(p.Now()),
 		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
-	t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
-	e.eng.At(t, func() {
-		x.data.CopyTo(x.recvBuf, x.recvOff+pk.off, pk.off, pk.n)
-		x.got += pk.n
-		if pk.last {
-			placed := e.eng.Trc().InstantR(e.name, "placed", trace.Cause(rxRef))
-			x.recvH.Cause = placed
-			x.recvH.done.Fire()
-			// ACK releases the sender's handle.
-			e.sendPacketTo(x.src, &packet{kind: pktRndvAck, x: x, n: 8, cause: placed})
-		}
-	})
+	e.eng.AtArg(e.pcie.WriteFrom(e.eng.Now(), pk.n), placeRndv, pk)
+}
+
+// placeRndv lands rendezvous packet v in the user buffer once its host DMA
+// write completes; the last packet completes the receive and returns the
+// ACK that releases the sender's handle.
+func placeRndv(v any) {
+	pk := v.(*packet)
+	x, e := pk.x, pk.x.dst
+	x.data.CopyTo(x.recvBuf, x.recvOff+pk.off, pk.off, pk.n)
+	x.got += pk.n
+	if pk.last {
+		placed := e.eng.Trc().InstantR(e.name, "placed", trace.Cause(pk.cause))
+		x.recvH.Cause = placed
+		x.recvH.done.Fire()
+		e.sendPacket(x.src, packet{kind: pktRndvAck, x: x, n: 8, cause: placed})
+	}
+	e.pkts.Put(pk)
 }

@@ -74,6 +74,8 @@ type Engine struct {
 	live    int      // scheduled (uncancelled) events, kept for O(1) Pending
 	procs   map[*Proc]struct{}
 	current *Proc
+	idle    *coro       // finished coroutines awaiting their next proc
+	locals  map[any]any // per-engine FreeLists, keyed by type (see FreeListOf)
 	stopped bool
 	closed  bool
 	err     error
@@ -468,9 +470,9 @@ func (e *Engine) fail(err error) {
 	e.stopped = true
 }
 
-// Close terminates every live process by unwinding its coroutine, then marks
-// the engine unusable. It must not be called from process context. Close is
-// idempotent.
+// Close terminates every live process by unwinding its body, ends every
+// idle coroutine, then marks the engine unusable. It must not be called
+// from process context. Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -480,14 +482,15 @@ func (e *Engine) Close() {
 	}
 	defer func() { e.closed = true }()
 	// Parked processes are suspended in park's yield; not-yet-started ones
-	// have a coroutine that has not run. Killing dispatches each once with
-	// the killed flag set: a parked proc's yield returns into a panic with
-	// errProcKilled, which Proc.exit recovers, and an unstarted one skips
-	// its body. Snapshot and sort once — re-scanning the map for the
-	// minimum id per kill is O(procs^2), which multi-switch worlds with tens
-	// of thousands of QP processes turn from invisible into seconds of
-	// teardown per world. A dying proc cannot spawn or wake others
-	// (completions only schedule events), so the snapshot stays complete.
+	// have a coroutine that has not run their body. Killing dispatches each
+	// once with the killed flag set: a parked proc's yield returns into a
+	// panic with errProcKilled, which Proc.exit recovers, and an unstarted
+	// one skips its body. Either way the coroutine ends up idle. Snapshot
+	// and sort once — re-scanning the map for the minimum id per kill is
+	// O(procs^2), which multi-switch worlds with tens of thousands of QP
+	// processes turn from invisible into seconds of teardown per world. A
+	// dying proc cannot spawn or wake others (completions only schedule
+	// events), so the snapshot stays complete.
 	live := make([]*Proc, 0, len(e.procs))
 	for q := range e.procs {
 		live = append(live, q)
@@ -506,38 +509,53 @@ func (e *Engine) Close() {
 	if len(e.procs) > 0 {
 		panic(fmt.Sprintf("sim: %d procs survived Close", len(e.procs)))
 	}
+	// Every coroutine is idle now; stop ends each one's loop.
+	for c := e.idle; c != nil; c = c.idle {
+		c.stop()
+	}
+	e.idle = nil
 }
 
 // dispatch switches into p's coroutine and returns when p parks again or
 // its body returns. It is the only way process code ever runs. A finished
-// proc drops its coroutine so the body's closure can be collected.
+// proc hands its coroutine to the idle list for the next Go.
 //
 //simlint:noalloc
 func (e *Engine) dispatch(p *Proc) {
 	prev := e.current
 	e.current = p
 	e.cUnparked.Inc()
-	p.next() //simlint:allow noalloc coroutine switch into the proc; iter.Pull's next resumes the coroutine bound once in Go and allocates nothing
+	c := p.co
+	c.next() //simlint:allow noalloc coroutine switch into the proc; iter.Pull's next resumes a coroutine created once and allocates nothing
 	e.current = prev
 	if p.dead {
 		delete(e.procs, p)
-		p.next, p.yield = nil, nil
+		p.co, c.p = nil, nil
+		c.idle, e.idle = e.idle, c
 	}
 }
 
 // Go starts a new process running fn. The process begins executing at the
 // current virtual time (after already-scheduled events at this timestamp).
-// It is safe to call from engine context or process context.
+// It is safe to call from engine context or process context. The body runs
+// on an idle coroutine when the engine has one, else on a new one.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		e:    e,
 		id:   e.seq, // unique, monotone: reuse the event sequence counter
 		name: name,
+		fn:   fn,
 	}
 	p.ev.proc = p
 	p.ev.eng = e
 	p.ev.index = -1
-	p.bind(fn)
+	c := e.idle
+	if c != nil {
+		e.idle, c.idle = c.idle, nil
+	} else {
+		c = newCoro()
+	}
+	c.p, p.co = p, c
 	e.procs[p] = struct{}{}
 	e.cProcs.Inc()
 	e.scheduleProc(p, 0)

@@ -16,16 +16,18 @@ var errProcKilled = errors.New("sim: proc killed")
 // instant; all its blocking methods yield control back to the engine and
 // resume when the corresponding virtual-time condition holds.
 //
-// Each Proc body runs as an iter.Pull coroutine: the engine switches into it
+// Each Proc body runs on an iter.Pull coroutine: the engine switches into it
 // with next and it switches back with yield, so a park→resume cycle is two
 // direct coroutine switches rather than a goroutine hand-off through the
-// scheduler. A Proc must only be used from its own body.
+// scheduler. Coroutines outlive their procs (see coro); the Proc itself is
+// one struct per Engine.Go, because its handle (Done) outlives the body. A
+// Proc must only be used from its own body.
 type Proc struct {
 	e      *Engine
 	id     uint64
 	name   string
-	next   func() (struct{}, bool) // engine side: run the body until it parks or returns
-	yield  func(struct{}) bool     // body side: switch back to the engine
+	fn     func(p *Proc) // the body; nil once it has run or been killed
+	co     *coro         // the coroutine running the body; nil once dead
 	dead   bool
 	killed bool
 	done   *Completion
@@ -37,22 +39,52 @@ type Proc struct {
 	ev Event
 }
 
-// bind makes fn the process body. The coroutine does not start until the
-// first dispatch; a proc killed before then returns without running fn.
-func (p *Proc) bind(fn func(p *Proc)) {
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer p.exit()
-		if !p.killed {
-			fn(p)
+// coro is a recycled process coroutine. Its loop runs the body of the proc
+// bound to it, yields once when the body has returned, and on the next
+// resume runs the body of whichever proc was bound to it since. Finished
+// coroutines wait on the engine's idle list (linked through idle), so
+// Engine.Go reuses a coroutine — and the stack it has already grown —
+// instead of creating one per process.
+type coro struct {
+	next  func() (struct{}, bool) // engine side: run until the proc parks or its body returns
+	stop  func()                  // ends an idle coroutine (Engine.Close)
+	yield func(struct{}) bool     // coroutine side: switch back to the engine
+	p     *Proc                   // the bound proc; nil while idle
+	idle  *coro                   // next coroutine on the engine's idle list
+}
+
+// newCoro creates a coroutine; it does not start until its first next.
+func newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.p.run()
+			// Hand control back to dispatch, which parks this coroutine on
+			// the idle list. A false yield is Close's stop: return.
+			if !yield(struct{}{}) {
+				return
+			}
 		}
 	})
+	return c
+}
+
+// run executes the proc's body on its coroutine; a proc killed before its
+// first dispatch returns without running it.
+func (p *Proc) run() {
+	defer p.exit()
+	fn := p.fn
+	p.fn = nil
+	if !p.killed {
+		fn(p)
+	}
 }
 
 // exit runs when the body returns or unwinds. It reports a panic (other than
 // the Close kill) through the engine, marks the proc dead and fires Done.
-// It is deferred directly by the body, with no wrapper frame, so a parked
-// proc's coroutine stack holds only the body and the user's frames.
+// It is deferred directly by run, so the recover stops the unwinding there
+// and the coroutine goes on to its next body as if this one had returned.
 func (p *Proc) exit() {
 	if r := recover(); r != nil && r != errProcKilled {
 		p.e.fail(fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack()))
@@ -90,7 +122,7 @@ func (p *Proc) Done() *Completion {
 //simlint:noalloc
 func (p *Proc) park() {
 	p.e.cParked.Inc()
-	p.yield(struct{}{}) //simlint:allow noalloc coroutine switch back to dispatch; iter.Pull's yield reuses the coroutine it was bound to and allocates nothing
+	p.co.yield(struct{}{}) //simlint:allow noalloc coroutine switch back to dispatch; iter.Pull's yield reuses the coroutine it was bound to and allocates nothing
 	if p.killed {
 		panic(errProcKilled)
 	}

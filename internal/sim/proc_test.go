@@ -105,3 +105,98 @@ func TestProcResumedFromAlternatingGoroutines(t *testing.T) {
 		t.Errorf("live procs = %d, want 0", e.LiveProcs())
 	}
 }
+
+// TestGoReusesFinishedCoroutines pins the recycling itself: a proc started
+// after another finished runs on the finished one's coroutine.
+func TestGoReusesFinishedCoroutines(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	first := e.Go("first", func(p *Proc) { p.Sleep(Microsecond) })
+	c := first.co
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.idle != c || first.co != nil {
+		t.Fatal("finished proc's coroutine is not on the idle list")
+	}
+	var woke Time
+	second := e.Go("second", func(p *Proc) { p.Sleep(Microsecond); woke = p.Now() })
+	if second.co != c || e.idle != nil {
+		t.Fatal("Go did not take the idle coroutine")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 2*Microsecond || !second.Done().Fired() {
+		t.Errorf("recycled coroutine: woke at %v, done %v", woke, second.Done().Fired())
+	}
+}
+
+// TestRecycledCoroutinesLeakNothing builds, runs and closes 200 engines
+// whose coroutines have run finished procs and now carry parked and
+// never-started ones, and checks that Close leaves no goroutine behind.
+func TestRecycledCoroutinesLeakNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		e := NewEngine()
+		c := NewCompletion(e)
+		for j := 0; j < 3; j++ {
+			e.Go("short", func(p *Proc) { p.Sleep(Time(j) * Nanosecond) })
+		}
+		if err := e.RunUntil(Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		// These reuse the three idle coroutines: two park, one never runs.
+		e.Go("waiter", func(p *Proc) { c.Wait(p) })
+		e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
+		if err := e.RunUntil(2 * Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		e.Go("unstarted", func(p *Proc) {})
+		if e.LiveProcs() != 3 || e.idle != nil {
+			t.Fatalf("engine %d: live procs = %d, idle coroutine left %v", i, e.LiveProcs(), e.idle != nil)
+		}
+		e.Close()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines after closing 200 engines = %d, baseline %d", n, base)
+	}
+}
+
+// TestPanickedProcCoroutineIsReusable checks that a body's panic surfaces
+// through Run's error and leaves its coroutine fit for the next proc. The
+// failed engine's error is cleared by hand so the same engine can bind a
+// new proc to the recycled coroutine.
+func TestPanickedProcCoroutineIsReusable(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	bad := e.Go("bad", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("boom")
+	})
+	c := bad.co
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `proc "bad" panicked: boom`) {
+		t.Fatalf("Run error = %v, want the proc's panic", err)
+	}
+	if e.idle != c || !bad.Done().Fired() {
+		t.Fatal("panicked proc did not finish onto the idle list")
+	}
+	e.err = nil
+	var got []Time
+	good := e.Go("good", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(Microsecond)
+			got = append(got, p.Now())
+		}
+	})
+	if good.co != c {
+		t.Fatal("next proc did not reuse the panicked proc's coroutine")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint([]Time{2 * Microsecond, 3 * Microsecond, 4 * Microsecond}) {
+		t.Errorf("recycled coroutine wakeups = %v", got)
+	}
+}

@@ -5,16 +5,14 @@ package sim
 // the calling process until an item is available. Items are delivered in
 // insertion order; competing getters are served in arrival order.
 //
-// Both the item and getter FIFOs are head-indexed slices rather than
-// window-resliced ones: popping advances a cursor and the backing array is
-// reused once drained, so the steady-state put→get cycle allocates nothing.
+// Both the item and getter FIFOs are Rings, so the backing arrays are
+// reused however puts and gets interleave: the steady-state put→get cycle
+// allocates nothing, with or without a standing backlog.
 type Queue[T any] struct {
 	e       *Engine
 	name    string
-	items   []T
-	ihead   int // items[ihead:] are live
-	getters []*Proc
-	ghead   int // getters[ghead:] are waiting
+	items   Ring[T]
+	getters Ring[*Proc]
 
 	puts    int64
 	maxLen  int
@@ -31,7 +29,7 @@ func NewQueue[T any](e *Engine, name string) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.ihead }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Puts returns the total number of items ever put.
 func (q *Queue[T]) Puts() int64 { return q.puts }
@@ -53,42 +51,16 @@ func (q *Queue[T]) AvgLen() float64 {
 	return float64(q.lenTime) / float64(q.e.now)
 }
 
-// popItem removes and returns the oldest item, resetting the backing array
-// once the queue drains so its capacity is reused.
-func (q *Queue[T]) popItem() T {
-	v := q.items[q.ihead]
-	var zero T
-	q.items[q.ihead] = zero
-	q.ihead++
-	if q.ihead == len(q.items) {
-		q.items = q.items[:0]
-		q.ihead = 0
-	}
-	return v
-}
-
-// popGetter removes and returns the first waiting process.
-func (q *Queue[T]) popGetter() *Proc {
-	g := q.getters[q.ghead]
-	q.getters[q.ghead] = nil
-	q.ghead++
-	if q.ghead == len(q.getters) {
-		q.getters = q.getters[:0]
-		q.ghead = 0
-	}
-	return g
-}
-
 // Put appends an item and wakes the first waiting getter, if any.
 func (q *Queue[T]) Put(v T) {
 	q.account()
 	q.puts++
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	if q.Len() > q.maxLen {
 		q.maxLen = q.Len()
 	}
-	if q.ghead < len(q.getters) {
-		q.popGetter().unpark()
+	if q.getters.Len() > 0 {
+		q.getters.Pop().unpark()
 	}
 }
 
@@ -96,14 +68,14 @@ func (q *Queue[T]) Put(v T) {
 // empty.
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.Len() == 0 {
-		q.getters = append(q.getters, p)
+		q.getters.Push(p)
 		p.park()
 	}
 	q.account()
-	v := q.popItem()
+	v := q.items.Pop()
 	// Cascade: if items remain and other getters wait, keep them moving.
-	if q.Len() > 0 && q.ghead < len(q.getters) {
-		q.popGetter().unpark()
+	if q.Len() > 0 && q.getters.Len() > 0 {
+		q.getters.Pop().unpark()
 	}
 	return v
 }
@@ -115,7 +87,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 		return zero, false
 	}
 	q.account()
-	return q.popItem(), true
+	return q.items.Pop(), true
 }
 
 // Peek returns the oldest item without removing it.
@@ -124,5 +96,5 @@ func (q *Queue[T]) Peek() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return q.items[q.ihead], true
+	return q.items.Peek(), true
 }

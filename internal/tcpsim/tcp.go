@@ -101,7 +101,7 @@ type Conn struct {
 	queued   []*sendRecord
 	queuedB  int                // queued-but-unsent bytes
 	inflight map[uint64]Segment // sent, unacked segments by Seq
-	watches  []ackWatch         // record-end watchpoints, ascending
+	watches  sim.Ring[ackWatch] // record-end watchpoints, ascending
 	rtoEv    *sim.Event
 	// rtoFn is the timeout method value, bound once at construction so each
 	// armRTO avoids allocating a fresh method-value closure.
@@ -265,7 +265,7 @@ func (c *Conn) NextSegment() (seg Segment, ok bool) {
 	for _, pc := range seg.pieces {
 		pos += uint64(pc.n)
 		if pc.last {
-			c.watches = append(c.watches, ackWatch{end: pos, meta: pc.rec.Meta})
+			c.watches.Push(ackWatch{end: pos, meta: pc.rec.Meta})
 		}
 	}
 	c.sndNxt += uint64(seg.Len)
@@ -398,7 +398,7 @@ func (c *Conn) rewind() {
 	// Every watch at or below sndUna has already fired; the rest will be
 	// re-registered when their records are re-segmented (or reported by
 	// fastForward during an ACK resync).
-	c.watches = nil
+	c.watches = sim.Ring[ackWatch]{}
 }
 
 // Input processes an arriving segment (data, ACK or both) and returns the
@@ -569,9 +569,8 @@ func (c *Conn) fastForward(n int) {
 
 // fireWatches reports every record whose final byte is now acknowledged.
 func (c *Conn) fireWatches() {
-	for len(c.watches) > 0 && c.watches[0].end <= c.sndUna {
-		w := c.watches[0]
-		c.watches = c.watches[1:]
+	for c.watches.Len() > 0 && c.watches.Peek().end <= c.sndUna {
+		w := c.watches.Pop()
 		if c.OnRecordAcked != nil {
 			c.OnRecordAcked(w.meta)
 		}
