@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck resultscheck clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck resultscheck clean
 
 all: verify
 
@@ -71,6 +71,16 @@ bench:
 # and run, not how fast they are.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
+
+# benchcheck gates the benchmark's build. simbench is a Go module of its
+# own that calls exported hooks of repro/internal/..., so the root build,
+# vet and tests never compile it: a change to one of those hooks would only
+# break at benchmark time. This runs simbench's vet and tests, then its
+# pre-merge smoke (two traced runs of the degraded workload must pass every
+# output check and agree on every exact counter; under a minute).
+benchcheck:
+	cd simbench && $(GO) vet ./... && $(GO) test ./...
+	bash simbench/run.sh -check
 
 # jobscheck proves the parallel runner's determinism contract end to end:
 # a thinned full-catalogue figure run at -j 1 and at -j 8 must emit

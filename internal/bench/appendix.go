@@ -52,7 +52,6 @@ func overlapRun(kind cluster.Kind, n int, compute sim.Time, iters int) sim.Time 
 	tb.Eng.Go("sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(n, 1))
-		buf.Fill(1)
 		p.Barrier(pr)
 		start := p.Wtime(pr)
 		for i := 0; i < iters; i++ {
@@ -106,7 +105,6 @@ func ProgressRatio(kind cluster.Kind, n int, iters int) float64 {
 	tb.Eng.Go("sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(n)
-		buf.Fill(1)
 		p.Barrier(pr)
 		for i := 0; i < iters; i++ {
 			p.Recv(pr, 1, 2, buf, 0, 0)
@@ -151,7 +149,6 @@ func hotspotLatency(kind cluster.Kind, senders, n, iters int, sc *faults.Scenari
 		p := w.Rank(r)
 		tb.Go(r, fmt.Sprintf("sender%d", r), func(pr *sim.Proc) {
 			buf := p.Host().Mem.Alloc(max(n, 1))
-			buf.Fill(byte(r))
 			p.Barrier(pr)
 			start := p.Wtime(pr)
 			for i := 0; i < iters; i++ {

@@ -48,7 +48,6 @@ func MPIBreakdown(kind cluster.Kind, size int) (*causal.Report, error) {
 	tb.Eng.Go("rank0", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(size, 1))
-		buf.Fill(1)
 		p.Barrier(pr)
 		for i := 0; i < warmup; i++ {
 			p.Send(pr, 1, 1, buf, 0, size)
@@ -65,7 +64,6 @@ func MPIBreakdown(kind cluster.Kind, size int) (*causal.Report, error) {
 	tb.Eng.Go("rank1", func(pr *sim.Proc) {
 		p := w.Rank(1)
 		buf := p.Host().Mem.Alloc(max(size, 1))
-		buf.Fill(2)
 		p.Barrier(pr)
 		for i := 0; i < warmup+1; i++ {
 			p.Recv(pr, 0, 1, buf, 0, size)
@@ -99,7 +97,6 @@ func MPIBreakdownLeafSpine(kind cluster.Kind, ranks, size, ratio int) (*causal.R
 		tb.Eng.Go(fmt.Sprintf("rank%d", r), func(pr *sim.Proc) {
 			peer := (r + ranks/2) % ranks
 			buf := p.Host().Mem.Alloc(max(2*size, 2))
-			buf.Fill(byte(r))
 			exchange := func() {
 				rreq := p.Irecv(pr, peer, 7, buf, size, size)
 				sreq := p.Isend(pr, peer, 7, buf, 0, size)

@@ -53,7 +53,6 @@ func SocketLatency(label string, size, iters int) sim.Time {
 	defer closer()
 	bufA := am.Alloc(size)
 	bufB := bm.Alloc(size)
-	bufA.Fill(3)
 	const warmup = 2
 	var rtt sim.Time
 	eng.Go("side-a", func(p *sim.Proc) {
@@ -85,7 +84,6 @@ func SocketBandwidth(label string, chunk, count int) float64 {
 	defer closer()
 	bufA := am.Alloc(chunk)
 	bufB := bm.Alloc(chunk)
-	bufA.Fill(1)
 	var start, end sim.Time
 	// One warmup transfer keeps first-use registration (SDP zcopy) off the
 	// measured path, as the paper's averaged iterations do.
@@ -148,8 +146,6 @@ func UDAPLatency(kind cluster.Kind, size, iters int) sim.Time {
 	dst := tb.Hosts[1].Mem.Alloc(size)
 	echoSrc := tb.Hosts[1].Mem.Alloc(size)
 	echoDst := tb.Hosts[0].Mem.Alloc(size)
-	src.Fill(1)
-	echoSrc.Fill(2)
 	const warmup = 2
 	var rtt sim.Time
 	tb.Eng.Go("setup", func(p *sim.Proc) {

@@ -169,7 +169,6 @@ func streamElapsed(kind cluster.Kind, msgs, size int, sc *faults.Scenario) sim.T
 	tb.Go(0, "sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(size)
-		buf.Fill(1)
 		p.Barrier(pr)
 		start := p.Wtime(pr)
 		for i := 0; i < msgs; i++ {

@@ -36,8 +36,6 @@ func VerbsUserLatencyOn(tb *cluster.Testbed, size, iters int) sim.Time {
 	dstA := h0.Mem.Alloc(size) // replies land here
 	srcB := h1.Mem.Alloc(size)
 	dstB := h1.Mem.Alloc(size)
-	srcA.Fill(1)
-	srcB.Fill(2)
 	// The paper's tests register once up front, outside the timed loop.
 	regSrcA := h0.NIC().Reg().RegisterFree(srcA, 0, size)
 	regDstA := h0.NIC().Reg().RegisterFree(dstA, 0, size)
@@ -87,7 +85,6 @@ func mxUserLatency(kind cluster.Kind, size, iters int) sim.Time {
 	e0, e1 := tb.Hosts[0].MX, tb.Hosts[1].MX
 	bufA := tb.Hosts[0].Mem.Alloc(size)
 	bufB := tb.Hosts[1].Mem.Alloc(size)
-	bufA.Fill(1)
 
 	const warmup = 2
 	var rtt sim.Time

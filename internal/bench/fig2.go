@@ -42,8 +42,6 @@ func newMultiConnRig(tb *cluster.Testbed, nconn, size int) *multiConnRig {
 		dstA := h0.Mem.Alloc(size)
 		srcB := h1.Mem.Alloc(size)
 		dstB := h1.Mem.Alloc(size)
-		srcA.Fill(byte(c))
-		srcB.Fill(byte(c + 1))
 		r.srcA = append(r.srcA, h0.NIC().Reg().RegisterFree(srcA, 0, size))
 		r.srcB = append(r.srcB, h1.NIC().Reg().RegisterFree(srcB, 0, size))
 		r.dstAKeys = append(r.dstAKeys, h0.NIC().Reg().RegisterFree(dstA, 0, size).Key)

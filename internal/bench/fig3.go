@@ -22,7 +22,6 @@ func mpiLatencyOn(tb *cluster.Testbed, w *mpi.World, size, iters int) sim.Time {
 	tb.Eng.Go("rank0", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(size, 1))
-		buf.Fill(1)
 		p.Barrier(pr)
 		for i := 0; i < warmup+iters; i++ {
 			if i == warmup {
@@ -36,7 +35,6 @@ func mpiLatencyOn(tb *cluster.Testbed, w *mpi.World, size, iters int) sim.Time {
 	tb.Eng.Go("rank1", func(pr *sim.Proc) {
 		p := w.Rank(1)
 		buf := p.Host().Mem.Alloc(max(size, 1))
-		buf.Fill(2)
 		p.Barrier(pr)
 		for i := 0; i < warmup+iters; i++ {
 			p.Recv(pr, 0, 1, buf, 0, size)

@@ -72,7 +72,6 @@ func uniBandwidthOn(tb *cluster.Testbed, w *mpi.World, size, iters int) float64 
 	tb.Go(0, "sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(size)
-		buf.Fill(1)
 		reqs := make([]*mpi.Request, fig4Window)
 		window := func() {
 			for i := range reqs {
@@ -124,7 +123,6 @@ func bothWayBandwidth(kind cluster.Kind, size, iters int) float64 {
 			peer := 1 - r
 			sbuf := p.Host().Mem.Alloc(size)
 			rbuf := p.Host().Mem.Alloc(size)
-			sbuf.Fill(byte(r))
 			sends := make([]*mpi.Request, fig4Window)
 			recvs := make([]*mpi.Request, fig4Window)
 			window := func() {

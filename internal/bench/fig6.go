@@ -29,7 +29,6 @@ func bufferReuseLatencyOn(tb *cluster.Testbed, w *mpi.World, size, nbufs, iters 
 		bufs := make([]*mem.Buffer, nbufs)
 		for i := range bufs {
 			bufs[i] = p.Host().Mem.Alloc(size)
-			bufs[i].Fill(byte(i))
 		}
 		return bufs
 	}

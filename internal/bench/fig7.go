@@ -35,9 +35,7 @@ func UnexpectedQueueLatency(kind cluster.Kind, size, depth, iters int) sim.Time 
 			p := w.Rank(r)
 			peer := 1 - r
 			small := p.Host().Mem.Alloc(64)
-			small.Fill(9)
 			buf := p.Host().Mem.Alloc(max(size, 1))
-			buf.Fill(byte(r))
 			// Preload the peer's unexpected queue.
 			for i := 0; i < depth; i++ {
 				p.Send(pr, peer, unexpectedTag, small, 0, 64)

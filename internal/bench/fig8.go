@@ -33,7 +33,6 @@ func receiveQueueLatencyOn(tb *cluster.Testbed, w *mpi.World, size, depth, iters
 			peer := 1 - r
 			junk := p.Host().Mem.Alloc(64)
 			buf := p.Host().Mem.Alloc(max(size, 1))
-			buf.Fill(byte(r))
 			// Traversed calls: pre-posted receives that never match the
 			// measured traffic.
 			traversed := make([]*mpi.Request, depth)

@@ -161,7 +161,6 @@ func AlltoallScale(kind cluster.Kind, nodes, n, iters int, opts ScaleOpts) (Scal
 	return collectiveScale(kind, nodes, iters, opts, func(p *mpi.Process, pr *sim.Proc) func(*sim.Proc) {
 		send := p.Host().Mem.Alloc(nodes * n)
 		recv := p.Host().Mem.Alloc(nodes * n)
-		send.Fill(byte(p.Rank()))
 		return func(pr *sim.Proc) { p.Alltoall(pr, send, recv, n) }
 	})
 }
@@ -170,7 +169,6 @@ func AlltoallScale(kind cluster.Kind, nodes, n, iters int, opts ScaleOpts) (Scal
 func AllgatherScale(kind cluster.Kind, nodes, n, iters int, opts ScaleOpts) (ScaleResult, error) {
 	return collectiveScale(kind, nodes, iters, opts, func(p *mpi.Process, pr *sim.Proc) func(*sim.Proc) {
 		buf := p.Host().Mem.Alloc(nodes * n)
-		buf.Fill(byte(p.Rank()))
 		return func(pr *sim.Proc) { p.Allgather(pr, buf, n) }
 	})
 }
@@ -211,7 +209,6 @@ func HaloScale(kind cluster.Kind, px, py, n, iters int, opts ScaleOpts) (ScaleRe
 		}
 		sbuf := p.Host().Mem.Alloc(max(len(peers), 1) * n)
 		rbuf := p.Host().Mem.Alloc(max(len(peers), 1) * n)
-		sbuf.Fill(byte(p.Rank()))
 		reqs := make([]*mpi.Request, 0, 2*len(peers))
 		return func(pr *sim.Proc) {
 			reqs = reqs[:0]

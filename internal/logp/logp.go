@@ -47,7 +47,6 @@ func Gap(kind cluster.Kind, m, k int) sim.Time {
 	tb.Eng.Go("sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(m, 1))
-		buf.Fill(1)
 		p.Barrier(pr)
 		start := pr.Now()
 		reqs := make([]*mpi.Request, k)
@@ -84,7 +83,6 @@ func SenderOverhead(kind cluster.Kind, m, iters int) sim.Time {
 	tb.Eng.Go("sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(m, 1))
-		buf.Fill(1)
 		p.Barrier(pr)
 		var reqs []*mpi.Request
 		for i := 0; i < iters; i++ {
@@ -134,7 +132,6 @@ func ReceiverOverhead(kind cluster.Kind, m, iters int) sim.Time {
 	tb.Eng.Go("sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(m, 1))
-		buf.Fill(1)
 		p.Barrier(pr)
 		for i := 0; i < iters; i++ {
 			p.Recv(pr, 1, 2, buf, 0, 0)

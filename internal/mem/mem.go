@@ -37,8 +37,8 @@ type Memory struct {
 	// for TLB reach and cache capacity). Zero disables the cold-touch model.
 	WarmPages int
 
-	warm     map[uint64]int // page -> index into warmLRU
-	warmLRU  []uint64       // least recent first
+	warm     map[uint64]struct{} // pages in warmLRU
+	warmLRU  []uint64            // least recent first
 	coldHits int64
 
 	// Host-byte accounting: simulated bytes handed out by Alloc and backing
@@ -59,7 +59,7 @@ func NewMemory(eng *sim.Engine, name string) *Memory {
 		TLBMissCost:   sim.Nanos(150),
 		ColdFillRate:  1.7 * sim.GBps,
 		WarmPages:     48,
-		warm:          make(map[uint64]int),
+		warm:          make(map[uint64]struct{}),
 		cMaterialized: reg.Counter("mem.bytes_materialized"),
 		cFreezes:      reg.Counter("mem.view_freezes"),
 	}
@@ -236,11 +236,12 @@ func (m *Memory) touch(pg uint64) bool {
 	}
 	m.coldHits++
 	if len(m.warmLRU) >= m.WarmPages {
-		old := m.warmLRU[0]
-		m.warmLRU = m.warmLRU[1:]
-		delete(m.warm, old)
+		// Evict the least recent page by shifting in place, so the array
+		// is reused instead of sliding off its front.
+		delete(m.warm, m.warmLRU[0])
+		m.warmLRU = m.warmLRU[:copy(m.warmLRU, m.warmLRU[1:])]
 	}
-	m.warm[pg] = len(m.warmLRU)
+	m.warm[pg] = struct{}{}
 	m.warmLRU = append(m.warmLRU, pg)
 	return true
 }
@@ -253,7 +254,6 @@ func (m *Memory) promote(pg uint64) {
 			break
 		}
 	}
-	m.warm[pg] = len(m.warmLRU)
 	m.warmLRU = append(m.warmLRU, pg)
 }
 
@@ -307,8 +307,10 @@ func (m *Memory) Copy(p *sim.Proc, dst *Buffer, doff int, src *Buffer, soff int,
 	dst.CopyFrom(doff, src, soff, n)
 }
 
-// Fill writes a deterministic pattern derived from seed into the buffer;
-// used by tests and benchmarks to verify end-to-end data integrity.
+// Fill writes a deterministic pattern derived from seed into the buffer,
+// for tests that check end-to-end data integrity with Equal. It backs the
+// whole buffer in host memory, so figure drivers, which never read their
+// payload, leave buffers unfilled.
 func (b *Buffer) Fill(seed byte) {
 	p := b.writable(0, b.n)
 	for i := range p {

@@ -138,6 +138,41 @@ func TestWarmSetEvicts(t *testing.T) {
 	}
 }
 
+// TestWarmSetLRUOrderAndReuse pins the warm set's LRU order across a
+// promotion and an eviction, and that evictions reuse the LRU array
+// rather than sliding off its front and regrowing.
+func TestWarmSetLRUOrderAndReuse(t *testing.T) {
+	_, m := newMem(t)
+	m.WarmPages = 3
+	bufs := make([]*Buffer, 5)
+	for i := range bufs {
+		bufs[i] = m.Alloc(4096)
+	}
+	a, b, c, d := bufs[0], bufs[1], bufs[2], bufs[3]
+	cold := func(x *Buffer) bool {
+		before := m.ColdTouches()
+		m.TouchCost(x, 0, 1)
+		return m.ColdTouches() > before
+	}
+	// a, b, c cold; a promoted past b and c; d evicts b (least recent),
+	// so a and c stay warm and b is cold again.
+	for i, step := range []struct {
+		buf  *Buffer
+		cold bool
+	}{{a, true}, {b, true}, {c, true}, {a, false}, {d, true}, {a, false}, {c, false}, {b, true}} {
+		if got := cold(step.buf); got != step.cold {
+			t.Fatalf("touch %d: cold = %v, want %v", i, got, step.cold)
+		}
+	}
+	base := &m.warmLRU[0]
+	for i := 0; i < 100; i++ {
+		cold(bufs[i%len(bufs)])
+	}
+	if &m.warmLRU[0] != base || len(m.warmLRU) != m.WarmPages {
+		t.Errorf("evictions moved or resized the LRU array (len %d)", len(m.warmLRU))
+	}
+}
+
 func TestTouchCostDisabled(t *testing.T) {
 	_, m := newMem(t)
 	m.WarmPages = 0

@@ -45,6 +45,9 @@ func (b *Buffer) Snapshot(off, n int) *View {
 	return &View{off: off, n: n, snap: true, frozen: append([]byte(nil), written(b.data, off, n)...)}
 }
 
+// Len returns the view's length in bytes.
+func (v *View) Len() int { return v.n }
+
 // CopyTo places [voff, voff+n) of the view at [off, off+n) of dst and
 // counts the bytes as read by the receiver.
 func (v *View) CopyTo(dst *Buffer, off, voff, n int) {

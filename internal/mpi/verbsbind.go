@@ -111,7 +111,7 @@ type vbind struct {
 	regCache *mem.RegCache
 
 	sendFree []*bounceBuf
-	repostQ  []*bounceBuf // consumed recv bounces awaiting lazy repost
+	repostQ  sim.Ring[*bounceBuf] // consumed recv bounces awaiting lazy repost
 	nextWR   uint64
 	wrs      map[uint64]*wrInfo
 	nextReq  uint64
@@ -360,7 +360,7 @@ func (b *vbind) deliverUnexpected(pr *sim.Proc, m *umsg, req *Request, self trac
 		if m.n > 0 {
 			p.host.Mem.Copy(pr, req.buf, req.off, m.bounce.buf, hdrBytes, m.n)
 		}
-		b.repostQ = append(b.repostQ, m.bounce)
+		b.repostQ.Push(m.bounce)
 		if m.sync {
 			b.sendCtrl(pr, m.src, wireHdr{kind: kSyncAck, src: p.rank, reqB: m.senderReq}, self)
 		}
@@ -413,10 +413,8 @@ func (b *vbind) drain(pr *sim.Proc) {
 // flushReposts returns consumed bounces to their QPs. Reposting is batched
 // off the message-delivery critical path, as MPICH does.
 func (b *vbind) flushReposts(pr *sim.Proc) {
-	for len(b.repostQ) > 0 {
-		bb := b.repostQ[0]
-		b.repostQ = b.repostQ[1:]
-		b.repostBounce(pr, bb)
+	for b.repostQ.Len() > 0 {
+		b.repostBounce(pr, b.repostQ.Pop())
 	}
 }
 
@@ -486,7 +484,7 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 		}
 		req.cause = ref
 		req.done.Fire()
-		b.repostQ = append(b.repostQ, bb)
+		b.repostQ.Push(bb)
 	case kRTS:
 		ref := p.eng().Trc().InstantR(p.track, "recv.rts", trace.Cause(cause),
 			trace.I64("src", int64(hdr.src)), trace.I64("tag", int64(hdr.tag)), trace.I64("bytes", int64(hdr.size)))
@@ -497,7 +495,7 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 		} else {
 			b.startRndvRecv(pr, hdr.src, hdr.tag, hdr.size, hdr.reqA, req, ref)
 		}
-		b.repostQ = append(b.repostQ, bb)
+		b.repostQ.Push(bb)
 	case kCTS:
 		ref := p.eng().Trc().InstantR(p.track, "recv.cts", trace.Cause(cause),
 			trace.I64("src", int64(hdr.src)), trace.I64("bytes", int64(hdr.size)))
@@ -517,19 +515,19 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 			RemoteKey: hdr.rkey,
 			Cause:     wrCause,
 		})
-		b.repostQ = append(b.repostQ, bb)
+		b.repostQ.Push(bb)
 	case kFIN:
 		ref := p.eng().Trc().InstantR(p.track, "recv.fin", trace.Cause(cause), trace.I64("src", int64(hdr.src)))
 		rreq := b.takeReq(hdr.reqB)
 		b.regCache.Put(pr, rreq.rndvRegion)
 		rreq.cause = ref
 		rreq.done.Fire()
-		b.repostQ = append(b.repostQ, bb)
+		b.repostQ.Push(bb)
 	case kSyncAck:
 		req := b.takeReq(hdr.reqB)
 		req.cause = cause
 		req.done.Fire()
-		b.repostQ = append(b.repostQ, bb)
+		b.repostQ.Push(bb)
 	default:
 		panic(fmt.Sprintf("mpi r%d: bad wire kind %d", p.rank, hdr.kind))
 	}

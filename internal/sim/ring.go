@@ -56,3 +56,16 @@ func (r *Ring[T]) Peek() T {
 	}
 	return r.buf[r.head]
 }
+
+// At returns the i-th oldest item (At(0) is Peek) without removing it; i
+// must be below Len.
+func (r *Ring[T]) At(i int) T {
+	if i < 0 || i >= r.n {
+		panic("sim: Ring index out of range")
+	}
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
+}

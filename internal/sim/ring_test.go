@@ -11,6 +11,11 @@ func TestRingFIFOAcrossWrapAndGrowth(t *testing.T) {
 			r.Push(next)
 			next++
 		}
+		for i := 0; i < r.Len(); i++ {
+			if got := r.At(i); got != want+i {
+				t.Fatalf("round %d: At(%d) = %d, want %d", round, i, got, want+i)
+			}
+		}
 		for i := 0; i < round/2; i++ {
 			if got := r.Pop(); got != want {
 				t.Fatalf("round %d: popped %d, want %d", round, got, want)

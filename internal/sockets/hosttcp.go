@@ -128,9 +128,11 @@ func (h *hostTCP) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	for o := off; o < off+n; o += chunk {
 		c := min(chunk, off+n-o)
 		pr.Sleep(h.cfg.ChecksumCopyRate.TxTime(c) + h.mem.TouchCost(buf, o, c))
-		payload := make([]byte, c)
-		buf.Load(payload, o)
-		h.conn.Send(c, payload)
+		// The record carries a copy-on-write view: the bytes count as
+		// copied out now, and a later write to buf freezes them.
+		v := buf.View(o, c)
+		h.conn.Send(c, v)
+		v.Release()
 		h.txKick.Put(struct{}{})
 		h.cpu.Release(1)
 		h.cpu.Acquire(pr, 1)
@@ -145,7 +147,7 @@ func (h *hostTCP) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	h.cpu.Acquire(pr, 1)
 	pr.Sleep(h.cfg.SyscallCost)
 	pr.Sleep(h.mem.CopyRate.TxTime(n) + h.mem.TouchCost(buf, off, n))
-	buf.Store(off, h.rcv.take(n))
+	h.rcv.take(buf, off, n)
 	h.cpu.Release(1)
 }
 
@@ -219,7 +221,7 @@ func (h *hostTCP) rxLoop(p *sim.Proc) {
 			h.emit(ack)
 		}
 		for _, rec := range recs {
-			h.rcv.push(rec.Meta.([]byte))
+			h.rcv.push(rec.Meta.(*mem.View))
 		}
 	}
 }

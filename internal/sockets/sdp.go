@@ -43,10 +43,10 @@ func DefaultSDPConfig() SDPConfig {
 	return SDPConfig{Credits: 64, SyscallCost: sim.Micros(1.2)}
 }
 
-// rxItem is one stream-ordered unit at the receiver: either bcopy bytes or
-// a zero-copy advertisement.
+// rxItem is one stream-ordered unit at the receiver: either bcopy bytes (a
+// view of the private buffer they arrived in) or a zero-copy advertisement.
 type rxItem struct {
-	data []byte
+	data *mem.View
 	src  *srcAvail
 }
 
@@ -90,8 +90,9 @@ type sdp struct {
 	regs *mem.RegCache
 
 	sendFree []*sdpBounce
-	items    []rxItem
-	recvQ    []*recvReq
+	items    sim.Ring[rxItem]
+	itemOff  int // bytes of the head item's data already copied out
+	recvQ    sim.Ring[*recvReq]
 	zwait    *recvReq // recv whose zcopy write is in flight
 
 	cq      *verbs.CQ
@@ -224,7 +225,7 @@ func (s *sdp) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 func (s *sdp) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	pr.Sleep(s.cfg.SyscallCost)
 	req := &recvReq{buf: buf, off: off, n: n, done: sim.NewCompletion(s.eng)}
-	s.recvQ = append(s.recvQ, req)
+	s.recvQ.Push(req)
 	s.match(pr)
 	req.done.Wait(pr)
 	if !req.zcopy {
@@ -236,12 +237,13 @@ func (s *sdp) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 // buffered returns how many bcopy bytes head the item list before any
 // zcopy advertisement.
 func (s *sdp) buffered() int {
-	total := 0
-	for _, it := range s.items {
+	total := -s.itemOff // the head item's bytes already copied out
+	for i := 0; i < s.items.Len(); i++ {
+		it := s.items.At(i)
 		if it.src != nil {
 			break
 		}
-		total += len(it.data)
+		total += it.data.Len()
 	}
 	return total
 }
@@ -250,17 +252,16 @@ func (s *sdp) buffered() int {
 // It runs in both application and progress context; completions make the
 // wakeups safe from either.
 func (s *sdp) match(p *sim.Proc) {
-	for len(s.recvQ) > 0 {
-		req := s.recvQ[0]
+	for s.recvQ.Len() > 0 {
+		req := s.recvQ.Peek()
 		if s.zwait == req {
 			return // zcopy transfer in flight
 		}
-		if len(s.items) > 0 && s.items[0].src != nil {
-			sa := s.items[0].src
+		if s.items.Len() > 0 && s.items.Peek().src != nil {
+			sa := s.items.Pop().src
 			if sa.n != req.n {
 				panic(fmt.Sprintf("sockets %s: zcopy item %dB vs recv %dB (boundary mismatch)", s.name, sa.n, req.n))
 			}
-			s.items = s.items[1:]
 			req.zcopy = true
 			s.zwait = req
 			req.region = s.regs.Get(p, req.buf, req.off, req.n)
@@ -272,7 +273,7 @@ func (s *sdp) match(p *sim.Proc) {
 		}
 		// Enough buffered data: release the request; the application pays
 		// the copy-out in its own context (copyOut).
-		s.recvQ = s.recvQ[1:]
+		s.recvQ.Pop()
 		req.done.Fire()
 		// Only one request can consume the head bytes until copyOut runs.
 		return
@@ -281,15 +282,15 @@ func (s *sdp) match(p *sim.Proc) {
 
 // copyOut moves req.n head bytes of the item stream into the user buffer.
 func (s *sdp) copyOut(req *recvReq) {
-	need := req.n
+	off, need := req.off, req.n
 	for need > 0 {
-		it := &s.items[0]
-		take := min(len(it.data), need)
-		req.buf.Store(req.off+req.n-need, it.data[:take])
-		it.data = it.data[take:]
-		need -= take
-		if len(it.data) == 0 {
-			s.items = s.items[1:]
+		v := s.items.Peek().data
+		take := min(v.Len()-s.itemOff, need)
+		v.CopyTo(req.buf, off, s.itemOff, take)
+		off, need, s.itemOff = off+take, need-take, s.itemOff+take
+		if s.itemOff == v.Len() {
+			s.items.Pop()
+			s.itemOff = 0
 		}
 	}
 	// The stream head moved: another request may now be eligible, but
@@ -336,12 +337,14 @@ func (s *sdp) handleRecv(p *sim.Proc, comp verbs.Completion) {
 	rkey := mem.RKey(binary.LittleEndian.Uint32(hdr[16:]))
 	switch kind {
 	case sdpData:
-		data := make([]byte, n)
-		bb.buf.Load(data, sdpHdr)
-		s.items = append(s.items, rxItem{data: data})
+		// The bytes stay in the private buffer, which is reposted below: a
+		// later arrival into it freezes the view first.
+		data := bb.buf.View(sdpHdr, n)
+		s.items.Push(rxItem{data: data})
+		data.Release()
 		s.match(p)
 	case sdpSrcAvail:
-		s.items = append(s.items, rxItem{src: &srcAvail{n: n, id: id}})
+		s.items.Push(rxItem{src: &srcAvail{n: n, id: id}})
 		s.match(p)
 	case sdpSinkAvail:
 		z, ok := s.pending[id]
@@ -362,7 +365,7 @@ func (s *sdp) handleRecv(p *sim.Proc, comp verbs.Completion) {
 		}
 		req := s.zwait
 		s.zwait = nil
-		s.recvQ = s.recvQ[1:]
+		s.recvQ.Pop()
 		s.regs.Put(p, req.region)
 		req.done.Fire()
 		s.match(p)

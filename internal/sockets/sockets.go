@@ -46,11 +46,16 @@ type Endpoint interface {
 func HostMem(e Endpoint) *mem.Memory { return e.Mem() }
 
 // stream is the receive-side reassembly shared by the implementations: a
-// byte queue with blocked readers.
+// FIFO of arrived copy-on-write payload views, a cursor into the oldest
+// one, and blocked readers. Bytes stay in the sender's buffer (or are
+// frozen out of it, if the sender overwrites them first) until a reader
+// places them.
 type stream struct {
 	eng     *sim.Engine
-	buf     []byte
-	waiters []*waiter
+	views   sim.Ring[*mem.View]
+	head    int // bytes of views.Peek() already taken
+	n       int // buffered bytes
+	waiters sim.Ring[waiter]
 }
 
 type waiter struct {
@@ -60,35 +65,42 @@ type waiter struct {
 
 func newStream(eng *sim.Engine) *stream { return &stream{eng: eng} }
 
-// push appends bytes and wakes readers whose demand is now met.
-func (s *stream) push(b []byte) {
-	s.buf = append(s.buf, b...)
-	for len(s.waiters) > 0 && len(s.buf) >= s.waiters[0].need {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.c.Fire()
+// push appends a payload view and wakes readers whose demand is now met.
+func (s *stream) push(v *mem.View) {
+	s.views.Push(v)
+	s.n += v.Len()
+	for s.waiters.Len() > 0 && s.n >= s.waiters.Peek().need {
+		s.waiters.Pop().c.Fire()
 	}
 }
 
 // await blocks p until n bytes are buffered.
 func (s *stream) await(p *sim.Proc, n int) {
-	if len(s.buf) >= n && len(s.waiters) == 0 {
+	if s.n >= n && s.waiters.Len() == 0 {
 		return
 	}
-	w := &waiter{need: n, c: sim.NewCompletion(s.eng)}
-	s.waiters = append(s.waiters, w)
+	w := waiter{need: n, c: sim.NewCompletion(s.eng)}
+	s.waiters.Push(w)
 	w.c.Wait(p)
 }
 
-// take removes n buffered bytes.
-func (s *stream) take(n int) []byte {
-	if len(s.buf) < n {
-		panic(fmt.Sprintf("sockets: take %d of %d buffered", n, len(s.buf)))
+// take places the next n buffered bytes at [off, off+n) of buf.
+func (s *stream) take(buf *mem.Buffer, off, n int) {
+	if s.n < n {
+		panic(fmt.Sprintf("sockets: take %d of %d buffered", n, s.n))
 	}
-	out := s.buf[:n]
-	s.buf = s.buf[n:]
-	return out
+	s.n -= n
+	for n > 0 {
+		v := s.views.Peek()
+		c := min(v.Len()-s.head, n)
+		v.CopyTo(buf, off, s.head, c)
+		off, n, s.head = off+c, n-c, s.head+c
+		if s.head == v.Len() {
+			s.views.Pop()
+			s.head = 0
+		}
+	}
 }
 
 // Len returns the number of buffered bytes.
-func (s *stream) Len() int { return len(s.buf) }
+func (s *stream) Len() int { return s.n }

@@ -65,19 +65,71 @@ func streamBW(t *testing.T, eng *sim.Engine, a, b Endpoint, amem, bmem *mem.Memo
 
 func TestStreamPrimitive(t *testing.T) {
 	eng := sim.NewEngine()
+	m := mem.NewMemory(eng, "host")
 	s := newStream(eng)
-	var got []byte
+	src := m.Alloc(6)
+	src.Store(0, []byte{1, 2, 3, 4, 5, 6})
+	dst := m.Alloc(5)
 	eng.Go("reader", func(p *sim.Proc) {
 		s.await(p, 5)
-		got = append([]byte(nil), s.take(5)...)
+		s.take(dst, 0, 5)
 	})
-	eng.Schedule(sim.Microsecond, func() { s.push([]byte{1, 2}) })
-	eng.Schedule(2*sim.Microsecond, func() { s.push([]byte{3, 4, 5, 6}) })
+	push := func(off, n int) {
+		v := src.View(off, n)
+		s.push(v)
+		v.Release()
+	}
+	eng.Schedule(sim.Microsecond, func() { push(0, 2) })
+	eng.Schedule(2*sim.Microsecond, func() { push(2, 4) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	got := make([]byte, 5)
+	dst.Load(got, 0)
 	if fmt.Sprint(got) != "[1 2 3 4 5]" || s.Len() != 1 {
 		t.Errorf("got %v, remaining %d", got, s.Len())
+	}
+}
+
+// TestSourceWriteAfterPostKeepsPostedBytes pins the copy-out semantics of
+// the sockets stacks that carry copy-on-write views: once Send returns,
+// overwriting the user buffer must not reach the receiver, and it costs
+// exactly one freeze of the one in-flight chunk.
+func TestSourceWriteAfterPostKeepsPostedBytes(t *testing.T) {
+	stacks := []struct {
+		name string
+		pair func(*sim.Engine) (Endpoint, Endpoint)
+	}{
+		{"hostTCP", func(e *sim.Engine) (Endpoint, Endpoint) { return NewHostTCPPair(e, DefaultHostTCPConfig()) }},
+		{"toe", func(e *sim.Engine) (Endpoint, Endpoint) { return NewTOEPair(e, DefaultTOEConfig()) }},
+	}
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			defer eng.Close()
+			a, b := st.pair(eng)
+			const n = 32 << 10 // one socket-buffer chunk
+			src := a.Mem().Alloc(n)
+			dst := b.Mem().Alloc(n)
+			src.Fill(7)
+			eng.Go("tx", func(p *sim.Proc) {
+				a.Send(p, src, 0, n)
+				src.Fill(99)
+			})
+			eng.Go("rx", func(p *sim.Proc) {
+				p.Sleep(sim.Millisecond) // the chunk is buffered by now
+				b.Recv(p, dst, 0, n)
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !dst.Equal(7, 0, n) {
+				t.Error("receiver saw bytes written after Send returned")
+			}
+			if got := eng.Metrics().Counter("mem.view_freezes").Value(); got != 1 {
+				t.Errorf("mem.view_freezes = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -236,5 +288,41 @@ func TestSocketsLatencyOrdering(t *testing.T) {
 
 	if !(toeLat < host && sdpLat < host) {
 		t.Errorf("ordering violated: host=%v toe=%v sdp=%v", host, toeLat, sdpLat)
+	}
+}
+
+// TestSDPBcopyBacklogKeepsBytes lets bcopy messages pile up past the
+// private-buffer ring before the reader starts: every ring buffer is
+// reposted and refilled while earlier messages still sit in it as views,
+// so those views must freeze, and every message must arrive intact.
+func TestSDPBcopyBacklogKeepsBytes(t *testing.T) {
+	cfg := DefaultSDPConfig()
+	tb, a, b := NewSDPPair(cluster.IWARP, cfg)
+	defer tb.Close()
+	am, bm := tb.Hosts[0].Mem, tb.Hosts[1].Mem
+	const n = 1 << 10
+	msgs := 3 * cfg.Credits
+	tb.Eng.Go("tx", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			src := am.Alloc(n)
+			src.Fill(byte(i))
+			a.Send(p, src, 0, n)
+		}
+	})
+	tb.Eng.Go("rx", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond) // every message has arrived by now
+		for i := 0; i < msgs; i++ {
+			dst := bm.Alloc(n)
+			b.Recv(p, dst, 0, n)
+			if !dst.Equal(byte(i), 0, n) {
+				t.Errorf("message %d corrupt", i)
+			}
+		}
+	})
+	if err := tb.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Eng.Metrics().Counter("mem.view_freezes").Value() == 0 {
+		t.Error("no view froze: the backlog never outgrew the ring")
 	}
 }

@@ -118,9 +118,11 @@ func (t *toe) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	for o := off; o < off+n; o += chunk {
 		c := min(chunk, off+n-o)
 		pr.Sleep(t.mem.CopyRate.TxTime(c) + t.mem.TouchCost(buf, o, c))
-		payload := make([]byte, c)
-		buf.Load(payload, o)
-		t.conn.Send(c, payload)
+		// The record carries a copy-on-write view: the bytes count as
+		// copied out now, and a later write to buf freezes them.
+		v := buf.View(o, c)
+		t.conn.Send(c, v)
+		v.Release()
 		t.txKick.Put(struct{}{})
 	}
 }
@@ -130,7 +132,7 @@ func (t *toe) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	t.rcv.await(pr, n)
 	pr.Sleep(t.cfg.SyscallCost)
 	pr.Sleep(t.mem.CopyRate.TxTime(n) + t.mem.TouchCost(buf, off, n))
-	buf.Store(off, t.rcv.take(n))
+	t.rcv.take(buf, off, n)
 }
 
 // txLoop is the NIC transmit engine: DMA the segment across PCIe and the
@@ -206,7 +208,7 @@ func (t *toe) rxLoop(p *sim.Proc) {
 			recsCopy := recs
 			t.eng.At(done+t.cfg.CompletionDelay, func() {
 				for _, rec := range recsCopy {
-					t.rcv.push(rec.Meta.([]byte))
+					t.rcv.push(rec.Meta.(*mem.View))
 				}
 			})
 		}

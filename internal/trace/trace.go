@@ -226,7 +226,7 @@ func (t *Tracer) InstantR(who, name string, attrs ...Attr) Ref {
 		return RefNone
 	}
 	r := t.NewRef()
-	a := append(cloneAttrs(attrs), Self(r))
+	a := withSelf(attrs, r)
 	t.recordOwned(PhaseInstant, who, name, t.clock(), 0, a)
 	return r
 }
@@ -242,7 +242,7 @@ func (t *Tracer) CompleteSelf(who, name string, self Ref, start, end int64, attr
 	if end < start {
 		end = start
 	}
-	a := append(cloneAttrs(attrs), Self(self))
+	a := withSelf(attrs, self)
 	t.recordOwned(PhaseSpan, who, name, start, end-start, a)
 }
 
@@ -255,7 +255,7 @@ func (t *Tracer) CompleteR(who, name string, start, end int64, attrs ...Attr) Re
 		end = start
 	}
 	r := t.NewRef()
-	a := append(cloneAttrs(attrs), Self(r))
+	a := withSelf(attrs, r)
 	t.recordOwned(PhaseSpan, who, name, start, end-start, a)
 	return r
 }
@@ -397,4 +397,13 @@ func cloneAttrs(attrs []Attr) []Attr {
 		return nil
 	}
 	return append([]Attr(nil), attrs...)
+}
+
+// withSelf copies attrs with a Self(r) attr appended, in one allocation.
+// Like cloneAttrs, it only reads its argument.
+func withSelf(attrs []Attr, r Ref) []Attr {
+	a := make([]Attr, len(attrs)+1)
+	copy(a, attrs)
+	a[len(attrs)] = Self(r)
+	return a
 }
