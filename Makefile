@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck resultscheck clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck resultscheck loc clean
 
 all: verify
 
@@ -177,6 +177,14 @@ tracetoolcheck:
 	/tmp/repro-tracetool blame /tmp/repro-iwarp.jsonl
 	/tmp/repro-tracetool blame /tmp/repro-ib.jsonl
 	/tmp/repro-tracetool diff /tmp/repro-iwarp.jsonl /tmp/repro-ib.jsonl > /dev/null
+
+# loc prints the root module's Go line counts, non-test and test, without
+# simbench/ (a module of its own) and testdata/ (analyzer fixtures): the two
+# numbers a change's net Go line delta is taken from.
+GOSRC = find . -name '*.go' -not -path './simbench/*' -not -path '*/testdata/*'
+loc:
+	@echo "non-test Go lines: $$($(GOSRC) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines:     $$($(GOSRC) -name '*_test.go' -exec cat {} + | wc -l)"
 
 clean:
 	$(GO) clean ./...

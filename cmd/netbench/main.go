@@ -226,14 +226,7 @@ func dumpObservability(tbp **cluster.Testbed, traceFile, traceJSONL string, metr
 		fmt.Fprintf(os.Stderr, "trace: %d events to %s (%d dropped)\n", tr.Len(), traceFile, tr.Dropped())
 	}
 	if traceJSONL != "" {
-		f, err := os.Create(traceJSONL)
-		if err == nil {
-			err = tr.WriteJSONL(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := tr.WriteJSONLFile(traceJSONL); err != nil {
 			fmt.Fprintf(os.Stderr, "netbench: writing trace jsonl: %v\n", err)
 			os.Exit(1)
 		}

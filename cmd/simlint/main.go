@@ -1,38 +1,20 @@
 // Command simlint enforces the simulator's determinism, shard-safety and
 // zero-alloc contracts with the analyzer suite under internal/lint (see
-// docs/static-analysis.md).
-//
-// Direct mode (the usual way, what `make lint` runs):
+// docs/static-analysis.md). `make lint` runs
 //
 //	simlint [-tests=false] [-vet] [packages]
 //
-// analyzes the named packages (default ./...) through internal/lint/runner
-// — dependency-ordered so analyzer facts flow across packages — and exits
-// 2 if any diagnostic is reported, stale //simlint:allow directives
-// included. -vet additionally runs the standard `go vet` suite over the
-// same patterns first.
-//
-// Vettool mode: when invoked with a single *.cfg argument, simlint speaks
-// the cmd/go unitchecker protocol, so it can also run as
-//
-//	go vet -vettool=$(go env GOPATH)/bin/simlint ./...
-//
-// In that mode cmd/go supplies the export data and file lists but runs one
-// process per package, so facts cannot flow: the fact-dependent analyzers
-// are reduced (no noalloc, no cross-package sharedstate writes, no stale
-// reporting). Direct mode is the gate; vettool mode is a convenience.
+// which analyzes the named packages (default ./...) through
+// internal/lint/runner — dependency-ordered so analyzer facts flow across
+// packages — and exits 2 if any diagnostic is reported, stale
+// //simlint:allow directives included. -vet additionally runs the standard
+// `go vet` suite over the same patterns first.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,26 +22,10 @@ import (
 	"strings"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/loader"
 	"repro/internal/lint/runner"
 )
 
 func main() {
-	// Tool-ID handshake used by cmd/go before dispatching unit checks.
-	if len(os.Args) == 2 && (os.Args[1] == "-V=full" || os.Args[1] == "-V") {
-		fmt.Printf("%s version simlint-2.0\n", os.Args[0])
-		return
-	}
-	// cmd/go asks the tool which flags it accepts; the suite has none that
-	// vet needs to forward.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(unitcheck(os.Args[1]))
-	}
-
 	tests := flag.Bool("tests", true, "also analyze in-package _test.go files")
 	vet := flag.Bool("vet", false, "additionally run the standard `go vet` suite")
 	flag.Usage = func() {
@@ -96,25 +62,6 @@ func main() {
 	os.Exit(status)
 }
 
-func runAnalyzers(as []*analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []analysis.Diagnostic {
-	var diags []analysis.Diagnostic
-	for _, a := range as {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: analyzer %s: %v\n", a.Name, err)
-			os.Exit(1)
-		}
-	}
-	return diags
-}
-
 // print writes diagnostics in file order and reports whether there were any.
 func print(fset *token.FileSet, diags []analysis.Diagnostic) bool {
 	if len(diags) == 0 || fset == nil {
@@ -140,83 +87,4 @@ func print(fset *token.FileSet, diags []analysis.Diagnostic) bool {
 		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", name, pos.Line, pos.Column, d.Message, d.Analyzer.Name)
 	}
 	return true
-}
-
-// vetConfig mirrors the JSON config cmd/go writes for -vettool workers.
-type vetConfig struct {
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package as directed by a cmd/go vet config and
-// returns the process exit status (0 clean, 2 diagnostics, 1 error).
-func unitcheck(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "simlint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// cmd/go expects the facts file regardless; simlint facts flow only
-	// through the direct mode's in-process store, never through vetx files.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("simlint-no-facts\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	as := runner.AnalyzersFor(cfg.ImportPath, false)
-	if len(as) == 0 {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := loader.NewInfo()
-	tconf := types.Config{Importer: imp}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "simlint: typechecking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	if print(fset, runAnalyzers(as, fset, files, pkg, info)) {
-		return 2
-	}
-	return 0
 }

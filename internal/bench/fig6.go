@@ -12,17 +12,10 @@ import (
 // buffers").
 const fig6Buffers = 64
 
-// BufferReuseLatency runs the ping-pong of Section 6.4 with `nbufs` message
-// buffers per side (1 = full re-use, 64 = no re-use) and returns the
-// average one-way latency.
-func BufferReuseLatency(kind cluster.Kind, size, nbufs, iters int) sim.Time {
-	tb, w := mpi.DefaultWorld(kind, 2)
-	defer tb.Close()
-	return bufferReuseLatencyOn(tb, w, size, nbufs, iters)
-}
-
-// bufferReuseLatencyOn is BufferReuseLatency on a caller-built (possibly
-// ablated) two-rank world.
+// bufferReuseLatencyOn runs the ping-pong of Section 6.4 on a caller-built
+// (possibly ablated) two-rank world with `nbufs` message buffers per side
+// (1 = full re-use, 64 = no re-use) and returns the average one-way
+// latency.
 func bufferReuseLatencyOn(tb *cluster.Testbed, w *mpi.World, size, nbufs, iters int) sim.Time {
 	var lat sim.Time
 	alloc := func(p *mpi.Process) []*mem.Buffer {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pci"
 	"repro/internal/sim"
+	"repro/internal/verbs"
 )
 
 // Config is the HCA cost model.
@@ -109,11 +110,11 @@ type HCA struct {
 	reg     *mem.RegTable
 	pcie    *pci.Bus
 	port    *fabric.Port
+	dev     verbs.Device // what every QP's verbs front end shares
 
 	txEngine *sim.Resource // the embedded send processor (capacity 1)
 	rxEngine *sim.Resource // the embedded receive processor (capacity 1)
 	ctx      *ctxCache
-	chainEnd sim.Time // host-DMA read pipeline chain
 
 	// vls are the per-virtual-lane credit pools (nil when VLCredits == 0:
 	// no link-level flow control, byte-identical to the pre-credit model).
@@ -146,6 +147,8 @@ func New(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.Network,
 		ctx:      newCtxCache(cfg.CtxCacheSize),
 		pkts:     sim.FreeListOf[packet](eng),
 	}
+	h.dev = verbs.Device{Eng: eng, Name: name, PostOverhead: cfg.PostOverhead,
+		PollDetect: cfg.PollDetect, Bus: h.pcie, ToHost: h.pcie.WriteAsync}
 	if cfg.VLCredits < 0 || cfg.VLs < 0 {
 		panic(fmt.Sprintf("ib %s: negative VL config %d/%d", name, cfg.VLs, cfg.VLCredits))
 	}

@@ -51,7 +51,7 @@ type packet struct {
 	rq     *QP
 	region *mem.Region
 	wr     *verbs.WR
-	in     *inbound
+	in     *verbs.Inbound
 }
 
 type readReq struct {
@@ -71,56 +71,24 @@ type txMsg struct {
 	data *mem.View
 }
 
-// inbound assembles an incoming Send message. cause tracks the rx pass of
-// the most recent packet for deferred (early-arrival) completion.
-type inbound struct {
-	buf   []byte
-	got   int
-	total int
-	cause trace.Ref
-}
-
-// QP is one endpoint of a reliable connection.
+// QP is one endpoint of a reliable connection. The embedded verbs.Front is
+// its verbs interface: posting, receive matching and completions.
 type QP struct {
+	verbs.Front
 	hca  *HCA
-	qpn  int
 	peer *QP
-
-	scq    *verbs.CQ
-	rcq    *verbs.CQ
-	places *sim.Queue[verbs.Placement]
-	rxQ    *sim.Queue[*packet]
-	sendQ  *sim.Queue[verbs.WR]
-
-	recvQ sim.Ring[verbs.WR] // posted receive work requests
-	early sim.Ring[*inbound] // completed Sends that found no posted receive
-	cur   *inbound
-	curWR *verbs.WR
-
-	// Work requests whose doorbell is still crossing the bus, oldest first.
-	// Doorbells on one bus arrive in the order they were rung, so the
-	// event for the i-th post always pops the i-th request.
-	sqBells, rqBells sim.Ring[verbs.WR]
-
-	// logPlaces gates the Placements log (see SetPlacementLog).
-	logPlaces bool
+	rxQ  *sim.Queue[*packet]
 }
 
 func (h *HCA) newQP() *QP {
 	q := &QP{
-		hca:    h,
-		qpn:    len(h.qps),
-		scq:    verbs.NewCQ(h.eng, h.name+"/scq", h.cfg.PollDetect),
-		rcq:    verbs.NewCQ(h.eng, h.name+"/rcq", h.cfg.PollDetect),
-		places: sim.NewQueue[verbs.Placement](h.eng, h.name+"/placements"),
-		rxQ:    sim.NewQueue[*packet](h.eng, h.name+"/rxq"),
-		sendQ:  sim.NewQueue[verbs.WR](h.eng, h.name+"/sq"),
-
-		logPlaces: true,
+		Front: verbs.NewFront(&h.dev, len(h.qps)),
+		hca:   h,
+		rxQ:   sim.NewQueue[*packet](h.eng, h.name+"/rxq"),
 	}
 	h.qps = append(h.qps, q)
-	h.eng.Go(fmt.Sprintf("%s/qp%d/rx", h.name, q.qpn), q.rxLoop)
-	h.eng.Go(fmt.Sprintf("%s/qp%d/tx", h.name, q.qpn), q.txLoop)
+	h.eng.Go(fmt.Sprintf("%s/qp%d/rx", h.name, q.QPN()), q.rxLoop)
+	h.eng.Go(fmt.Sprintf("%s/qp%d/tx", h.name, q.QPN()), q.txLoop)
 	return q
 }
 
@@ -129,77 +97,8 @@ func (h *HCA) newQP() *QP {
 // one QP.
 func (q *QP) txLoop(p *sim.Proc) {
 	for {
-		wr := q.sendQ.Get(p)
-		q.execute(p, wr)
+		q.execute(p, q.NextSend(p))
 	}
-}
-
-// QPN implements verbs.QP.
-func (q *QP) QPN() int { return q.qpn }
-
-// SetCQs redirects this QP's completions into caller-provided queues; MPI
-// implementations point every QP of a process at one shared CQ. Must be
-// called before any traffic flows.
-func (q *QP) SetCQs(scq, rcq *verbs.CQ) {
-	q.scq = scq
-	q.rcq = rcq
-}
-
-// SendCQ implements verbs.QP.
-func (q *QP) SendCQ() *verbs.CQ { return q.scq }
-
-// RecvCQ implements verbs.QP.
-func (q *QP) RecvCQ() *verbs.CQ { return q.rcq }
-
-// Placements implements verbs.QP.
-func (q *QP) Placements() *sim.Queue[verbs.Placement] { return q.places }
-
-// SetPlacementLog turns the Placements log on or off. It is on from
-// Connect, so a raw-verbs reader sees every tagged placement since then; a
-// consumer that never reads it (MPI) turns it off before traffic flows, so
-// the log does not hold every placement for the world's lifetime.
-func (q *QP) SetPlacementLog(on bool) { q.logPlaces = on }
-
-// PostSend implements verbs.QP.
-func (q *QP) PostSend(p *sim.Proc, wr verbs.WR) {
-	if wr.Len <= 0 {
-		panic(fmt.Sprintf("ib %s: zero-length work request", q.hca.name))
-	}
-	p.Sleep(q.hca.cfg.PostOverhead)
-	now := q.hca.eng.Now()
-	at := q.hca.pcie.Doorbell(32)
-	if tr := q.hca.eng.Trc(); tr.Enabled() {
-		wr.Cause = tr.CompleteR(q.hca.name, "doorbell", int64(now), int64(at),
-			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
-	}
-	q.sqBells.Push(wr)
-	q.hca.eng.AtArg(at, sendBell, q)
-}
-
-// sendBell lands the oldest send doorbell of QP v on the send queue.
-func sendBell(v any) {
-	q := v.(*QP)
-	q.sendQ.Put(q.sqBells.Pop())
-}
-
-// PostRecv implements verbs.QP.
-func (q *QP) PostRecv(p *sim.Proc, wr verbs.WR) {
-	p.Sleep(q.hca.cfg.PostOverhead)
-	at := q.hca.pcie.Doorbell(32)
-	q.rqBells.Push(wr)
-	q.hca.eng.AtArg(at, recvBell, q)
-}
-
-// recvBell lands the oldest receive doorbell of QP v: an early-arrived Send
-// consumes it at once, otherwise it joins the posted receives.
-func recvBell(v any) {
-	q := v.(*QP)
-	wr := q.rqBells.Pop()
-	if q.early.Len() > 0 {
-		q.completeEarly(q.early.Pop(), wr)
-		return
-	}
-	q.recvQ.Push(wr)
 }
 
 // execute runs one WQE on the send processor.
@@ -217,21 +116,21 @@ func (q *QP) execute(wp *sim.Proc, wr verbs.WR) {
 		h.pcie.Read(wp, desc)
 		if tr := h.eng.Trc(); tr.Enabled() {
 			wr.Cause = tr.CompleteR(h.name, "wqe-fetch", int64(t0), int64(h.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
+				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
 		}
-		msg := &txMsg{wr: wr, qpn: q.qpn}
+		msg := &txMsg{wr: wr, qpn: q.QPN()}
 		q.stream(wp, wr.Op, wr.Local, wr.LocalOff, wr.Len, wr.RemoteKey, wr.RemoteOff, msg, nil, !inline, wr.Cause)
 	case verbs.OpRead:
 		t0 := h.eng.Now()
 		h.pcie.Read(wp, 64)
 		if tr := h.eng.Trc(); tr.Enabled() {
 			wr.Cause = tr.CompleteR(h.name, "wqe-fetch", int64(t0), int64(h.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
+				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
 		}
-		msg := &txMsg{wr: wr, qpn: q.qpn}
+		msg := &txMsg{wr: wr, qpn: q.QPN()}
 		pk := h.pkts.Get()
 		*pk = packet{
-			dstQPN: q.peer.qpn,
+			dstQPN: q.peer.QPN(),
 			kind:   pktReadReq,
 			n:      28,
 			rd: readReq{
@@ -268,20 +167,20 @@ func (q *QP) stream(wp *sim.Proc, op verbs.Op, src *mem.Region, srcOff, n int, s
 	// One-packet DMA prefetch (see iwarp.emitSegments for the rationale).
 	var ready sim.Time
 	if dma && n > 0 {
-		ready = h.dmaRead(wp.Now(), min(mtu, n))
+		ready, _ = h.pcie.ReadNext(wp.Now(), min(mtu, n))
 	}
 	for off := 0; off < n; off += mtu {
 		take := min(mtu, n-off)
 		if dma {
 			cur := ready
 			if next := off + take; next < n {
-				ready = h.dmaRead(wp.Now(), min(mtu, n-next))
+				ready, _ = h.pcie.ReadNext(wp.Now(), min(mtu, n-next))
 			}
 			wp.SleepUntil(cur)
 		}
 		pk := h.pkts.Get()
 		*pk = packet{
-			dstQPN: q.peer.qpn,
+			dstQPN: q.peer.QPN(),
 			kind:   pktData,
 			op:     op,
 			n:      take,
@@ -311,7 +210,7 @@ func (q *QP) engineSend(wp *sim.Proc, firstOfMsg bool, cause trace.Ref, pk *pack
 	h := q.hca
 	var vl *sim.Resource
 	if h.vls != nil {
-		vl = h.vls[q.qpn%len(h.vls)]
+		vl = h.vls[q.QPN()%len(h.vls)]
 		if !vl.TryAcquire(1) {
 			// Lane out of credits: the link ahead has not drained. Count
 			// the stall and wait for a credit to return.
@@ -323,13 +222,13 @@ func (q *QP) engineSend(wp *sim.Proc, firstOfMsg bool, cause trace.Ref, pk *pack
 	t0 := h.eng.Now()
 	h.txEngine.Acquire(wp, 1)
 	hold := h.cfg.TxPktTime
-	if firstOfMsg && h.touchCtx(q.qpn) {
+	if firstOfMsg && h.touchCtx(q.QPN()) {
 		hold += h.cfg.CtxMissTime
 	}
 	wp.Sleep(hold)
 	if tr := h.eng.Trc(); tr.Enabled() {
 		pk.cause = tr.CompleteR(h.name, "tx-pkt", int64(t0), int64(h.eng.Now()),
-			trace.Cause(cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(pk.n)))
+			trace.Cause(cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(pk.n)))
 	}
 	// Read before emit: from there on the packet belongs to the receiver.
 	cqe := pk.last || pk.kind != pktData
@@ -352,18 +251,6 @@ func (q *QP) engineSend(wp *sim.Proc, firstOfMsg bool, cause trace.Ref, pk *pack
 // returnCredit gives one credit back to the virtual lane v.
 func returnCredit(v any) { v.(*sim.Resource).Release(1) }
 
-// dmaRead books one chained, fair-shared payload fetch and returns its
-// completion time.
-func (h *HCA) dmaRead(now sim.Time, bytes int) sim.Time {
-	start := now
-	first := h.chainEnd <= start
-	if h.chainEnd > start {
-		start = h.chainEnd
-	}
-	h.chainEnd = h.pcie.ReadChained(start, bytes, first)
-	return h.chainEnd
-}
-
 // emit puts a packet on the wire and returns when its uplink serialization
 // ends (the credit-return anchor for link-level flow control).
 func (q *QP) emit(pk *packet) sim.Time {
@@ -373,7 +260,7 @@ func (q *QP) emit(pk *packet) sim.Time {
 		Dst:     q.peer.hca.port.ID(),
 		Bytes:   pk.n + q.hca.cfg.PacketHeader,
 		Payload: pk,
-		Flow:    q.qpn, // per-connection ECMP path on multi-switch fabrics
+		Flow:    q.QPN(), // per-connection ECMP path on multi-switch fabrics
 		Cause:   pk.cause,
 	})
 }
@@ -392,13 +279,12 @@ func (q *QP) rxLoop(p *sim.Proc) {
 			ackRef := trace.RefNone
 			if tr := h.eng.Trc(); tr.Enabled() {
 				ackRef = tr.CompleteR(h.name, "rx-ack", int64(t0), int64(h.eng.Now()),
-					trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
+					trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())))
 			}
 			m := pk.ackFor
 			if m.wr.Op == verbs.OpWrite || m.wr.Op == verbs.OpSend {
 				// The ACK returns to the QP that sent the message.
-				orig := h.qps[m.qpn]
-				orig.scq.Push(verbs.Completion{WRID: m.wr.ID, Op: m.wr.Op, Len: m.wr.Len, At: h.eng.Now(), Cause: ackRef})
+				h.qps[m.qpn].Complete(&m.wr, ackRef)
 				m.data.Release()
 			}
 			h.pkts.Put(pk)
@@ -409,7 +295,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 			reqRef := trace.RefNone
 			if tr := h.eng.Trc(); tr.Enabled() {
 				reqRef = tr.CompleteR(h.name, "rx-pkt", int64(t0), int64(h.eng.Now()),
-					trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
+					trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())))
 			}
 			rd := pk.rd
 			h.pkts.Put(pk)
@@ -417,7 +303,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 			if !ok {
 				panic(fmt.Sprintf("ib %s: read request for unknown rkey %d", h.name, rd.srcKey))
 			}
-			h.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", h.name, q.qpn), func(rp *sim.Proc) {
+			h.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", h.name, q.QPN()), func(rp *sim.Proc) {
 				q.stream(rp, verbs.OpWrite, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, true, reqRef)
 			})
 		case pktData:
@@ -433,7 +319,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 	t0 := h.eng.Now()
 	h.rxEngine.Acquire(p, 1)
 	hold := h.cfg.RxPktTime
-	if pk.first && h.touchCtx(q.qpn) {
+	if pk.first && h.touchCtx(q.QPN()) {
 		hold += h.cfg.CtxMissTime
 	}
 	p.Sleep(hold)
@@ -441,7 +327,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 	rxRef := trace.RefNone
 	if tr := h.eng.Trc(); tr.Enabled() {
 		rxRef = tr.CompleteR(h.name, "rx-pkt", int64(t0), int64(h.eng.Now()),
-			trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(pk.n)))
+			trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(pk.n)))
 	}
 
 	pk.cause = rxRef
@@ -456,41 +342,18 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 		pk.region = region
 		h.eng.AtArg(h.pcie.WriteFrom(h.eng.Now(), pk.n), placeWrite, pk)
 	case pk.op == verbs.OpSend:
-		if pk.first {
-			q.cur = &inbound{}
-			q.curWR = nil
-			if q.recvQ.Len() > 0 {
-				wr := q.recvQ.Pop()
-				q.curWR = &wr
-			}
-		}
-		if q.cur == nil {
-			panic(fmt.Sprintf("ib %s: send continuation with no assembly", h.name))
-		}
-		cur, last := q.cur, pk.last
-		cur.got += pk.n
-		cur.cause = rxRef
-		if q.curWR != nil {
-			if pk.offset+pk.n > q.curWR.Local.Len {
-				panic(fmt.Sprintf("ib %s: send overruns recv buffer", h.name))
-			}
-			pk.wr, pk.in = q.curWR, cur
+		wr, in := q.Arrive(pk.first, pk.last, pk.data, pk.voff, pk.offset, pk.n, rxRef)
+		if wr != nil {
+			pk.wr, pk.in = wr, in
 			h.eng.AtArg(h.pcie.WriteFrom(h.eng.Now(), pk.n), placeSend, pk)
-		} else {
-			cur.buf = pk.data.Stash(cur.buf, pk.offset, pk.voff, pk.n)
-			if last {
-				q.ack(pk.msg, rxRef)
-			}
-			h.pkts.Put(pk)
+			return
 		}
-		if last {
-			cur.total = cur.got
-			if q.curWR == nil {
-				q.early.Push(cur)
-			}
-			q.cur = nil
-			q.curWR = nil
+		// No posted receive: the message waits as early; its last packet
+		// is acknowledged at once.
+		if pk.last {
+			q.ack(pk.msg, rxRef)
 		}
+		h.pkts.Put(pk)
 	}
 }
 
@@ -501,14 +364,10 @@ func placeWrite(v any) {
 	q := pk.rq
 	h := q.hca
 	pk.data.CopyTo(pk.region.Buf, pk.region.Off+pk.offset, pk.voff, pk.n)
-	placed := h.eng.Trc().InstantR(h.name, "placed",
-		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
-	if q.logPlaces {
-		q.places.Put(verbs.Placement{Key: pk.stag, Off: pk.offset, Len: pk.n, At: h.eng.Now(), Cause: placed})
-	}
+	placed := q.TaggedPlaced(pk.stag, pk.offset, pk.n, pk.cause)
 	if pk.last {
 		if pk.rdMsg != nil {
-			q.scq.Push(verbs.Completion{WRID: pk.rdMsg.wr.ID, Op: verbs.OpRead, Len: pk.rdMsg.wr.Len, At: h.eng.Now(), Cause: placed})
+			q.Complete(&pk.rdMsg.wr, placed)
 		} else if pk.msg != nil {
 			q.ack(pk.msg, placed)
 		}
@@ -522,36 +381,17 @@ func placeWrite(v any) {
 func placeSend(v any) {
 	pk := v.(*packet)
 	q, wr := pk.rq, pk.wr
-	h := q.hca
 	pk.data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+pk.offset, pk.voff, pk.n)
 	if pk.last {
-		placed := h.eng.Trc().InstantR(h.name, "placed",
-			trace.Cause(pk.cause), trace.I64("bytes", int64(pk.in.got)))
-		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: pk.in.got, At: h.eng.Now(), Cause: placed})
-		q.ack(pk.msg, placed)
+		q.ack(pk.msg, q.RecvPlaced(wr.ID, pk.in, pk.cause))
 	}
-	h.pkts.Put(pk)
+	q.hca.pkts.Put(pk)
 }
 
 // ack emits a transport ACK for a fully-arrived message, caused by the event
 // that finished the message (placement or final rx pass).
 func (q *QP) ack(msg *txMsg, cause trace.Ref) {
 	pk := q.hca.pkts.Get()
-	*pk = packet{dstQPN: q.peer.qpn, kind: pktAck, n: 0, ackFor: msg, cause: cause}
+	*pk = packet{dstQPN: q.peer.QPN(), kind: pktAck, n: 0, ackFor: msg, cause: cause}
 	q.emit(pk)
-}
-
-// completeEarly flushes a buffered early Send into a just-posted receive.
-func (q *QP) completeEarly(m *inbound, wr verbs.WR) {
-	h := q.hca
-	if m.total > wr.Local.Len {
-		panic(fmt.Sprintf("ib %s: early send overruns recv buffer", h.name))
-	}
-	t := h.pcie.WriteFrom(h.eng.Now(), m.total)
-	h.eng.At(t, func() {
-		wr.Local.Store(wr.LocalOff, m.buf[:m.total])
-		placed := h.eng.Trc().InstantR(h.name, "placed",
-			trace.Cause(m.cause), trace.I64("bytes", int64(m.total)))
-		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: m.total, At: h.eng.Now(), Cause: placed})
-	})
 }

@@ -59,10 +59,10 @@ type rxPass struct {
 type placement struct {
 	q      *QP
 	seg    *ddpSeg
-	region *mem.Region // tagged: the target region
-	wr     *verbs.WR   // untagged: the matched receive
-	in     *inbound    // untagged: the message being assembled
-	cause  trace.Ref   // the rx-engine pass that completed the segment
+	region *mem.Region    // tagged: the target region
+	wr     *verbs.WR      // untagged: the matched receive
+	in     *verbs.Inbound // untagged: the message being assembled
+	cause  trace.Ref      // the rx-engine pass that completed the segment
 }
 
 // readReq is the RDMAP Read Request payload.
@@ -86,42 +86,17 @@ type txMsg struct {
 	data  *mem.View
 }
 
-// inbound assembles one incoming untagged (Send) message. cause tracks the
-// rx-engine event of the most recent segment, so a deferred (early-arrival)
-// completion still names what enabled it.
-type inbound struct {
-	buf   []byte
-	got   int
-	total int // set when the last segment arrives
-	cause trace.Ref
-}
-
-// QP is an iWARP queue pair bound to one offloaded TCP connection.
+// QP is an iWARP queue pair bound to one offloaded TCP connection. The
+// embedded verbs.Front is its verbs interface: posting, receive matching
+// and completions.
 type QP struct {
+	verbs.Front
 	rnic *RNIC
-	qpn  int
 	peer *QP
 	conn *tcpsim.Conn
 
-	scq    *verbs.CQ
-	rcq    *verbs.CQ
-	places *sim.Queue[verbs.Placement]
-	rxQ    *sim.Queue[rxSeg]
-	sendQ  *sim.Queue[verbs.WR]
-	emitQ  *sim.Queue[*fetchedWR]
-
-	recvQ sim.Ring[verbs.WR] // posted receive work requests
-	early sim.Ring[*inbound] // completed untagged messages with no posted recv
-	cur   *inbound           // in-assembly untagged message
-	curWR *verbs.WR          // matched recv for cur, nil if none was posted
-
-	// Work requests whose doorbell is still crossing the bus, oldest first.
-	// Doorbells on one bus arrive in the order they were rung, so the
-	// event for the i-th post always pops the i-th request.
-	sqBells, rqBells sim.Ring[verbs.WR]
-
-	// logPlaces gates the Placements log (see SetPlacementLog).
-	logPlaces bool
+	rxQ   *sim.Queue[rxSeg]
+	emitQ *sim.Queue[*fetchedWR]
 
 	// Causal bookkeeping (RefNone with tracing off). txCause is the
 	// tx-engine event whose FPDU the next emitted TCP segments carry;
@@ -140,17 +115,11 @@ type QP struct {
 
 func (r *RNIC) newQP() *QP {
 	q := &QP{
-		rnic:   r,
-		qpn:    len(r.qps),
-		conn:   tcpsim.NewConn(r.eng, fmt.Sprintf("%s/qp%d", r.name, len(r.qps))),
-		scq:    verbs.NewCQ(r.eng, r.name+"/scq", r.cfg.PollDetect),
-		rcq:    verbs.NewCQ(r.eng, r.name+"/rcq", r.cfg.PollDetect),
-		places: sim.NewQueue[verbs.Placement](r.eng, r.name+"/placements"),
-		rxQ:    sim.NewQueue[rxSeg](r.eng, r.name+"/rxq"),
-		sendQ:  sim.NewQueue[verbs.WR](r.eng, r.name+"/sq"),
-		emitQ:  sim.NewQueue[*fetchedWR](r.eng, r.name+"/emitq"),
-
-		logPlaces: true,
+		Front: verbs.NewFront(&r.dev, len(r.qps)),
+		rnic:  r,
+		conn:  tcpsim.NewConn(r.eng, fmt.Sprintf("%s/qp%d", r.name, len(r.qps))),
+		rxQ:   sim.NewQueue[rxSeg](r.eng, r.name+"/rxq"),
+		emitQ: sim.NewQueue[*fetchedWR](r.eng, r.name+"/emitq"),
 	}
 	q.conn.MSS = r.cfg.MSS
 	q.conn.WindowBytes = r.cfg.TCPWindow
@@ -171,9 +140,9 @@ func (r *RNIC) newQP() *QP {
 		}
 	}
 	r.qps = append(r.qps, q)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/rx", r.name, q.qpn), q.rxLoop)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/fetch", r.name, q.qpn), q.fetchLoop)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/emit", r.name, q.qpn), q.emitLoop)
+	r.eng.Go(fmt.Sprintf("%s/qp%d/rx", r.name, q.QPN()), q.rxLoop)
+	r.eng.Go(fmt.Sprintf("%s/qp%d/fetch", r.name, q.QPN()), q.fetchLoop)
+	r.eng.Go(fmt.Sprintf("%s/qp%d/emit", r.name, q.QPN()), q.emitLoop)
 	return q
 }
 
@@ -194,12 +163,12 @@ type fetchedWR struct {
 func (q *QP) fetchLoop(p *sim.Proc) {
 	r := q.rnic
 	for {
-		wr := q.sendQ.Get(p)
+		wr := q.NextSend(p)
 		t0 := r.eng.Now()
 		r.pcie.Read(p, 64) // descriptor fetch
 		if tr := r.eng.Trc(); tr.Enabled() {
 			wr.Cause = tr.CompleteR(r.name, "wqe-fetch", int64(t0), int64(r.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
+				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
 		}
 		f := &fetchedWR{wr: wr}
 		switch wr.Op {
@@ -236,76 +205,6 @@ func (q *QP) segParams(op verbs.Op) (maxP, hdr int) {
 		return q.rnic.maxUntagged, UntaggedHeader
 	}
 	return q.rnic.maxTagged, TaggedHeader
-}
-
-// QPN implements verbs.QP.
-func (q *QP) QPN() int { return q.qpn }
-
-// SetCQs redirects this QP's completions into caller-provided queues; MPI
-// implementations point every QP of a process at one shared CQ. Must be
-// called before any traffic flows.
-func (q *QP) SetCQs(scq, rcq *verbs.CQ) {
-	q.scq = scq
-	q.rcq = rcq
-}
-
-// SendCQ implements verbs.QP.
-func (q *QP) SendCQ() *verbs.CQ { return q.scq }
-
-// RecvCQ implements verbs.QP.
-func (q *QP) RecvCQ() *verbs.CQ { return q.rcq }
-
-// Placements implements verbs.QP.
-func (q *QP) Placements() *sim.Queue[verbs.Placement] { return q.places }
-
-// SetPlacementLog turns the Placements log on or off. It is on from
-// Connect, so a raw-verbs reader sees every tagged placement since then; a
-// consumer that never reads it (MPI) turns it off before traffic flows, so
-// the log does not hold every placement for the world's lifetime.
-func (q *QP) SetPlacementLog(on bool) { q.logPlaces = on }
-
-// PostSend implements verbs.QP: host builds the WQE, rings the doorbell, and
-// the RNIC executes the operation asynchronously.
-func (q *QP) PostSend(p *sim.Proc, wr verbs.WR) {
-	if wr.Len <= 0 {
-		panic(fmt.Sprintf("iwarp %s: zero-length work request", q.rnic.name))
-	}
-	p.Sleep(q.rnic.cfg.PostOverhead)
-	now := q.rnic.eng.Now()
-	at := q.rnic.pcie.Doorbell(32)
-	if tr := q.rnic.eng.Trc(); tr.Enabled() {
-		wr.Cause = tr.CompleteR(q.rnic.name, "doorbell", int64(now), int64(at),
-			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
-	}
-	q.sqBells.Push(wr)
-	q.rnic.eng.AtArg(at, sendBell, q)
-}
-
-// sendBell lands the oldest send doorbell of QP v on the send queue.
-func sendBell(v any) {
-	q := v.(*QP)
-	q.sendQ.Put(q.sqBells.Pop())
-}
-
-// PostRecv implements verbs.QP.
-func (q *QP) PostRecv(p *sim.Proc, wr verbs.WR) {
-	p.Sleep(q.rnic.cfg.PostOverhead)
-	at := q.rnic.pcie.Doorbell(32)
-	q.rqBells.Push(wr)
-	q.rnic.eng.AtArg(at, recvBell, q)
-}
-
-// recvBell lands the oldest receive doorbell of QP v. An early-arrived
-// message (no recv had been posted) consumes it immediately; otherwise the
-// WR queues.
-func recvBell(v any) {
-	q := v.(*QP)
-	wr := q.rqBells.Pop()
-	if q.early.Len() > 0 {
-		q.completeEarly(q.early.Pop(), wr)
-		return
-	}
-	q.recvQ.Push(wr)
 }
 
 // sendData pushes one RDMAP message through the full transmit pipeline in
@@ -363,7 +262,7 @@ func (q *QP) emitSegments(wp *sim.Proc, kind segKind, src *mem.Region, srcOff, n
 			// engine slot, and segmentation time, caused by the WQE fetch
 			// (or, on the read-responder path, the request's rx pass).
 			segCause = tr.CompleteR(r.name, "tx-seg", int64(t0), int64(r.eng.Now()),
-				trace.Cause(cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(take)))
+				trace.Cause(cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(take)))
 		}
 		seg := &ddpSeg{
 			kind:    kind,
@@ -426,7 +325,7 @@ func (q *QP) sendReadRequest(wp *sim.Proc, wr verbs.WR) {
 	wp.Sleep(r.cfg.TxSegTime)
 	if tr := r.eng.Trc(); tr.Enabled() {
 		q.txCause = tr.CompleteR(r.name, "tx-seg", int64(t0), int64(r.eng.Now()),
-			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(ReadRequestBytes)))
+			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(ReadRequestBytes)))
 	}
 	r.cSegsTx.Inc()
 	r.cReadReqs.Inc()
@@ -474,13 +373,13 @@ func (q *QP) drainTx() {
 // ACKs echoing a fabric ECN mark back to the data sender.
 func (q *QP) emit(seg tcpsim.Segment, ece bool) {
 	ws := q.rnic.wsegFree.Get()
-	*ws = wireSeg{dstQPN: q.peer.qpn, seg: seg, ece: ece}
+	*ws = wireSeg{dstQPN: q.peer.QPN(), seg: seg, ece: ece}
 	q.rnic.port.Send(&fabric.Frame{
 		Src:     q.rnic.port.ID(),
 		Dst:     q.peer.rnic.port.ID(),
 		Bytes:   q.conn.WireBytes(seg),
 		Payload: ws,
-		Flow:    q.qpn, // per-connection ECMP path on multi-switch fabrics
+		Flow:    q.QPN(), // per-connection ECMP path on multi-switch fabrics
 		Cause:   q.txCause,
 	})
 }
@@ -494,9 +393,8 @@ func (q *QP) recordAcked(meta any) {
 	}
 	seg.msg.acked++
 	if seg.msg.acked == seg.msg.segs {
-		op := seg.msg.wr.Op
-		if op == verbs.OpWrite || op == verbs.OpSend {
-			q.scq.Push(verbs.Completion{WRID: seg.msg.wr.ID, Op: op, Len: seg.msg.wr.Len, At: q.rnic.eng.Now(), Cause: q.ackCause})
+		if op := seg.msg.wr.Op; op == verbs.OpWrite || op == verbs.OpSend {
+			q.Complete(&seg.msg.wr, q.ackCause)
 			seg.msg.data.Release()
 		}
 	}
@@ -533,7 +431,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 			}
 			if tr := r.eng.Trc(); tr.Enabled() {
 				q.ackCause = tr.CompleteR(r.name, "rx-ack", int64(t0), int64(r.eng.Now()),
-					trace.Cause(rx.cause), trace.I64("qpn", int64(q.qpn)))
+					trace.Cause(rx.cause), trace.I64("qpn", int64(q.QPN())))
 			}
 			if rx.ece {
 				// The peer saw our data cross a congested queue: apply the
@@ -558,7 +456,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 		var rxRef trace.Ref
 		if tr := r.eng.Trc(); tr.Enabled() {
 			rxRef = tr.CompleteR(r.name, "rx-seg", int64(t0), int64(r.eng.Now()),
-				trace.Cause(rx.cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(tseg.Len)))
+				trace.Cause(rx.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(tseg.Len)))
 		}
 		if rx.corrupt {
 			// MPA CRC reject: the engine has already paid the receive pass
@@ -567,7 +465,7 @@ func (q *QP) rxLoop(p *sim.Proc) {
 			// go-back-N retransmission recovers the stream.
 			r.cCrcRejects.Inc()
 			if tr := r.eng.Trc(); tr.Enabled() {
-				tr.Instant(r.name, "mpa-crc-reject", trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(tseg.Len)))
+				tr.Instant(r.name, "mpa-crc-reject", trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(tseg.Len)))
 			}
 			continue
 		}
@@ -615,39 +513,15 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 		r.eng.AtArg(r.engineToHost(seg.n+TaggedHeader), placeTagged, pl)
 
 	case segUntagged:
-		if seg.first {
-			q.cur = &inbound{}
-			q.curWR = nil
-			if q.recvQ.Len() > 0 {
-				wr := q.recvQ.Pop()
-				q.curWR = &wr
-			}
-		}
-		if q.cur == nil {
-			panic(fmt.Sprintf("iwarp %s: untagged continuation with no assembly", r.name))
-		}
-		q.cur.got += seg.n
-		q.cur.cause = cause
-		if q.curWR != nil {
+		wr, in := q.Arrive(seg.first, seg.last, seg.data, seg.voff, seg.offset, seg.n, cause)
+		if wr != nil {
 			// Zero-copy placement into the posted receive buffer.
-			if seg.offset+seg.n > q.curWR.Local.Len {
-				panic(fmt.Sprintf("iwarp %s: send overruns %d-byte recv buffer", r.name, q.curWR.Local.Len))
-			}
 			pl := r.placeFree.Get()
-			*pl = placement{q: q, seg: seg, wr: q.curWR, in: q.cur, cause: cause}
+			*pl = placement{q: q, seg: seg, wr: wr, in: in, cause: cause}
 			r.eng.AtArg(r.engineToHost(seg.n+UntaggedHeader), placeUntagged, pl)
-		} else {
-			// No posted receive: buffer in adapter memory until one arrives.
-			q.cur.buf = seg.data.Stash(q.cur.buf, seg.offset, seg.voff, seg.n)
-		}
-		if seg.last {
-			q.cur.total = q.cur.got
-			if q.curWR == nil {
-				q.early.Push(q.cur)
-				r.cEarlyArrivals.Inc()
-			}
-			q.cur = nil
-			q.curWR = nil
+		} else if seg.last {
+			// No posted receive: the message waits in adapter memory.
+			r.cEarlyArrivals.Inc()
 		}
 
 	case segReadReq:
@@ -657,7 +531,7 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			panic(fmt.Sprintf("iwarp %s: read request for unknown STag %d", r.name, rd.srcKey))
 		}
 		// The responder RNIC streams the data back without host involvement.
-		r.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", r.name, q.qpn), func(rp *sim.Proc) {
+		r.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", r.name, q.QPN()), func(rp *sim.Proc) {
 			q.sendData(rp, segTagged, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, cause)
 		})
 	}
@@ -669,17 +543,12 @@ func placeTagged(v any) {
 	pl := v.(*placement)
 	q, seg, region, cause := pl.q, pl.seg, pl.region, pl.cause
 	q.rnic.placeFree.Put(pl)
-	r := q.rnic
 	seg.data.CopyTo(region.Buf, region.Off+seg.offset, seg.voff, seg.n)
-	placed := r.eng.Trc().InstantR(r.name, "placed",
-		trace.Cause(cause), trace.I64("bytes", int64(seg.n)))
-	if q.logPlaces {
-		q.places.Put(verbs.Placement{Key: seg.stag, Off: seg.offset, Len: seg.n, At: r.eng.Now(), Cause: placed})
-	}
+	placed := q.TaggedPlaced(seg.stag, seg.offset, seg.n, cause)
 	if seg.rdMsg != nil && seg.last {
 		// Last RDMA Read Response segment: complete the requester's OpRead
 		// WQE. q is the requester-side QP here.
-		q.scq.Push(verbs.Completion{WRID: seg.rdMsg.wr.ID, Op: verbs.OpRead, Len: seg.rdMsg.wr.Len, At: r.eng.Now(), Cause: placed})
+		q.Complete(&seg.rdMsg.wr, placed)
 	}
 }
 
@@ -688,29 +557,10 @@ func placeTagged(v any) {
 // on the message's last segment.
 func placeUntagged(v any) {
 	pl := v.(*placement)
-	q, seg, wr, cur, cause := pl.q, pl.seg, pl.wr, pl.in, pl.cause
+	q, seg, wr, in, cause := pl.q, pl.seg, pl.wr, pl.in, pl.cause
 	q.rnic.placeFree.Put(pl)
-	r := q.rnic
 	seg.data.CopyTo(wr.Local.Buf, wr.Local.Off+wr.LocalOff+seg.offset, seg.voff, seg.n)
 	if seg.last {
-		placed := r.eng.Trc().InstantR(r.name, "placed",
-			trace.Cause(cause), trace.I64("bytes", int64(cur.got)))
-		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: cur.got, At: r.eng.Now(), Cause: placed})
+		q.RecvPlaced(wr.ID, in, cause)
 	}
-}
-
-// completeEarly delivers a buffered early-arrival message to a just-posted
-// receive WR, paying the deferred DMA.
-func (q *QP) completeEarly(m *inbound, wr verbs.WR) {
-	r := q.rnic
-	if m.total > wr.Local.Len {
-		panic(fmt.Sprintf("iwarp %s: early send overruns recv buffer", r.name))
-	}
-	t2 := r.engineToHost(m.total)
-	r.eng.At(t2, func() {
-		wr.Local.Store(wr.LocalOff, m.buf[:m.total])
-		placed := r.eng.Trc().InstantR(r.name, "placed",
-			trace.Cause(m.cause), trace.I64("bytes", int64(m.total)))
-		q.rcq.Push(verbs.Completion{WRID: wr.ID, Op: verbs.OpRecv, Len: m.total, At: r.eng.Now(), Cause: placed})
-	})
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pci"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
+	"repro/internal/verbs"
 )
 
 // Config holds the cost model of one RNIC. The defaults approximate the
@@ -107,6 +108,7 @@ type RNIC struct {
 	pcie    *pci.Bus
 	bridge  *pci.Bus
 	port    *fabric.Port
+	dev     verbs.Device // what every QP's verbs front end shares
 
 	txEngine *sim.Resource
 	rxEngine *sim.Resource
@@ -116,7 +118,6 @@ type RNIC struct {
 	qps         []*QP
 	maxTagged   int
 	maxUntagged int
-	txChainEnd  sim.Time // host-DMA read pipeline chain (see hostToEngine)
 
 	// Per-engine free lists (shared by every RNIC on the engine) for the
 	// per-frame structs: the frame payload and the deferred rx steps.
@@ -160,6 +161,8 @@ func New(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.Network,
 		passFree:  sim.FreeListOf[rxPass](eng),
 		placeFree: sim.FreeListOf[placement](eng),
 	}
+	r.dev = verbs.Device{Eng: eng, Name: name, PostOverhead: cfg.PostOverhead,
+		PollDetect: cfg.PollDetect, Bus: r.pcie, ToHost: r.engineToHost}
 	r.maxTagged = cfg.Framing.MaxPayload(TaggedHeader, cfg.MSS)
 	r.maxUntagged = cfg.Framing.MaxPayload(UntaggedHeader, cfg.MSS)
 	r.port = net.Attach(r)
@@ -206,27 +209,17 @@ const pipeChunk = 2048
 
 // hostToEngine books the PCIe read and bridge crossing for `bytes` with
 // cut-through chunking and returns when the tail reaches the protocol
-// engine. Bookings chain across calls (per NIC): while the DMA pipeline is
-// streaming, successive segments ride the same request pipeline without
-// paying the read round trip again; after an idle gap the next transfer
-// pays it. Booking just-in-time (the engine sleeps until each segment is
-// ready before asking for the next) keeps the shared chipset path fairly
-// interleaved with the receive-side DMA writes.
+// engine. The PCIe reads ride the bus's DMA read chain (see
+// pci.Bus.ReadNext); the engine sleeps until each segment is ready before
+// booking the next.
 func (r *RNIC) hostToEngine(bytes int) sim.Time {
-	start := r.eng.Now()
-	first := r.txChainEnd <= start
-	if r.txChainEnd > start {
-		start = r.txChainEnd
-	}
+	now := r.eng.Now()
 	var end sim.Time
-	pe := start
 	for off := 0; off < bytes; off += pipeChunk {
 		c := min(pipeChunk, bytes-off)
-		pe = r.pcie.ReadChained(pe, c, first)
+		pe, first := r.pcie.ReadNext(now, c)
 		end = r.bridge.ReadChained(pe, c, first)
-		first = false
 	}
-	r.txChainEnd = pe
 	return end
 }
 

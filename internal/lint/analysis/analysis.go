@@ -62,8 +62,8 @@ type Pass struct {
 	Report func(Diagnostic)
 
 	// Facts, when installed by the driver, carries analyzer facts across
-	// packages (see facts.go). Nil under drivers that analyze packages in
-	// isolation (the unitchecker vettool mode).
+	// packages (see facts.go). Nil under a driver that analyzes packages
+	// in isolation.
 	Facts *FactStore
 
 	// Use, when installed by the driver, records which allow directives

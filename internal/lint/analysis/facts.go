@@ -74,9 +74,9 @@ func (s *FactStore) get(obj types.Object, ptr Fact) bool {
 // ExportObjectFact associates fact with obj for downstream packages. fact
 // must be a pointer; the pointed-to value is copied on import, so the
 // analyzer may reuse the pointer. Exporting without a store installed (an
-// analyzer under a driver that does not support facts, e.g. the unitchecker
-// vettool mode) is a silent no-op, matching the x/tools contract that facts
-// are an optimization of precision, not a hard dependency.
+// analyzer under a driver that does not support facts) is a silent no-op,
+// matching the x/tools contract that facts are an optimization of
+// precision, not a hard dependency.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.Facts == nil || obj == nil {
 		return

@@ -12,9 +12,10 @@
 // Each target package is then parsed and type-checked from source with
 // go/types, resolving every import through the export data gathered in
 // step 1. In-package _test.go files are checked together with the package
-// proper, mirroring `go vet`. (External _test packages would need the
-// test-variant import graph; the repo has none, and the loader reports an
-// error rather than silently skipping if one appears.)
+// proper, mirroring `go vet`. An external test package (package x_test) is
+// checked as a package of its own, after every target, with its imports
+// resolved through the test variants ("p [x.test]") the go command
+// compiles for it, so it sees x with x's in-package test files.
 package loader
 
 import (
@@ -60,6 +61,7 @@ type listPkg struct {
 	XTestGoFiles  []string
 	Imports       []string
 	TestImports   []string
+	XTestImports  []string
 	Error         *struct{ Err string }
 	DepOnly       bool
 	ForTest       string
@@ -106,60 +108,75 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 		}
-		// Test variants ("pkg [pkg.test]") shadow the plain package under a
-		// bracketed path; imports always resolve by the plain path.
-		if p.Export == "" || strings.Contains(p.ImportPath, " [") {
-			continue
+		// Test variants ("pkg [x.test]") keep their bracketed path: only
+		// the external test package of x resolves imports through them.
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
 		}
-		exports[p.ImportPath] = p.Export
 	}
 
 	// Pass 2: the target packages and their sources. Targets are sorted
 	// into dependency order (imports before importers) so that analyzer
 	// facts exported while checking a package are available to every
 	// package that imports it.
-	targets, err := goList(cfg.Dir, append([]string{"-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,Error"}, patterns...)...)
+	targets, err := goList(cfg.Dir, append([]string{"-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Error"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
 	targets = depOrder(targets, cfg.Tests)
 
 	fset := token.NewFileSet()
-	var out []*Package
+	var out, xtests []*Package
 	for _, t := range targets {
 		if t.Error != nil {
 			return nil, fmt.Errorf("package %s: %s", t.ImportPath, t.Error.Err)
-		}
-		if cfg.Tests && len(t.XTestGoFiles) > 0 {
-			return nil, fmt.Errorf("package %s: external test package (%s) is not supported by the offline loader", t.ImportPath, t.XTestGoFiles[0])
 		}
 		names := t.GoFiles
 		if cfg.Tests {
 			names = append(names[:len(names):len(names)], t.TestGoFiles...)
 		}
-		var files []*ast.File
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
+		p, err := load(fset, t.ImportPath, t.ImportPath, t.Dir, names, t.Imports, exports, "")
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+		if cfg.Tests && len(t.XTestGoFiles) > 0 {
+			// The scoping rules follow the package under test.
+			xp, err := load(fset, t.ImportPath, t.ImportPath+"_test", t.Dir, t.XTestGoFiles, t.XTestImports, exports, " ["+t.ImportPath+".test]")
 			if err != nil {
 				return nil, err
 			}
-			files = append(files, f)
+			xtests = append(xtests, xp)
 		}
-		pkg, info, err := check(fset, t.ImportPath, files, exports)
-		if err != nil {
-			return nil, fmt.Errorf("package %s: %v", t.ImportPath, err)
-		}
-		out = append(out, &Package{
-			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
-			Imports:    t.Imports,
-			Fset:       fset,
-			Files:      files,
-			Types:      pkg,
-			TypesInfo:  info,
-		})
 	}
-	return out, nil
+	return append(out, xtests...), nil
+}
+
+// load parses the named files of dir and type-checks them as package
+// typesPath, reported under importPath. Imports resolve to the variant
+// compiled with the given suffix where there is one.
+func load(fset *token.FileSet, importPath, typesPath, dir string, names, imports []string, exports map[string]string, variant string) (*Package, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, info, err := check(fset, typesPath, files, exports, variant)
+	if err != nil {
+		return nil, fmt.Errorf("package %s: %v", typesPath, err)
+	}
+	return &Package{
+		ImportPath: importPath,
+		Dir:        dir,
+		Imports:    imports,
+		Fset:       fset,
+		Files:      files,
+		Types:      pkg,
+		TypesInfo:  info,
+	}, nil
 }
 
 // depOrder topologically sorts the target packages so that every package
@@ -197,9 +214,12 @@ func depOrder(targets []listPkg, tests bool) []listPkg {
 	return out
 }
 
-func check(fset *token.FileSet, path string, files []*ast.File, exports map[string]string) (*types.Package, *types.Info, error) {
+func check(fset *token.FileSet, path string, files []*ast.File, exports map[string]string, variant string) (*types.Package, *types.Info, error) {
 	imp := importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
-		f, ok := exports[p]
+		f, ok := exports[p+variant]
+		if !ok {
+			f, ok = exports[p]
+		}
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", p)
 		}

@@ -7,10 +7,7 @@
 // anywhere in the suite is dead weight that hides the next real finding on
 // its line, so the suppression list can only shrink.
 //
-// cmd/simlint's direct mode is a thin wrapper around Run. The vettool mode
-// cannot use it: cmd/go runs one process per package, so facts cannot flow
-// and whole-run staleness is unobservable there (AnalyzersFor's facts
-// parameter selects the reduced suite).
+// cmd/simlint is a thin wrapper around Run.
 package runner
 
 import (
@@ -44,13 +41,8 @@ var All = []*analysis.Analyzer{
 	directivecheck.Analyzer,
 }
 
-// AnalyzersFor applies the scoping rules from internal/lint/scope. The
-// facts parameter says whether the driver carries facts across packages
-// (the dependency-ordered direct mode does; the per-package vettool mode
-// does not): noalloc is omitted without facts, since every cross-package
-// call would then be an unknown callee, and sharedstate's write check
-// degrades silently to in-package declarations only.
-func AnalyzersFor(importPath string, facts bool) []*analysis.Analyzer {
+// AnalyzersFor applies the scoping rules from internal/lint/scope.
+func AnalyzersFor(importPath string) []*analysis.Analyzer {
 	var as []*analysis.Analyzer
 	switch {
 	case scope.InSimDomain(importPath):
@@ -65,10 +57,7 @@ func AnalyzersFor(importPath string, facts bool) []*analysis.Analyzer {
 		as = append(as, tracekeys.Analyzer)
 	}
 	if scope.WantsModuleWide(importPath) {
-		as = append(as, sharedstate.Analyzer, seedrand.Analyzer)
-		if facts {
-			as = append(as, noalloc.Analyzer)
-		}
+		as = append(as, sharedstate.Analyzer, seedrand.Analyzer, noalloc.Analyzer)
 	}
 	if scope.WantsDirectiveCheck(importPath) {
 		as = append(as, directivecheck.Analyzer)
@@ -130,7 +119,7 @@ func Run(opts Options) (*Result, error) {
 				}
 			}
 		}
-		for _, a := range AnalyzersFor(p.ImportPath, true) {
+		for _, a := range AnalyzersFor(p.ImportPath) {
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      p.Fset,

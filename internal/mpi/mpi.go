@@ -145,10 +145,6 @@ type Request struct {
 // Done reports completion without blocking.
 func (r *Request) Done() bool { return r.done.Fired() }
 
-// CauseRef returns the causal ref of the event that completed the request
-// (RefNone while pending or with tracing off).
-func (r *Request) CauseRef() trace.Ref { return r.cause }
-
 // Wait blocks until the operation completes, progressing the MPI engine.
 // The recorded span names both the rank's previous call (program order) and
 // the completing device event, so the causal DAG can tell time the rank
@@ -522,12 +518,6 @@ func (p *Process) notePosted() {
 func (p *Process) noteUnexpected() {
 	p.ins.unexpDepth.Add(1)
 	p.eng().Trc().Counter(p.track, "unexpected_depth", int64(len(p.unexpected)))
-}
-
-// QueueDepths reports the current posted and unexpected queue lengths
-// (verbs bindings; MX queues live in the endpoint).
-func (p *Process) QueueDepths() (posted, unexpected int) {
-	return len(p.posted), len(p.unexpected)
 }
 
 // Iprobe checks, without blocking or receiving, whether a message matching

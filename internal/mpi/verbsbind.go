@@ -118,12 +118,6 @@ type vbind struct {
 	reqs     map[uint64]*Request
 }
 
-// providerQP is what both iwarp.QP and ib.QP offer beyond verbs.QP.
-type providerQP interface {
-	SetCQs(scq, rcq *verbs.CQ)
-	SetPlacementLog(on bool)
-}
-
 func newVBind(p *Process) *vbind {
 	nic := p.host.NIC()
 	b := &vbind{
@@ -143,8 +137,8 @@ func newVBind(p *Process) *vbind {
 // Placements log, so the QPs stop logging there.
 func (b *vbind) addPeer(rank int, ctrl, data verbs.QP) {
 	for _, qp := range []verbs.QP{ctrl, data} {
-		qp.(providerQP).SetCQs(b.cq, b.cq)
-		qp.(providerQP).SetPlacementLog(false)
+		qp.SetCQs(b.cq, b.cq)
+		qp.SetPlacementLog(false)
 	}
 	b.qps[rank] = ctrl
 	b.dataQPs[rank] = data

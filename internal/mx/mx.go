@@ -208,7 +208,6 @@ type Endpoint struct {
 	posted     []*postedRecv
 	unexpected []*xfer
 	rxQ        *sim.Queue[*packet]
-	chainEnd   sim.Time // host-DMA read pipeline chain
 
 	// pkts recycles packet structs, shared by every endpoint on the engine.
 	pkts *sim.FreeList[packet]
@@ -355,31 +354,19 @@ func (e *Endpoint) throttle(np *sim.Proc) {
 	}
 }
 
-// dmaRead books one chained, fair-shared payload fetch and returns its
-// completion time (see iwarp.hostToEngine for the chaining rationale).
-func (e *Endpoint) dmaRead(now sim.Time, bytes int) sim.Time {
-	start := now
-	first := e.chainEnd <= start
-	if e.chainEnd > start {
-		start = e.chainEnd
-	}
-	e.chainEnd = e.pcie.ReadChained(start, bytes, first)
-	return e.chainEnd
-}
-
 // txPackets streams an eager message's packets through the NIC processor
 // with a one-packet DMA prefetch.
 func (e *Endpoint) txPackets(np *sim.Proc, x *xfer, dma bool) {
 	var ready sim.Time
 	if dma && x.n > 0 {
-		ready = e.dmaRead(np.Now(), min(e.cfg.MTU, x.n))
+		ready, _ = e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n))
 	}
 	for off := 0; off < x.n || (x.n == 0 && off == 0); off += e.cfg.MTU {
 		take := min(e.cfg.MTU, x.n-off)
 		if dma && take > 0 {
 			cur := ready
 			if next := off + take; next < x.n {
-				ready = e.dmaRead(np.Now(), min(e.cfg.MTU, x.n-next))
+				ready, _ = e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n-next))
 			}
 			np.SleepUntil(cur)
 		}
@@ -724,12 +711,12 @@ func (e *Endpoint) rxCTS(p *sim.Proc, pk *packet) {
 	x.txCause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(p.Now()),
 		trace.Cause(pk.cause), trace.Str("pkt", "cts"))
 	e.eng.Go(e.name+"/rndv-data", func(np *sim.Proc) {
-		ready := e.dmaRead(np.Now(), min(e.cfg.MTU, x.n))
+		ready, _ := e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n))
 		for off := 0; off < x.n; off += e.cfg.MTU {
 			take := min(e.cfg.MTU, x.n-off)
 			cur := ready
 			if next := off + take; next < x.n {
-				ready = e.dmaRead(np.Now(), min(e.cfg.MTU, x.n-next))
+				ready, _ = e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n-next))
 			}
 			np.SleepUntil(cur)
 			e.throttle(np)

@@ -52,6 +52,8 @@ type Bus struct {
 	to     busLine // toward the device
 	fro    busLine // toward the host (aliased to &to when half duplex)
 	shared busLine // chipset path, when SharedRate is set
+
+	chainEnd sim.Time // end of the last ReadNext: the DMA read chain
 }
 
 type busLine struct {
@@ -164,6 +166,19 @@ func (b *Bus) ReadChained(earliest sim.Time, bytes int, first bool) sim.Time {
 	}
 	_, end := b.reserve(ToDevice, earliest, bytes)
 	return end
+}
+
+// ReadNext books the next read of the bus's DMA read chain, no earlier
+// than now, and returns its completion time. While the chain is still
+// streaming (its last read ends after now) the read rides the same request
+// pipeline from that end without paying the round trip again; after an
+// idle gap it starts a new chain at now and pays it (first reports which).
+// Callers book just in time, one chunk ahead of the data they consume, so
+// the shared chipset path stays fairly interleaved with other DMA traffic.
+func (b *Bus) ReadNext(now sim.Time, bytes int) (end sim.Time, first bool) {
+	first = b.chainEnd <= now
+	b.chainEnd = b.ReadChained(max(now, b.chainEnd), bytes, first)
+	return b.chainEnd, first
 }
 
 // Write blocks p while the device DMA-writes `bytes` into host memory,

@@ -111,9 +111,6 @@ func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 // they compute expensive labels (guard those with Trc().Enabled()).
 func (e *Engine) Trc() *trace.Tracer { return e.trc }
 
-// SetTracer installs (or, with nil, removes) a structured tracer.
-func (e *Engine) SetTracer(t *trace.Tracer) { e.trc = t }
-
 // StartTrace creates a tracer bound to this engine's virtual clock, keeping
 // at most maxEvents events (<= 0 selects trace.DefaultMaxEvents), installs
 // it and returns it.

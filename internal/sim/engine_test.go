@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -342,6 +343,36 @@ func TestResourceUse(t *testing.T) {
 	want := "[1us 2us 3us]"
 	if got := fmt.Sprint(ends); got != want {
 		t.Errorf("ends = %v, want %v", got, want)
+	}
+}
+
+// TestResourceStandingBacklogReusesArray runs three processes through a
+// capacity-1 resource, so two always wait and the waiter FIFO never
+// drains. Its array must still be reused: ten times the cycles may not
+// allocate more than a few KiB beyond the shorter run.
+func TestResourceStandingBacklogReusesArray(t *testing.T) {
+	run := func(cycles int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := NewEngine()
+		r := NewResource(e, "svc", 1)
+		for i := 0; i < 3; i++ {
+			e.Go(fmt.Sprintf("u%d", i), func(p *Proc) {
+				for j := 0; j < cycles; j++ {
+					r.Use(p, Nanosecond)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := run(1000), run(10_000)
+	if long > short+16<<10 {
+		t.Errorf("10000 cycles allocated %d bytes, 1000 cycles %d: the waiter array keeps growing", long, short)
 	}
 }
 

@@ -12,13 +12,10 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []resWaiter
-	whead    int // waiters[whead:] are queued; head-indexed to reuse the array
+	waiters  Ring[resWaiter]
 
-	// Stats.
-	acquires  int64
-	waited    int64 // acquisitions that had to wait
-	busyTime  Time  // integral of (inUse>0)
+	// Utilization bookkeeping.
+	busyTime  Time // integral of (inUse>0)
 	lastBusy  Time
 	everyBusy bool
 }
@@ -39,24 +36,15 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire blocks p until n units are available, then takes them.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.name, n, r.capacity))
 	}
-	r.acquires++
-	if r.whead == len(r.waiters) && r.inUse+n <= r.capacity {
-		r.take(n)
+	if r.TryAcquire(n) {
 		return
 	}
-	r.waited++
-	r.waiters = append(r.waiters, resWaiter{p, n})
+	r.waiters.Push(resWaiter{p, n})
 	for {
 		p.park()
 		// The releaser granted us our units before unparking, so the head
@@ -69,8 +57,8 @@ func (r *Resource) Acquire(p *Proc, n int) {
 
 // granted reports whether p's waiter entry has been satisfied and removed.
 func (r *Resource) granted(p *Proc) bool {
-	for _, w := range r.waiters[r.whead:] {
-		if w.p == p {
+	for i := range r.waiters.Len() {
+		if r.waiters.At(i).p == p {
 			return false
 		}
 	}
@@ -87,8 +75,7 @@ func (r *Resource) take(n int) {
 
 // TryAcquire takes n units if immediately available and reports success.
 func (r *Resource) TryAcquire(n int) bool {
-	if r.whead == len(r.waiters) && r.inUse+n <= r.capacity {
-		r.acquires++
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.take(n)
 		return true
 	}
@@ -104,17 +91,8 @@ func (r *Resource) Release(n int) {
 	if r.inUse == 0 && r.everyBusy {
 		r.busyTime += r.e.now - r.lastBusy
 	}
-	for r.whead < len(r.waiters) {
-		w := r.waiters[r.whead]
-		if r.inUse+w.n > r.capacity {
-			break
-		}
-		r.waiters[r.whead] = resWaiter{}
-		r.whead++
-		if r.whead == len(r.waiters) {
-			r.waiters = r.waiters[:0]
-			r.whead = 0
-		}
+	for r.waiters.Len() > 0 && r.inUse+r.waiters.Peek().n <= r.capacity {
+		w := r.waiters.Pop()
 		r.take(w.n)
 		w.p.unpark()
 	}
@@ -139,12 +117,4 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(busy) / float64(r.e.now)
-}
-
-// Contended returns the fraction of acquisitions that had to wait.
-func (r *Resource) Contended() float64 {
-	if r.acquires == 0 {
-		return 0
-	}
-	return float64(r.waited) / float64(r.acquires)
 }

@@ -61,10 +61,9 @@ type hostTCP struct {
 	peer *hostTCP
 	conn *tcpsim.Conn
 
-	rxQ      *sim.Queue[tcpsim.Segment]
-	rcv      *stream
-	txKick   *sim.Queue[struct{}]
-	chainEnd sim.Time
+	rxQ    *sim.Queue[tcpsim.Segment]
+	rcv    *stream
+	txKick *sim.Queue[struct{}]
 }
 
 // NewHostTCPPair builds two kernel-TCP endpoints on a fresh two-node
@@ -162,13 +161,13 @@ func (h *hostTCP) txLoop(p *sim.Proc) {
 			continue
 		}
 		h.cpu.Use(p, h.cfg.KernelPerPkt)
-		curReady := h.bookDMA(p.Now(), cur.Len+40)
+		curReady, _ := h.pcie.ReadNext(p.Now(), cur.Len+40)
 		for {
 			next, more := h.conn.NextSegment()
 			var nextReady sim.Time
 			if more {
 				h.cpu.Use(p, h.cfg.KernelPerPkt)
-				nextReady = h.bookDMA(p.Now(), next.Len+40)
+				nextReady, _ = h.pcie.ReadNext(p.Now(), next.Len+40)
 			}
 			p.SleepUntil(curReady)
 			h.emit(cur)
@@ -178,18 +177,6 @@ func (h *hostTCP) txLoop(p *sim.Proc) {
 			cur, curReady = next, nextReady
 		}
 	}
-}
-
-// bookDMA chains one NIC fetch from kernel memory (see iwarp.hostToEngine
-// for the chaining rationale).
-func (h *hostTCP) bookDMA(now sim.Time, bytes int) sim.Time {
-	start := now
-	first := h.chainEnd <= start
-	if h.chainEnd > start {
-		start = h.chainEnd
-	}
-	h.chainEnd = h.pcie.ReadChained(start, bytes, first)
-	return h.chainEnd
 }
 
 func (h *hostTCP) emit(seg tcpsim.Segment) {

@@ -116,11 +116,6 @@ func NewSDPPair(kind cluster.Kind, cfg SDPConfig) (*cluster.Testbed, Endpoint, E
 	return tb, a, b
 }
 
-// cqSetter is implemented by both verbs providers' QPs.
-type cqSetter interface {
-	SetCQs(scq, rcq *verbs.CQ)
-}
-
 func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 	h := tb.Hosts[hostIdx]
 	s := &sdp{
@@ -134,7 +129,7 @@ func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 	}
 	// One merged CQ so the progress thread can block on a single queue.
 	s.cq = verbs.NewCQ(tb.Eng, s.name+"/cq", h.PollDetect())
-	qp.(cqSetter).SetCQs(s.cq, s.cq)
+	qp.SetCQs(s.cq, s.cq)
 	s.regs = mem.NewRegCache(h.NIC().Reg(), 64)
 	tb.Eng.Go(s.name+"/init", func(p *sim.Proc) {
 		size := sdpHdr + sdpBcopyMax

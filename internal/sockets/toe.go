@@ -60,10 +60,9 @@ type toe struct {
 	peer   *toe
 	conn   *tcpsim.Conn
 
-	rxQ      *sim.Queue[tcpsim.Segment]
-	rcv      *stream
-	txKick   *sim.Queue[struct{}]
-	chainEnd sim.Time
+	rxQ    *sim.Queue[tcpsim.Segment]
+	rcv    *stream
+	txKick *sim.Queue[struct{}]
 }
 
 // NewTOEPair builds two TOE-socket endpoints on a fresh 10GigE fabric.
@@ -163,18 +162,13 @@ func (t *toe) txLoop(p *sim.Proc) {
 	}
 }
 
-// bookDMA chains one host-to-NIC fetch across PCIe and the internal
-// bridge. The chain state tracks the PCIe stage only, so consecutive
-// segments overlap PCIe and bridge occupancy (the bridge serializes itself
-// through its own line bookkeeping).
+// bookDMA books one host-to-NIC fetch: a read on the PCIe DMA chain (see
+// pci.Bus.ReadNext), then the internal bridge. Only the PCIe stage chains,
+// so consecutive segments overlap PCIe and bridge occupancy (the bridge
+// serializes itself through its own line bookkeeping).
 func (t *toe) bookDMA(now sim.Time, bytes int) sim.Time {
-	start := now
-	first := t.chainEnd <= start
-	if t.chainEnd > start {
-		start = t.chainEnd
-	}
-	t.chainEnd = t.pcie.ReadChained(start, bytes, first)
-	return t.bridge.ReadChained(t.chainEnd, bytes, first)
+	pe, first := t.pcie.ReadNext(now, bytes)
+	return t.bridge.ReadChained(pe, bytes, first)
 }
 
 func (t *toe) emit(seg tcpsim.Segment) {

@@ -99,21 +99,6 @@ func (s *Summary) Add(x float64) {
 	s.Sum += x
 }
 
-// Merge folds another summary into s.
-func (s *Summary) Merge(o Summary) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 || o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if s.Count == 0 || o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Empty reports whether the summary holds no samples.
 func (s Summary) Empty() bool { return s.Count == 0 }
 
@@ -139,15 +124,6 @@ func (s Summary) MarshalJSON() ([]byte, error) {
 		Max   float64 `json:"max"`
 		Mean  float64 `json:"mean"`
 	}{s.Count, s.Sum, s.Min, s.Max, s.Mean()})
-}
-
-// Summarize folds a whole slice into a Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s
 }
 
 // StdDev returns the population standard deviation, or 0 for fewer than two

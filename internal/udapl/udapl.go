@@ -126,9 +126,7 @@ func ConnectPair(tb *cluster.Testbed, i, j int) (*EP, *EP) {
 	mk := func(hostIdx int, qp verbs.QP) *EP {
 		h := tb.Hosts[hostIdx]
 		cq := verbs.NewCQ(tb.Eng, fmt.Sprintf("udapl/%d/evd", hostIdx), h.PollDetect())
-		qp.(interface {
-			SetCQs(scq, rcq *verbs.CQ)
-		}).SetCQs(cq, cq)
+		qp.SetCQs(cq, cq)
 		return &EP{ia: OpenIA(h), qp: qp, evd: &EVD{cq: cq}}
 	}
 	return mk(i, qa), mk(j, qb)

@@ -9,6 +9,10 @@
 // registered region (tagged placement) without consuming a receive work
 // request; Send consumes one posted Recv (untagged placement); RDMA Read
 // pulls from a remote region.
+//
+// That shared part is implemented once, in Front: the iWARP and IB queue
+// pairs embed it and keep only the engine behind it, which is where every
+// iWARP-vs-IB difference the paper reports comes from.
 package verbs
 
 import (
@@ -128,8 +132,18 @@ type QP interface {
 	SendCQ() *CQ
 	// RecvCQ returns the completion queue for receive completions.
 	RecvCQ() *CQ
+	// SetCQs redirects the QP's completions into caller-provided queues
+	// (MPI points every QP of a process at one shared CQ). Call it before
+	// any traffic flows.
+	SetCQs(scq, rcq *CQ)
 	// Placements returns the tagged-placement notification queue.
 	Placements() *sim.Queue[Placement]
+	// SetPlacementLog turns the Placements log on or off. It is on from
+	// Connect, so a raw-verbs reader sees every tagged placement since
+	// then; a consumer that never reads it (MPI) turns it off before
+	// traffic flows, so the log does not hold every placement for the
+	// world's lifetime.
+	SetPlacementLog(on bool)
 	// QPN returns the queue-pair number (unique per NIC).
 	QPN() int
 }
