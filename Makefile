@@ -163,20 +163,29 @@ simdcheck:
 	$(GO) build -o /tmp/repro-simd ./cmd/simd
 	/tmp/repro-simd -check
 
-# tracetoolcheck exercises the offline tracing pipeline end to end: capture
-# JSONL traces from netbench, reconstruct the causal DAG, and run every
-# tracetool subcommand. blame exits non-zero unless the attribution buckets
-# tile the blame window exactly, so this smoke also asserts the bucket-sum
-# invariant on real traces.
+# tracetoolcheck exercises the offline tracing pipeline end to end and gates
+# the exported trace bytes: capture JSONL traces of the iWARP and IB MPI
+# latency at 1 KiB from netbench, run every tracetool subcommand, and cmp the
+# traces' sha256 sums and both blame reports against testdata/tracetool/.
+# blame exits non-zero unless the attribution buckets tile the blame window
+# exactly, so this also asserts the bucket-sum invariant on real traces. A
+# change that means to move the traces regenerates testdata/tracetool/ in
+# the same change (run the loop below in that directory).
 tracetoolcheck:
-	$(GO) build -o /tmp/repro-netbench ./cmd/netbench
-	$(GO) build -o /tmp/repro-tracetool ./cmd/tracetool
-	/tmp/repro-netbench -net iwarp -test latency -size 1024 -tracejsonl /tmp/repro-iwarp.jsonl > /dev/null
-	/tmp/repro-netbench -net ib -test latency -size 1024 -tracejsonl /tmp/repro-ib.jsonl > /dev/null
-	/tmp/repro-tracetool crit /tmp/repro-iwarp.jsonl > /dev/null
-	/tmp/repro-tracetool blame /tmp/repro-iwarp.jsonl
-	/tmp/repro-tracetool blame /tmp/repro-ib.jsonl
-	/tmp/repro-tracetool diff /tmp/repro-iwarp.jsonl /tmp/repro-ib.jsonl > /dev/null
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	data="$$(pwd)/testdata/tracetool"; \
+	$(GO) build -o "$$tmp/netbench" ./cmd/netbench; \
+	$(GO) build -o "$$tmp/tracetool" ./cmd/tracetool; \
+	cd "$$tmp"; \
+	for net in iwarp ib; do \
+		./netbench -net $$net -test latency -size 1024 -tracejsonl $$net.jsonl > /dev/null; \
+		./tracetool blame $$net.jsonl > $$net.blame; \
+		cmp "$$data/$$net.blame" $$net.blame; \
+	done; \
+	./tracetool crit iwarp.jsonl > /dev/null; \
+	./tracetool diff iwarp.jsonl ib.jsonl > /dev/null; \
+	sha256sum iwarp.jsonl ib.jsonl | cmp "$$data/traces.sha256" -; \
+	echo "tracetoolcheck: traces and blame reports match testdata/tracetool"
 
 # loc prints the root module's Go line counts, non-test and test, without
 # simbench/ (a module of its own) and testdata/ (analyzer fixtures): the two

@@ -62,11 +62,11 @@ func usage() {
 // load reads one JSONL trace and builds its DAG, resolving the op ref
 // (0 = the trace's terminal causal node).
 func load(path string, op int64) (*causal.DAG, trace.Ref, error) {
-	events, drops, err := trace.ReadJSONLFile(path)
+	log, drops, err := trace.ReadJSONLFile(path)
 	if err != nil {
 		return nil, trace.RefNone, err
 	}
-	d, err := causal.Build(events, drops)
+	d, err := causal.Build(log, drops)
 	if err != nil {
 		return nil, trace.RefNone, fmt.Errorf("%s: %w", path, err)
 	}

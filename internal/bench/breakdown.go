@@ -71,7 +71,7 @@ func MPIBreakdown(kind cluster.Kind, size int) (*causal.Report, error) {
 		}
 	})
 	mustRun(tb)
-	d, err := causal.Build(tr.Events(), tr.DropStats())
+	d, err := causal.Build(tr.Log(), tr.DropStats())
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func MPIBreakdownLeafSpine(kind cluster.Kind, ranks, size, ratio int) (*causal.R
 		})
 	}
 	mustRun(tb)
-	d, err := causal.Build(tr.Events(), tr.DropStats())
+	d, err := causal.Build(tr.Log(), tr.DropStats())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/causal"
@@ -151,5 +152,40 @@ func TestBreakdownLeafSpineSwitchTime(t *testing.T) {
 	}
 	if w := share(rep, causal.Wire) + share(rep, causal.Switch); w <= 0.5 {
 		t.Errorf("fabric share = %.0f%% at 4:1 oversubscription, want > 50%%", 100*w)
+	}
+}
+
+// breakdownAllocBytes returns the host bytes one breakdown point allocates
+// (runtime.ReadMemStats): the traced world, its trace and the causal DAG.
+func breakdownAllocBytes(t *testing.T, point func() (*causal.Report, error)) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := point(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBreakdownAllocationBudget pins what a traced breakdown point costs in
+// host bytes. Before the trace log moved to chunks and an attribute arena,
+// the causal index to a dense slice and the eager rings to slabs (go1.24 on
+// linux/amd64), the 64-rank leaf-spine point allocated about 20 MB and the
+// 2-node IB point 0.73 MB; they now take about 13.2 MB and 0.60 MB. The
+// 2-node point guards the small end: fixed-size log chunks would make a
+// short trace pay for a whole chunk.
+func TestBreakdownAllocationBudget(t *testing.T) {
+	const leafSpineBudget, twoNodeBudget = 18_000_000, 740_000
+	if got := breakdownAllocBytes(t, func() (*causal.Report, error) {
+		return MPIBreakdownLeafSpine(cluster.IWARP, 64, 512, 4)
+	}); got > leafSpineBudget {
+		t.Errorf("leaf-spine breakdown point allocated %d bytes, budget %d", got, leafSpineBudget)
+	}
+	if got := breakdownAllocBytes(t, func() (*causal.Report, error) {
+		return MPIBreakdown(cluster.IB, 4)
+	}); got > twoNodeBudget {
+		t.Errorf("2-node breakdown point allocated %d bytes, budget %d", got, twoNodeBudget)
 	}
 }

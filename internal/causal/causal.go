@@ -61,11 +61,11 @@ func (b Bucket) String() string {
 // leaving holes in the DAG.
 var ErrLossyTrace = errors.New("causal: trace dropped events carrying causal edges; the DAG is incomplete")
 
-// Node is one event in the causal DAG.
+// Node is one event in the causal DAG. Its incoming edges are the Cause
+// attrs of Ev, read when a walk reaches the node.
 type Node struct {
-	Ref    trace.Ref
-	Ev     *trace.Event
-	Causes []trace.Ref
+	Ref trace.Ref
+	Ev  *trace.Event
 }
 
 // Start returns the node's start time in picoseconds.
@@ -74,29 +74,53 @@ func (n *Node) Start() int64 { return n.Ev.Ts }
 // End returns the node's end time (start for instants).
 func (n *Node) End() int64 { return n.Ev.End() }
 
-// DAG indexes a trace's causally-annotated events by node ref.
+// DAG indexes a trace's causally-annotated events by node ref. Refs are
+// dense small integers (Tracer.NewRef counts up from 1), so the index is a
+// slice rather than a map: index[r] is one more than node r's position in
+// nodes, and zero where no event carries ref r.
 type DAG struct {
-	nodes map[trace.Ref]*Node
+	nodes []Node // in record order
+	index []int32
 }
+
+// maxSparseRefs is how far a ref may reach past four times the trace's
+// length. A tracer hands out about one ref per recorded event, so only a
+// hand-edited or heavily filtered trace comes near the bound; it keeps the
+// index from growing with a ref value instead of with the trace.
+const maxSparseRefs = 1 << 20
 
 // Build indexes every event carrying a causal self ref. It refuses traces
 // whose drop statistics report lost causal edges (wrap-around would leave
 // the DAG silently incomplete); use a larger trace buffer instead.
-func Build(events []trace.Event, drops trace.DropStats) (*DAG, error) {
+func Build(log *trace.Log, drops trace.DropStats) (*DAG, error) {
 	if drops.CausalEdges > 0 {
 		return nil, fmt.Errorf("%w (%d causal events dropped of %d total)", ErrLossyTrace, drops.CausalEdges, drops.Total())
 	}
-	d := &DAG{nodes: make(map[trace.Ref]*Node)}
-	for i := range events {
-		ev := &events[i]
+	limit := trace.Ref(4*log.Len() + maxSparseRefs)
+	var top trace.Ref
+	count := 0
+	for i := 0; i < log.Len(); i++ {
+		self := log.At(i).SelfRef()
+		if self < 0 || self > limit {
+			return nil, fmt.Errorf("causal: node ref %d out of range for a %d-event trace", self, log.Len())
+		}
+		if self != trace.RefNone {
+			count++
+			top = max(top, self)
+		}
+	}
+	d := &DAG{nodes: make([]Node, 0, count), index: make([]int32, top+1)}
+	for i := 0; i < log.Len(); i++ {
+		ev := log.At(i)
 		self := ev.SelfRef()
 		if self == trace.RefNone {
 			continue
 		}
-		if _, dup := d.nodes[self]; dup {
+		if d.index[self] != 0 {
 			return nil, fmt.Errorf("causal: duplicate node ref %d", self)
 		}
-		d.nodes[self] = &Node{Ref: self, Ev: ev, Causes: ev.CauseRefs(nil)}
+		d.nodes = append(d.nodes, Node{Ref: self, Ev: ev})
+		d.index[self] = int32(len(d.nodes))
 	}
 	return d, nil
 }
@@ -106,8 +130,10 @@ func (d *DAG) Len() int { return len(d.nodes) }
 
 // Node resolves a ref.
 func (d *DAG) Node(r trace.Ref) (*Node, bool) {
-	n, ok := d.nodes[r]
-	return n, ok
+	if r <= trace.RefNone || int64(r) >= int64(len(d.index)) || d.index[r] == 0 {
+		return nil, false
+	}
+	return &d.nodes[d.index[r]-1], true
 }
 
 // Terminal returns the node that completed last (ties toward the lowest
@@ -116,7 +142,8 @@ func (d *DAG) Node(r trace.Ref) (*Node, bool) {
 // last-completing causal node is the final MPI call of the run.
 func (d *DAG) Terminal() trace.Ref {
 	var best *Node
-	for _, n := range d.nodes {
+	for i := range d.nodes {
+		n := &d.nodes[i]
 		if best == nil || n.End() > best.End() || (n.End() == best.End() && n.Ref < best.Ref) {
 			best = n
 		}
@@ -132,7 +159,7 @@ func (d *DAG) Terminal() trace.Ref {
 // deterministic), and returns the chain in chronological order: the root
 // event first, the end node last.
 func (d *DAG) CriticalPath(end trace.Ref) ([]*Node, error) {
-	cur, ok := d.nodes[end]
+	cur, ok := d.Node(end)
 	if !ok {
 		return nil, fmt.Errorf("causal: no node with ref %d", end)
 	}
@@ -157,8 +184,9 @@ func (d *DAG) CriticalPath(end trace.Ref) ([]*Node, error) {
 // was installed) are skipped.
 func (d *DAG) latestCause(n *Node) *Node {
 	var best *Node
-	for _, r := range n.Causes {
-		c, ok := d.nodes[r]
+	var buf [4]trace.Ref
+	for _, r := range n.Ev.CauseRefs(buf[:0]) {
+		c, ok := d.Node(r)
 		if !ok {
 			continue
 		}

@@ -2,6 +2,7 @@ package causal
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -17,7 +18,7 @@ func TestBuildRefusesLossyTrace(t *testing.T) {
 	if tr.DropStats().CausalEdges == 0 {
 		t.Fatal("expected a dropped causal edge")
 	}
-	_, err := Build(tr.Events(), tr.DropStats())
+	_, err := Build(tr.Log(), tr.DropStats())
 	if err == nil {
 		t.Fatal("Build accepted a lossy trace")
 	}
@@ -25,8 +26,31 @@ func TestBuildRefusesLossyTrace(t *testing.T) {
 	tr2 := trace.New(func() int64 { return 0 }, 1)
 	tr2.Instant("a", "first")
 	tr2.Instant("a", "second") // dropped, no causal attrs
-	if _, err := Build(tr2.Events(), tr2.DropStats()); err != nil {
+	if _, err := Build(tr2.Log(), tr2.DropStats()); err != nil {
 		t.Fatalf("Build refused a trace with only non-causal drops: %v", err)
+	}
+}
+
+// TestBuildRejectsBadRefs feeds Build traces read from JSONL, as
+// cmd/tracetool does: a duplicate self ref, a negative one and one far past
+// the trace's length are errors, not a panic or a ref-sized index.
+func TestBuildRejectsBadRefs(t *testing.T) {
+	for _, c := range []struct{ refs, want string }{
+		{"1 1", "duplicate node ref 1"},
+		{"1 -2", "node ref -2 out of range"},
+		{"1 9000000000", "node ref 9000000000 out of range"},
+	} {
+		var jsonl strings.Builder
+		for _, r := range strings.Fields(c.refs) {
+			fmt.Fprintf(&jsonl, `{"ph":"i","who":"a","name":"e","ts_ps":0,"attrs":{"causal.self":%s}}`+"\n", r)
+		}
+		log, drops, err := trace.ReadJSONL(strings.NewReader(jsonl.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(log, drops); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("refs %s: Build error %v, want %q", c.refs, err, c.want)
+		}
 	}
 }
 
@@ -35,7 +59,7 @@ func TestCriticalPathLatestCauseWins(t *testing.T) {
 	early := tr.CompleteR("a", "early", 0, 10)
 	late := tr.CompleteR("a", "late", 0, 50)
 	end := tr.CompleteR("a", "end", 50, 60, trace.Cause(early), trace.Cause(late))
-	d, err := Build(tr.Events(), tr.DropStats())
+	d, err := Build(tr.Log(), tr.DropStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +77,7 @@ func TestCriticalPathTieBreaksLowRef(t *testing.T) {
 	a := tr.CompleteR("a", "a", 0, 10)
 	b := tr.CompleteR("a", "b", 0, 10) // same end, higher ref
 	end := tr.CompleteR("a", "end", 10, 20, trace.Cause(b), trace.Cause(a))
-	d, err := Build(tr.Events(), tr.DropStats())
+	d, err := Build(tr.Log(), tr.DropStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +103,7 @@ func TestBlameTilesExactly(t *testing.T) {
 	op := tr.NewRef()
 	tr.CompleteSelf("mpi.rank1", "mpi.wait", op, 0, 100, trace.Cause(dd))
 
-	d, err := Build(tr.Events(), tr.DropStats())
+	d, err := Build(tr.Log(), tr.DropStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +162,7 @@ func TestBlameSumInvariantEndToEnd(t *testing.T) {
 			if op == trace.RefNone {
 				t.Fatal("no op ref recorded")
 			}
-			d, err := Build(tr.Events(), tr.DropStats())
+			d, err := Build(tr.Log(), tr.DropStats())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -522,10 +522,13 @@ func (p *Port) Send(frame *Frame) (txEnd sim.Time) {
 		// Chain the frame's causal ref through the hop: the ingress span is
 		// caused by whatever handed the frame over, and becomes the cause of
 		// the next hop (trunks, then egress).
-		attrs := []trace.Attr{trace.Cause(f.Cause),
+		// The attrs live in a fixed array so the optional edge appended
+		// below never moves them to the heap.
+		var buf [6]trace.Attr
+		attrs := append(buf[:0], trace.Cause(f.Cause),
 			trace.I64("wait_ps", int64(txStart-now)),
 			trace.I64("bytes", int64(f.Bytes)), trace.I64("wire", int64(wire)),
-			trace.I64("dst", int64(f.Dst))}
+			trace.I64("dst", int64(f.Dst)))
 		if txStart > now && p.up.lastRef != trace.RefNone {
 			attrs = append(attrs, trace.Cause(p.up.lastRef))
 		}
@@ -681,9 +684,10 @@ func (n *Network) drain(v any) {
 		dur := l.txTime(l.rate, h.wire)
 		start, end := l.reserve(now, dur, h.wire)
 		if tr.Enabled() {
-			attrs := []trace.Attr{trace.Cause(f.Cause),
+			var buf [6]trace.Attr
+			attrs := append(buf[:0], trace.Cause(f.Cause),
 				trace.I64("wait_ps", int64(start-now)),
-				trace.I64("bytes", int64(f.Bytes)), trace.I64("src", int64(f.Src))}
+				trace.I64("bytes", int64(f.Bytes)), trace.I64("src", int64(f.Src)))
 			if l.trunk {
 				attrs = append(attrs, trace.I64("dst", int64(f.Dst)))
 			}

@@ -13,6 +13,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -45,6 +46,8 @@ type Memory struct {
 	// bytes created for written prefixes (frozen view copies not counted).
 	allocated, materialized int64
 	cMaterialized, cFreezes *metrics.Counter
+
+	scratch []byte // Combine's zero operands
 }
 
 // NewMemory returns a memory with the testbed's default cost model.
@@ -85,6 +88,23 @@ type Buffer struct {
 // Alloc returns a fresh page-aligned buffer of n bytes, all zero. All its
 // pages start cold.
 func (m *Memory) Alloc(n int) *Buffer {
+	b := &Buffer{}
+	m.place(b, n)
+	return b
+}
+
+// AllocN returns count fresh buffers of n bytes in one slab, at exactly the
+// addresses count calls to Alloc(n) would hand out.
+func (m *Memory) AllocN(count, n int) []Buffer {
+	bufs := make([]Buffer, count)
+	for i := range bufs {
+		m.place(&bufs[i], n)
+	}
+	return bufs
+}
+
+// place makes b the next page-aligned n-byte buffer.
+func (m *Memory) place(b *Buffer, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem %s: alloc %d", m.name, n))
 	}
@@ -92,7 +112,7 @@ func (m *Memory) Alloc(n int) *Buffer {
 	addr := (m.nextAddr + ps - 1) / ps * ps
 	m.nextAddr = addr + uint64(n)
 	m.allocated += int64(n)
-	return &Buffer{mem: m, addr: addr, n: n}
+	*b = Buffer{mem: m, addr: addr, n: n}
 }
 
 // Addr returns the buffer's (simulated) virtual address.
@@ -149,10 +169,20 @@ func (b *Buffer) CopyFrom(off int, src *Buffer, soff, n int) {
 
 // Combine folds [soff, soff+n) of src into [off, off+n) of b in place with
 // op(dst, src), the way a reduction combines a received partial result
-// into its accumulator.
+// into its accumulator. When neither range has been written, op runs on a
+// zero pair the Memory reuses, and an all-zero result leaves b unwritten:
+// those bytes already read as zero.
 func (b *Buffer) Combine(off int, src *Buffer, soff, n int, op func(dst, src []byte)) {
 	b.check("combine into", off, n)
 	src.check("combine from", soff, n)
+	if off >= len(b.data) && soff >= len(src.data) {
+		d, s := b.mem.zeroPair(n)
+		op(d, s)
+		if slices.ContainsFunc(d, func(c byte) bool { return c != 0 }) {
+			copy(b.writable(off, n), d)
+		}
+		return
+	}
 	var p []byte
 	if src != b && soff+n <= len(src.data) {
 		p = src.data[soff : soff+n]
@@ -161,6 +191,17 @@ func (b *Buffer) Combine(off int, src *Buffer, soff, n int, op func(dst, src []b
 		src.Load(p, soff)
 	}
 	op(b.writable(off, n), p)
+}
+
+// zeroPair returns two zeroed n-byte scratch slices, reusing the memory's
+// scratch space between calls.
+func (m *Memory) zeroPair(n int) (dst, src []byte) {
+	if cap(m.scratch) < 2*n {
+		m.scratch = make([]byte, 2*n)
+	}
+	p := m.scratch[:2*n]
+	clear(p)
+	return p[:n:n], p[n:]
 }
 
 // storeZeroExtended writes p followed by n-len(p) zeros at off, touching

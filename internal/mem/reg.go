@@ -76,11 +76,12 @@ func (r *Region) Store(off int, p []byte) {
 // RegTable is one NIC's memory registration table (maps keys to pinned
 // regions). Registration time is charged to the calling process.
 type RegTable struct {
-	eng     *sim.Engine
-	name    string
-	Cost    RegCost
-	nextKey RKey
-	regions map[RKey]*Region
+	eng  *sim.Engine
+	name string
+	Cost RegCost
+	// regions[k-1] is the region with key k, nil once deregistered. Keys
+	// count up from 1 and are never reused.
+	regions []*Region
 
 	registrations   int64
 	deregistrations int64
@@ -97,7 +98,7 @@ type RegTable struct {
 func NewRegTable(eng *sim.Engine, name string, cost RegCost) *RegTable {
 	reg := eng.Metrics()
 	return &RegTable{
-		eng: eng, name: name, Cost: cost, nextKey: 1, regions: make(map[RKey]*Region),
+		eng: eng, name: name, Cost: cost,
 		cRegs:   reg.Counter("mem.registrations"),
 		cDeregs: reg.Counter("mem.deregistrations"),
 		cPages:  reg.Counter("mem.pages_pinned"),
@@ -128,15 +129,31 @@ func (t *RegTable) RegisterFree(buf *Buffer, off, n int) *Region {
 	return t.register(buf, off, n)
 }
 
+// RegisterFreeEach pins every buffer of a slab whole, without charging
+// time, in one slab of regions. It hands out the same keys as one
+// RegisterFree per buffer, in order.
+func (t *RegTable) RegisterFreeEach(bufs []Buffer) []Region {
+	regs := make([]Region, len(bufs))
+	for i := range bufs {
+		t.fill(&regs[i], &bufs[i], 0, bufs[i].Len())
+	}
+	return regs
+}
+
 func (t *RegTable) register(buf *Buffer, off, n int) *Region {
-	r := &Region{Key: t.nextKey, Buf: buf, Off: off, Len: n, pinned: true}
-	t.nextKey++
-	t.regions[r.Key] = r
+	r := &Region{}
+	t.fill(r, buf, off, n)
+	return r
+}
+
+// fill makes r the registration of [off, off+n) of buf under the next key.
+func (t *RegTable) fill(r *Region, buf *Buffer, off, n int) {
+	t.regions = append(t.regions, r)
+	*r = Region{Key: RKey(len(t.regions)), Buf: buf, Off: off, Len: n, pinned: true}
 	t.registrations++
 	t.pinnedBytes += int64(n)
 	t.cRegs.Inc()
 	t.gPinned.Add(int64(n))
-	return r
 }
 
 // Deregister unpins a region, charging the deregistration cost to p.
@@ -151,7 +168,7 @@ func (t *RegTable) DeregisterFree(r *Region) {
 		panic(fmt.Sprintf("mem %s: double deregister of key %d", t.name, r.Key))
 	}
 	r.pinned = false
-	delete(t.regions, r.Key)
+	t.regions[r.Key-1] = nil
 	t.deregistrations++
 	t.pinnedBytes -= int64(r.Len)
 	t.cDeregs.Inc()
@@ -161,8 +178,10 @@ func (t *RegTable) DeregisterFree(r *Region) {
 // Lookup resolves a key, as a remote NIC does when an RDMA operation
 // arrives.
 func (t *RegTable) Lookup(key RKey) (*Region, bool) {
-	r, ok := t.regions[key]
-	return r, ok
+	if key == 0 || int(key) > len(t.regions) || t.regions[key-1] == nil {
+		return nil, false
+	}
+	return t.regions[key-1], true
 }
 
 // Stats returns (registrations, deregistrations, currently pinned bytes).

@@ -70,30 +70,29 @@ func loadHdr(r *mem.Region) wireHdr {
 	}
 }
 
-// bounceBuf is one pre-registered eager/control buffer.
+// bounceBuf is one pre-registered eager/control buffer. Bounces come in
+// per-peer slabs; a bounce's work-request ID is its slot in vbind.bounces
+// (see bounceWR).
 type bounceBuf struct {
-	buf  *mem.Buffer
-	reg  *mem.Region
-	peer int // recv bounces: the rank whose QP this is posted on
+	buf    *mem.Buffer
+	reg    *mem.Region
+	slot   int
+	peer   int  // recv bounces: the rank whose QP this is posted on
+	recv   bool // posted on a receive queue; false for send bounces
+	data   bool // recv bounce of the data QP
+	posted bool // a work request naming this bounce is in flight
 }
 
-type wrKind int
+// bounceWR is the work-request ID of a bounce: its slot, shifted so that
+// every bounce ID is even. Rendezvous writes take the odd IDs.
+func bounceWR(bb *bounceBuf) uint64 { return uint64(bb.slot) << 1 }
 
-const (
-	wrCtrlSend wrKind = iota
-	wrRecvBounce
-	wrRndvWrite
-)
-
-// wrInfo is the bookkeeping behind one outstanding work request.
-type wrInfo struct {
-	kind    wrKind
-	bounce  *bounceBuf
+// rndvWrite is the bookkeeping behind one outstanding rendezvous write.
+type rndvWrite struct {
 	peer    int
-	data    bool        // recv bounce posted on the data QP
-	req     *Request    // rndv write: the sender's MPI request
-	peerReq uint64      // rndv write: receiver's request id, echoed in FIN
-	region  *mem.Region // rndv write: pinned source region
+	req     *Request    // the sender's MPI request
+	peerReq uint64      // receiver's request id, echoed in FIN
+	region  *mem.Region // pinned source region
 }
 
 // vbind is the MPICH-over-verbs channel of one process. Each peer gets two
@@ -110,10 +109,11 @@ type vbind struct {
 	dataQPs  map[int]verbs.QP
 	regCache *mem.RegCache
 
+	bounces  []*bounceBuf // by slot
 	sendFree []*bounceBuf
 	repostQ  sim.Ring[*bounceBuf] // consumed recv bounces awaiting lazy repost
-	nextWR   uint64
-	wrs      map[uint64]*wrInfo
+	nextRndv uint64
+	rndv     map[uint64]rndvWrite // outstanding rendezvous writes by WR ID
 	nextReq  uint64
 	reqs     map[uint64]*Request
 }
@@ -125,7 +125,7 @@ func newVBind(p *Process) *vbind {
 		cq:      verbs.NewCQ(p.eng(), fmt.Sprintf("mpi/r%d/cq", p.rank), p.host.PollDetect()),
 		qps:     make(map[int]verbs.QP),
 		dataQPs: make(map[int]verbs.QP),
-		wrs:     make(map[uint64]*wrInfo),
+		rndv:    make(map[uint64]rndvWrite),
 		reqs:    make(map[uint64]*Request),
 	}
 	b.regCache = mem.NewRegCache(nic.Reg(), p.world.cfg.RegCacheEntries)
@@ -152,33 +152,18 @@ func (b *vbind) addPeer(rank int, ctrl, data verbs.QP) {
 // identically-seeded runs on three or more nodes.
 func (b *vbind) prepost() {
 	p := b.p
-	cfg := p.world.cfg
-	size := hdrBytes + cfg.EagerThreshold
-	nic := p.host.NIC()
+	size := hdrBytes + p.world.cfg.EagerThreshold
 	peers := b.peerRanks()
 	p.eng().Go(fmt.Sprintf("mpi/r%d/init", p.rank), func(pr *sim.Proc) {
 		for range peers {
-			for i := 0; i < cfg.EagerCredits; i++ {
-				buf := p.host.Mem.Alloc(size)
-				b.sendFree = append(b.sendFree, &bounceBuf{buf: buf, reg: nic.Reg().RegisterFree(buf, 0, size)})
-			}
+			b.sendBounces(size)
 		}
 		for _, peer := range peers {
-			qp := b.qps[peer]
-			for i := 0; i < cfg.EagerCredits; i++ {
-				buf := p.host.Mem.Alloc(size)
-				bb := &bounceBuf{buf: buf, reg: nic.Reg().RegisterFree(buf, 0, size), peer: peer}
-				qp.PostRecv(pr, verbs.WR{ID: b.newWR(&wrInfo{kind: wrRecvBounce, bounce: bb, peer: peer}), Op: verbs.OpRecv, Local: bb.reg})
-			}
+			b.recvBounces(pr, peer, size, false)
 		}
 		// The data QPs only ever receive header-sized FINs.
 		for _, peer := range peers {
-			qp := b.dataQPs[peer]
-			for i := 0; i < cfg.EagerCredits; i++ {
-				buf := p.host.Mem.Alloc(hdrBytes)
-				bb := &bounceBuf{buf: buf, reg: nic.Reg().RegisterFree(buf, 0, hdrBytes), peer: peer}
-				qp.PostRecv(pr, verbs.WR{ID: b.newWR(&wrInfo{kind: wrRecvBounce, bounce: bb, peer: peer, data: true}), Op: verbs.OpRecv, Local: bb.reg})
-			}
+			b.recvBounces(pr, peer, hdrBytes, true)
 		}
 	})
 }
@@ -190,26 +175,43 @@ func (b *vbind) prepost() {
 // same free-of-charge entry points as init-time prepost: the modeled cost
 // of lazy setup is the ring posting, not re-pinning.
 func (b *vbind) prepostPeer(pr *sim.Proc, peer int) {
-	p := b.p
-	cfg := p.world.cfg
-	size := hdrBytes + cfg.EagerThreshold
-	nic := p.host.NIC()
-	for i := 0; i < cfg.EagerCredits; i++ {
-		buf := p.host.Mem.Alloc(size)
-		b.sendFree = append(b.sendFree, &bounceBuf{buf: buf, reg: nic.Reg().RegisterFree(buf, 0, size)})
-	}
-	qp := b.qps[peer]
-	for i := 0; i < cfg.EagerCredits; i++ {
-		buf := p.host.Mem.Alloc(size)
-		bb := &bounceBuf{buf: buf, reg: nic.Reg().RegisterFree(buf, 0, size), peer: peer}
-		qp.PostRecv(pr, verbs.WR{ID: b.newWR(&wrInfo{kind: wrRecvBounce, bounce: bb, peer: peer}), Op: verbs.OpRecv, Local: bb.reg})
-	}
+	size := hdrBytes + b.p.world.cfg.EagerThreshold
+	b.sendBounces(size)
+	b.recvBounces(pr, peer, size, false)
 	// The data QP only ever receives header-sized FINs.
-	qp = b.dataQPs[peer]
-	for i := 0; i < cfg.EagerCredits; i++ {
-		buf := p.host.Mem.Alloc(hdrBytes)
-		bb := &bounceBuf{buf: buf, reg: nic.Reg().RegisterFree(buf, 0, hdrBytes), peer: peer}
-		qp.PostRecv(pr, verbs.WR{ID: b.newWR(&wrInfo{kind: wrRecvBounce, bounce: bb, peer: peer, data: true}), Op: verbs.OpRecv, Local: bb.reg})
+	b.recvBounces(pr, peer, hdrBytes, true)
+}
+
+// newBounces allocates and registers one slab of a peer's EagerCredits
+// bounces of size bytes and gives each the next slot.
+func (b *vbind) newBounces(size int) []bounceBuf {
+	p := b.p
+	bufs := p.host.Mem.AllocN(p.world.cfg.EagerCredits, size)
+	regs := p.host.NIC().Reg().RegisterFreeEach(bufs)
+	slab := make([]bounceBuf, len(bufs))
+	for i := range slab {
+		slab[i] = bounceBuf{buf: &bufs[i], reg: &regs[i], slot: len(b.bounces)}
+		b.bounces = append(b.bounces, &slab[i])
+	}
+	return slab
+}
+
+// sendBounces adds one peer's send-bounce credits to the free pool.
+func (b *vbind) sendBounces(size int) {
+	slab := b.newBounces(size)
+	for i := range slab {
+		b.sendFree = append(b.sendFree, &slab[i])
+	}
+}
+
+// recvBounces allocates peer's receive ring of size-byte bounces for its
+// control QP, or for its data QP if data, and posts it.
+func (b *vbind) recvBounces(pr *sim.Proc, peer, size int, data bool) {
+	slab := b.newBounces(size)
+	for i := range slab {
+		bb := &slab[i]
+		bb.peer, bb.recv, bb.data = peer, true, data
+		b.postRecv(pr, bb)
 	}
 }
 
@@ -230,12 +232,6 @@ func (b *vbind) peerRanks() []int {
 	}
 	sort.Ints(peers)
 	return peers
-}
-
-func (b *vbind) newWR(info *wrInfo) uint64 {
-	b.nextWR++
-	b.wrs[b.nextWR] = info
-	return b.nextWR
 }
 
 func (b *vbind) newReq(req *Request) uint64 {
@@ -272,13 +268,13 @@ func (b *vbind) sendCtrl(pr *sim.Proc, dst int, hdr wireHdr, cause trace.Ref) {
 func (b *vbind) sendCtrlOn(pr *sim.Proc, qp verbs.QP, hdr wireHdr, cause trace.Ref) {
 	bb := b.getSendBounce(pr)
 	hdr.store(bb.reg)
-	qp.PostSend(pr, verbs.WR{
-		ID:    b.newWR(&wrInfo{kind: wrCtrlSend, bounce: bb}),
-		Op:    verbs.OpSend,
-		Local: bb.reg,
-		Len:   hdrBytes,
-		Cause: cause,
-	})
+	b.postSend(pr, qp, bb, hdrBytes, cause)
+}
+
+// postSend sends the first n bytes of a send bounce on qp.
+func (b *vbind) postSend(pr *sim.Proc, qp verbs.QP, bb *bounceBuf, n int, cause trace.Ref) {
+	bb.posted = true
+	qp.PostSend(pr, verbs.WR{ID: bounceWR(bb), Op: verbs.OpSend, Local: bb.reg, Len: n, Cause: cause})
 }
 
 // isend implements standard and synchronous non-blocking sends. self is the
@@ -305,13 +301,7 @@ func (b *vbind) isend(pr *sim.Proc, req *Request, dst, tag int, buf *mem.Buffer,
 			p.host.Mem.Copy(pr, bb.buf, hdrBytes, buf, off, n)
 		}
 		hdr.store(bb.reg)
-		b.qps[dst].PostSend(pr, verbs.WR{
-			ID:    b.newWR(&wrInfo{kind: wrCtrlSend, bounce: bb}),
-			Op:    verbs.OpSend,
-			Local: bb.reg,
-			Len:   hdrBytes + n,
-			Cause: self,
-		})
+		b.postSend(pr, b.qps[dst], bb, hdrBytes+n, self)
 		if !sync {
 			req.done.Fire() // buffer is reusable after the copy
 		}
@@ -408,7 +398,7 @@ func (b *vbind) drain(pr *sim.Proc) {
 // off the message-delivery critical path, as MPICH does.
 func (b *vbind) flushReposts(pr *sim.Proc) {
 	for b.repostQ.Len() > 0 {
-		b.repostBounce(pr, b.repostQ.Pop())
+		b.postRecv(pr, b.repostQ.Pop())
 	}
 }
 
@@ -424,26 +414,34 @@ func (b *vbind) progressUntil(pr *sim.Proc, cond func() bool) {
 	}
 }
 
-// handle processes one completion.
+// handle processes one completion: odd WR IDs are rendezvous writes, even
+// ones name a bounce by slot.
 func (b *vbind) handle(pr *sim.Proc, comp verbs.Completion) {
-	info, ok := b.wrs[comp.WRID]
-	if !ok {
-		panic(fmt.Sprintf("mpi r%d: completion for unknown WR %d", b.p.rank, comp.WRID))
-	}
-	delete(b.wrs, comp.WRID)
-	switch info.kind {
-	case wrCtrlSend:
-		b.sendFree = append(b.sendFree, info.bounce)
-	case wrRndvWrite:
+	if comp.WRID&1 != 0 {
+		w, ok := b.rndv[comp.WRID]
+		if !ok {
+			panic(fmt.Sprintf("mpi r%d: completion for unknown WR %d", b.p.rank, comp.WRID))
+		}
+		delete(b.rndv, comp.WRID)
 		// Data is on the wire reliably; release the pin and tell the
 		// receiver (the FIN rides the data QP, ordered after the write),
 		// then the send request is complete.
-		b.regCache.Put(pr, info.region)
-		b.sendCtrlOn(pr, b.dataQPs[info.peer], wireHdr{kind: kFIN, src: b.p.rank, reqB: info.peerReq}, comp.Cause)
-		info.req.cause = comp.Cause
-		info.req.done.Fire()
-	case wrRecvBounce:
-		b.handleArrival(pr, info.bounce, comp.Cause)
+		b.regCache.Put(pr, w.region)
+		b.sendCtrlOn(pr, b.dataQPs[w.peer], wireHdr{kind: kFIN, src: b.p.rank, reqB: w.peerReq}, comp.Cause)
+		w.req.cause = comp.Cause
+		w.req.done.Fire()
+		return
+	}
+	slot := comp.WRID >> 1
+	if slot >= uint64(len(b.bounces)) || !b.bounces[slot].posted {
+		panic(fmt.Sprintf("mpi r%d: completion for unknown WR %d", b.p.rank, comp.WRID))
+	}
+	bb := b.bounces[slot]
+	bb.posted = false
+	if bb.recv {
+		b.handleArrival(pr, bb, comp.Cause)
+	} else {
+		b.sendFree = append(b.sendFree, bb)
 	}
 }
 
@@ -501,8 +499,11 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 		if m1 > m0 && region.RegRef != trace.RefNone {
 			wrCause = region.RegRef
 		}
+		id := b.nextRndv<<1 | 1
+		b.nextRndv++
+		b.rndv[id] = rndvWrite{peer: hdr.src, req: sreq, peerReq: hdr.reqA, region: region}
 		b.dataQPs[hdr.src].PostSend(pr, verbs.WR{
-			ID:        b.newWR(&wrInfo{kind: wrRndvWrite, peer: hdr.src, req: sreq, peerReq: hdr.reqA, region: region}),
+			ID:        id,
 			Op:        verbs.OpWrite,
 			Local:     region,
 			Len:       hdr.size,
@@ -527,19 +528,14 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 	}
 }
 
-// repostBounce returns a consumed receive bounce to the QP it serves
-// (header-sized bounces belong to the data QP).
-func (b *vbind) repostBounce(pr *sim.Proc, bb *bounceBuf) {
+// postRecv posts a receive bounce on the QP it serves.
+func (b *vbind) postRecv(pr *sim.Proc, bb *bounceBuf) {
 	qp := b.qps[bb.peer]
-	data := bb.reg.Len == hdrBytes
-	if data {
+	if bb.data {
 		qp = b.dataQPs[bb.peer]
 	}
-	qp.PostRecv(pr, verbs.WR{
-		ID:    b.newWR(&wrInfo{kind: wrRecvBounce, bounce: bb, peer: bb.peer, data: data}),
-		Op:    verbs.OpRecv,
-		Local: bb.reg,
-	})
+	bb.posted = true
+	qp.PostRecv(pr, verbs.WR{ID: bounceWR(bb), Op: verbs.OpRecv, Local: bb.reg})
 }
 
 // waitArrival blocks until the next channel completion has been handled;

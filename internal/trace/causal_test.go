@@ -12,7 +12,7 @@ func TestRefsAndCausalAttrs(t *testing.T) {
 	r2 := tr.CompleteR("link.0", "tx", 100, 200, Cause(r1))
 	tr.Instant("nic1", "deliver", Cause(r2))
 
-	evs := tr.Events()
+	evs := events(tr.Log())
 	if len(evs) != 3 {
 		t.Fatalf("events = %d, want 3", len(evs))
 	}
@@ -57,7 +57,7 @@ func TestNilTracerRefsAreNone(t *testing.T) {
 func TestRefNoneAttrsStripped(t *testing.T) {
 	tr := New(fakeClock(1), 0)
 	tr.Instant("a", "e", Cause(RefNone), I64("bytes", 7), Self(RefNone))
-	attrs := tr.Events()[0].Attrs
+	attrs := tr.Log().At(0).Attrs
 	if len(attrs) != 1 || attrs[0].Key != "bytes" {
 		t.Fatalf("attrs = %+v, want just bytes", attrs)
 	}
@@ -99,10 +99,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	evs, drops, err := ReadJSONL(&buf)
+	log, drops, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	evs := events(log)
 	if drops.Total() != 0 || drops.CausalEdges != 0 {
 		t.Fatalf("drops = %+v", drops)
 	}

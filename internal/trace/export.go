@@ -23,7 +23,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
 	bw.WriteString(`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"sim"}}`)
 	tids := make(map[string]int)
-	for _, ev := range t.Events() {
+	t.Log().Each(func(ev *Event) {
 		tid, ok := tids[ev.Who]
 		if !ok {
 			tid = len(tids) + 1
@@ -45,7 +45,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			writeAttrs(bw, ev.Attrs)
 		}
 		bw.WriteByte('}')
-	}
+	})
 	bw.WriteString("]}\n")
 	return bw.Flush()
 }
@@ -70,7 +70,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	d := t.DropStats()
 	fmt.Fprintf(bw, `{"ph":"M","name":"trace.meta","drops":{"spans":%d,"instants":%d,"counters":%d,"causal_edges":%d}}`+"\n",
 		d.Spans, d.Instants, d.Counters, d.CausalEdges)
-	for _, ev := range t.Events() {
+	t.Log().Each(func(ev *Event) {
 		fmt.Fprintf(bw, `{"ph":"%c","who":%s,"name":%s,"ts_ps":%d`,
 			ev.Ph, jsonString(ev.Who), jsonString(ev.Name), ev.Ts)
 		if ev.Ph == PhaseSpan {
@@ -81,7 +81,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			writeAttrs(bw, ev.Attrs)
 		}
 		bw.WriteString("}\n")
-	}
+	})
 	return bw.Flush()
 }
 
@@ -126,7 +126,7 @@ func writeAttrs(w *bufio.Writer, attrs []Attr) {
 		case attrInt:
 			w.WriteString(strconv.FormatInt(a.num, 10))
 		case attrFloat:
-			w.WriteString(strconv.FormatFloat(a.f, 'g', -1, 64))
+			w.WriteString(strconv.FormatFloat(a.float(), 'g', -1, 64))
 		case attrBool:
 			w.WriteString(strconv.FormatBool(a.num != 0))
 		}

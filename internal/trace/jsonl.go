@@ -9,15 +9,15 @@ import (
 	"sort"
 )
 
-// ReadJSONL parses a trace written by WriteJSONL back into events plus the
+// ReadJSONL parses a trace written by WriteJSONL back into a log plus the
 // drop counters from the metadata line. Traces written before the metadata
 // line existed parse with zero DropStats. Attribute values round-trip with
 // their kinds (integers stay integers), which causal analysis depends on for
 // the Self/Cause refs.
-func ReadJSONL(r io.Reader) ([]Event, DropStats, error) {
+func ReadJSONL(r io.Reader) (*Log, DropStats, error) {
 	var (
-		events []Event
-		drops  DropStats
+		log   = &Log{}
+		drops DropStats
 	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -59,62 +59,69 @@ func ReadJSONL(r io.Reader) ([]Event, DropStats, error) {
 			}
 			continue
 		}
-		ev := Event{Ph: raw.Ph[0], Who: raw.Who, Name: raw.Name, Ts: raw.Ts, Dur: raw.Dur}
+		ev := log.push()
+		*ev = Event{Ph: raw.Ph[0], Who: raw.Who, Name: raw.Name, Ts: raw.Ts, Dur: raw.Dur}
 		if len(raw.Attrs) > 0 {
-			ev.Attrs = parseAttrs(raw.Attrs)
+			ev.Attrs = parseAttrs(log, raw.Attrs)
 		}
-		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, drops, fmt.Errorf("trace: %w", err)
 	}
-	return events, drops, nil
+	return log, drops, nil
 }
 
 // ReadJSONLFile reads the JSONL trace at path.
-func ReadJSONLFile(path string) ([]Event, DropStats, error) {
+func ReadJSONLFile(path string) (*Log, DropStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, DropStats{}, err
 	}
 	defer f.Close()
-	events, drops, err := ReadJSONL(f)
+	log, drops, err := ReadJSONL(f)
 	if err != nil {
 		return nil, drops, fmt.Errorf("%s: %w", path, err)
 	}
-	return events, drops, nil
+	return log, drops, nil
 }
 
-// parseAttrs reconstructs typed attributes from raw JSON values. Map order is
-// not record order; keys are sorted so re-parsing is deterministic (analysis
-// never depends on attribute position).
-func parseAttrs(raw map[string]json.RawMessage) []Attr {
+// parseAttrs reconstructs typed attributes from raw JSON values into the
+// log's arena. Map order is not record order; keys are sorted so re-parsing
+// is deterministic (analysis never depends on attribute position).
+func parseAttrs(log *Log, raw map[string]json.RawMessage) []Attr {
 	keys := make([]string, 0, len(raw))
 	for k := range raw {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	attrs := make([]Attr, 0, len(keys))
-	for _, k := range keys {
-		v := raw[k]
+	attrs := log.reserve(len(keys))
+	k := 0
+	for _, key := range keys {
+		v := raw[key]
 		var s string
 		if json.Unmarshal(v, &s) == nil {
-			attrs = append(attrs, Str(k, s))
+			attrs[k] = Str(key, s)
+			k++
 			continue
 		}
 		var b bool
 		if json.Unmarshal(v, &b) == nil {
-			attrs = append(attrs, Bool(k, b))
+			attrs[k] = Bool(key, b)
+			k++
 			continue
 		}
 		var n json.Number
 		if json.Unmarshal(v, &n) == nil {
-			if i, err := n.Int64(); err == nil {
-				attrs = append(attrs, I64(k, i))
+			// WriteJSONL never writes an integer as "-0", so that
+			// literal is the float negative zero.
+			if i, err := n.Int64(); err == nil && n != "-0" {
+				attrs[k] = I64(key, i)
+				k++
 			} else if f, err := n.Float64(); err == nil {
-				attrs = append(attrs, F64(k, f))
+				attrs[k] = F64(key, f)
+				k++
 			}
 		}
 	}
-	return attrs
+	return log.keep(k)
 }

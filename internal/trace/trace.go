@@ -14,7 +14,10 @@
 // by a clock callback so the package stays dependency-free.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // attrKind discriminates the payload of an Attr without boxing values in an
 // interface (which would allocate even when the tracer is nil).
@@ -27,13 +30,13 @@ const (
 	attrBool
 )
 
-// Attr is one key=value annotation on an event.
+// Attr is one key=value annotation on an event. Integer, boolean and
+// float payloads share num (floats as their IEEE 754 bits).
 type Attr struct {
 	Key  string
 	kind attrKind
 	str  string
 	num  int64
-	f    float64
 }
 
 // Str returns a string-valued attribute.
@@ -43,7 +46,9 @@ func Str(key, val string) Attr { return Attr{Key: key, kind: attrString, str: va
 func I64(key string, val int64) Attr { return Attr{Key: key, kind: attrInt, num: val} }
 
 // F64 returns a float-valued attribute.
-func F64(key string, val float64) Attr { return Attr{Key: key, kind: attrFloat, f: val} }
+func F64(key string, val float64) Attr {
+	return Attr{Key: key, kind: attrFloat, num: int64(math.Float64bits(val))}
+}
 
 // Bool returns a boolean-valued attribute.
 func Bool(key string, val bool) Attr {
@@ -89,11 +94,14 @@ func (a Attr) Value() any {
 	case attrInt:
 		return a.num
 	case attrFloat:
-		return a.f
+		return a.float()
 	default:
 		return a.num != 0
 	}
 }
+
+// float returns a float attribute's value.
+func (a Attr) float() float64 { return math.Float64frombits(uint64(a.num)) }
 
 // Event phases, mirroring the Chrome trace_event "ph" field.
 const (
@@ -126,12 +134,12 @@ type DropStats struct {
 // Total returns the number of dropped events across all phase categories.
 func (d DropStats) Total() int64 { return d.Spans + d.Instants + d.Counters }
 
-// Tracer records events into a bounded buffer. The zero value is not usable;
+// Tracer records events into a bounded log. The zero value is not usable;
 // create tracers with New. A nil *Tracer is valid and records nothing.
 type Tracer struct {
 	clock   func() int64
 	max     int
-	events  []Event
+	log     Log
 	dropped DropStats
 	lastRef Ref
 }
@@ -158,7 +166,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.log.n
 }
 
 // Dropped returns how many events were discarded because the buffer was full.
@@ -202,13 +210,14 @@ func (t *Tracer) NewRef() Ref {
 	return t.lastRef
 }
 
-// Events returns the buffered events in record order. The slice is shared;
-// callers must not mutate it.
-func (t *Tracer) Events() []Event {
+// Log returns the recorded events. The log is shared and keeps growing
+// while the tracer records; callers must not modify it. A nil tracer
+// returns a nil (empty) log.
+func (t *Tracer) Log() *Log {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	return &t.log
 }
 
 // Instant records a point-in-time event at the current virtual time.
@@ -216,7 +225,7 @@ func (t *Tracer) Instant(who, name string, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.record(PhaseInstant, who, name, t.clock(), 0, attrs)
+	t.record(PhaseInstant, who, name, t.clock(), 0, attrs, nil, RefNone)
 }
 
 // InstantR is Instant plus a fresh Self ref on the event, returned so the
@@ -226,8 +235,7 @@ func (t *Tracer) InstantR(who, name string, attrs ...Attr) Ref {
 		return RefNone
 	}
 	r := t.NewRef()
-	a := withSelf(attrs, r)
-	t.recordOwned(PhaseInstant, who, name, t.clock(), 0, a)
+	t.record(PhaseInstant, who, name, t.clock(), 0, attrs, nil, r)
 	return r
 }
 
@@ -239,11 +247,7 @@ func (t *Tracer) CompleteSelf(who, name string, self Ref, start, end int64, attr
 	if t == nil {
 		return
 	}
-	if end < start {
-		end = start
-	}
-	a := withSelf(attrs, self)
-	t.recordOwned(PhaseSpan, who, name, start, end-start, a)
+	t.record(PhaseSpan, who, name, start, max(end, start)-start, attrs, nil, self)
 }
 
 // CompleteR is Complete plus a fresh Self ref on the span.
@@ -251,12 +255,8 @@ func (t *Tracer) CompleteR(who, name string, start, end int64, attrs ...Attr) Re
 	if t == nil {
 		return RefNone
 	}
-	if end < start {
-		end = start
-	}
 	r := t.NewRef()
-	a := withSelf(attrs, r)
-	t.recordOwned(PhaseSpan, who, name, start, end-start, a)
+	t.record(PhaseSpan, who, name, start, max(end, start)-start, attrs, nil, r)
 	return r
 }
 
@@ -266,7 +266,8 @@ func (t *Tracer) Counter(who, name string, value int64) {
 	if t == nil {
 		return
 	}
-	t.recordOwned(PhaseCounter, who, name, t.clock(), 0, []Attr{I64("value", value)})
+	v := [1]Attr{I64("value", value)}
+	t.record(PhaseCounter, who, name, t.clock(), 0, v[:], nil, RefNone)
 }
 
 // Complete records a span whose start and end are already known, e.g. a
@@ -275,10 +276,7 @@ func (t *Tracer) Complete(who, name string, start, end int64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	if end < start {
-		end = start
-	}
-	t.record(PhaseSpan, who, name, start, end-start, attrs)
+	t.record(PhaseSpan, who, name, start, max(end, start)-start, attrs, nil, RefNone)
 }
 
 // Span is an in-progress interval started by Begin. The zero value (from a
@@ -296,7 +294,15 @@ func (t *Tracer) Begin(who, name string, attrs ...Attr) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, who: who, name: name, start: t.clock(), attrs: cloneAttrs(attrs)}
+	// A full log drops the span at End anyway; its attrs then go to the
+	// heap so the arena stops growing once recording has stopped.
+	var a []Attr
+	if t.log.n < t.max {
+		a = t.log.keep(copy(t.log.reserve(len(attrs)), attrs))
+	} else {
+		a = append([]Attr(nil), attrs...)
+	}
+	return Span{t: t, who: who, name: name, start: t.clock(), attrs: a}
 }
 
 // End closes the span at the current virtual time, appending any extra
@@ -305,26 +311,17 @@ func (s Span) End(attrs ...Attr) {
 	if s.t == nil {
 		return
 	}
-	a := s.attrs
-	if len(attrs) > 0 {
-		a = append(append([]Attr(nil), s.attrs...), attrs...)
-	}
-	end := s.t.clock()
-	s.t.recordOwned(PhaseSpan, s.who, s.name, s.start, end-s.start, a)
+	s.t.record(PhaseSpan, s.who, s.name, s.start, s.t.clock()-s.start, s.attrs, attrs, RefNone)
 }
 
-// record buffers one event, cloning attrs so variadic call-site slices never
-// escape to the heap (the nil-tracer fast path must not allocate).
-func (t *Tracer) record(ph byte, who, name string, ts, dur int64, attrs []Attr) {
-	t.recordOwned(ph, who, name, ts, dur, cloneAttrs(attrs))
-}
-
-// recordOwned buffers one event taking ownership of attrs. RefNone-valued
-// causal attrs (from plumbing that ran before tracing was enabled) are
-// stripped in place so the DAG never contains edges to node 0.
-func (t *Tracer) recordOwned(ph byte, who, name string, ts, dur int64, attrs []Attr) {
-	attrs = stripNoneRefs(attrs)
-	if len(t.events) >= t.max {
+// record buffers one event. Its attributes are head, then tail, then
+// Self(self) unless self is RefNone, copied into the log's arena; the
+// arguments are only read, so variadic call-site slices stay on the stack
+// (the nil-tracer fast path must not allocate). RefNone-valued causal attrs
+// (from plumbing that ran before tracing was enabled) are left out so the
+// DAG never contains edges to node 0.
+func (t *Tracer) record(ph byte, who, name string, ts, dur int64, head, tail []Attr, self Ref) {
+	if t.log.n >= t.max {
 		switch ph {
 		case PhaseSpan:
 			t.dropped.Spans++
@@ -333,34 +330,44 @@ func (t *Tracer) recordOwned(ph byte, who, name string, ts, dur int64, attrs []A
 		default:
 			t.dropped.Counters++
 		}
-		if hasCausalAttr(attrs) {
+		if self != RefNone || hasCausalAttr(head) || hasCausalAttr(tail) {
 			t.dropped.CausalEdges++
 		}
 		return
 	}
-	t.events = append(t.events, Event{Ph: ph, Who: who, Name: name, Ts: ts, Dur: dur, Attrs: attrs})
+	a := t.log.reserve(len(head) + len(tail) + 1)
+	k := keepRefs(a, head)
+	k += keepRefs(a[k:], tail)
+	if self != RefNone {
+		a[k] = Self(self)
+		k++
+	}
+	*t.log.push() = Event{Ph: ph, Who: who, Name: name, Ts: ts, Dur: dur, Attrs: t.log.keep(k)}
 }
 
-// stripNoneRefs removes causal attrs whose ref is RefNone, compacting the
-// owned slice in place (no allocation).
-func stripNoneRefs(attrs []Attr) []Attr {
-	kept := attrs[:0]
+// keepRefs copies attrs into dst, leaving out causal attrs whose ref is
+// RefNone, and returns how many it copied.
+func keepRefs(dst, attrs []Attr) int {
+	k := 0
 	for _, a := range attrs {
-		if a.num == int64(RefNone) && (a.Key == KeySelf || a.Key == KeyCause) {
+		if isNoneRef(a) {
 			continue
 		}
-		kept = append(kept, a)
+		dst[k] = a
+		k++
 	}
-	if len(kept) == 0 {
-		return nil
-	}
-	return kept
+	return k
+}
+
+// isNoneRef reports whether a is a Self or Cause attr naming RefNone.
+func isNoneRef(a Attr) bool {
+	return a.num == int64(RefNone) && (a.Key == KeySelf || a.Key == KeyCause)
 }
 
 // hasCausalAttr reports whether the event participates in the causal DAG.
 func hasCausalAttr(attrs []Attr) bool {
 	for _, a := range attrs {
-		if a.Key == KeySelf || a.Key == KeyCause {
+		if (a.Key == KeySelf || a.Key == KeyCause) && a.num != int64(RefNone) {
 			return true
 		}
 	}
@@ -389,21 +396,3 @@ func (e *Event) CauseRefs(buf []Ref) []Ref {
 
 // End returns the event's end time (start for instants and counters).
 func (e *Event) End() int64 { return e.Ts + e.Dur }
-
-// cloneAttrs copies a variadic attribute slice. It only reads its argument,
-// which lets the compiler keep call-site backing arrays on the stack.
-func cloneAttrs(attrs []Attr) []Attr {
-	if len(attrs) == 0 {
-		return nil
-	}
-	return append([]Attr(nil), attrs...)
-}
-
-// withSelf copies attrs with a Self(r) attr appended, in one allocation.
-// Like cloneAttrs, it only reads its argument.
-func withSelf(attrs []Attr, r Ref) []Attr {
-	a := make([]Attr, len(attrs)+1)
-	copy(a, attrs)
-	a[len(attrs)] = Self(r)
-	return a
-}

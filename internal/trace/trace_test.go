@@ -4,6 +4,13 @@ import (
 	"testing"
 )
 
+// events copies a log's events into a slice for indexing in tests.
+func events(l *Log) []Event {
+	var out []Event
+	l.Each(func(ev *Event) { out = append(out, *ev) })
+	return out
+}
+
 // fakeClock returns a clock that advances by step picoseconds per reading.
 func fakeClock(step int64) func() int64 {
 	var now int64
@@ -23,7 +30,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Complete("who", "name", 10, 20)
 	sp := tr.Begin("who", "name", I64("k", 1))
 	sp.End(Bool("done", true))
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Log() != nil {
 		t.Fatalf("nil tracer recorded something")
 	}
 }
@@ -57,7 +64,7 @@ func TestRecordAndClock(t *testing.T) {
 	sp := tr.Begin("c", "span", Str("k", "v")) // start=30
 	sp.End(I64("extra", 1))                    // end=40
 
-	evs := tr.Events()
+	evs := events(tr.Log())
 	if len(evs) != 4 {
 		t.Fatalf("len = %d, want 4", len(evs))
 	}
@@ -81,7 +88,7 @@ func TestRecordAndClock(t *testing.T) {
 func TestCompleteClampsBackwardInterval(t *testing.T) {
 	tr := New(fakeClock(1), 0)
 	tr.Complete("a", "x", 50, 40)
-	if ev := tr.Events()[0]; ev.Ts != 50 || ev.Dur != 0 {
+	if ev := tr.Log().At(0); ev.Ts != 50 || ev.Dur != 0 {
 		t.Fatalf("backward interval = %+v, want ts=50 dur=0", ev)
 	}
 }
@@ -116,7 +123,7 @@ func TestBufferBound(t *testing.T) {
 		t.Fatalf("dropped = %d, want 2", tr.Dropped())
 	}
 	// The oldest events win: the buffer holds ts 1..3.
-	if evs := tr.Events(); evs[0].Ts != 1 || evs[2].Ts != 3 {
+	if evs := events(tr.Log()); evs[0].Ts != 1 || evs[2].Ts != 3 {
 		t.Fatalf("kept wrong events: %+v", evs)
 	}
 }
@@ -126,7 +133,7 @@ func TestAttrsClonedFromCallSite(t *testing.T) {
 	attrs := []Attr{I64("v", 1)}
 	tr.Instant("a", "e", attrs...)
 	attrs[0] = I64("v", 99)
-	if got := tr.Events()[0].Attrs[0].Value(); got != int64(1) {
+	if got := tr.Log().At(0).Attrs[0].Value(); got != int64(1) {
 		t.Fatalf("recorded attr aliased the call-site slice: %v", got)
 	}
 }
