@@ -165,12 +165,14 @@ simdcheck:
 
 # tracetoolcheck exercises the offline tracing pipeline end to end and gates
 # the exported trace bytes: capture JSONL traces of the iWARP and IB MPI
-# latency at 1 KiB from netbench, run every tracetool subcommand, and cmp the
-# traces' sha256 sums and both blame reports against testdata/tracetool/.
-# blame exits non-zero unless the attribution buckets tile the blame window
-# exactly, so this also asserts the bucket-sum invariant on real traces. A
-# change that means to move the traces regenerates testdata/tracetool/ in
-# the same change (run the loop below in that directory).
+# latency at 1 KiB and of the MXoM MPI latency at 1 KiB (eager) and 64 KiB
+# (rendezvous) from netbench, run every tracetool subcommand, and cmp the
+# traces' sha256 sums and the iWARP, IB and MXoM 64 KiB blame reports
+# against testdata/tracetool/. blame exits non-zero unless the attribution
+# buckets tile the blame window exactly, so this also asserts the
+# bucket-sum invariant on real traces. A change that means to move the
+# traces regenerates testdata/tracetool/ in the same change (run the
+# commands below in that directory).
 tracetoolcheck:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	data="$$(pwd)/testdata/tracetool"; \
@@ -182,9 +184,14 @@ tracetoolcheck:
 		./tracetool blame $$net.jsonl > $$net.blame; \
 		cmp "$$data/$$net.blame" $$net.blame; \
 	done; \
+	./netbench -net mxom -test latency -size 1024 -tracejsonl mxom-1k.jsonl > /dev/null; \
+	./netbench -net mxom -test latency -size 65536 -tracejsonl mxom-64k.jsonl > /dev/null; \
+	./tracetool blame mxom-1k.jsonl > /dev/null; \
+	./tracetool blame mxom-64k.jsonl > mxom-64k.blame; \
+	cmp "$$data/mxom-64k.blame" mxom-64k.blame; \
 	./tracetool crit iwarp.jsonl > /dev/null; \
 	./tracetool diff iwarp.jsonl ib.jsonl > /dev/null; \
-	sha256sum iwarp.jsonl ib.jsonl | cmp "$$data/traces.sha256" -; \
+	sha256sum iwarp.jsonl ib.jsonl mxom-1k.jsonl mxom-64k.jsonl | cmp "$$data/traces.sha256" -; \
 	echo "tracetoolcheck: traces and blame reports match testdata/tracetool"
 
 # loc prints the root module's Go line counts, non-test and test, without

@@ -238,7 +238,7 @@ func (h *HCA) Deliver(f *fabric.Frame) {
 		panic(fmt.Sprintf("ib %s: packet for unknown QP %d", h.name, pk.dstQPN))
 	}
 	pk.cause = f.Cause // chain rx processing from the delivering wire hop
-	h.qps[pk.dstQPN].rxQ.Put(pk)
+	h.qps[pk.dstQPN].rx.Put(pk)
 }
 
 // Connect establishes an RC queue pair between two HCAs.

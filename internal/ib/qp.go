@@ -77,175 +77,217 @@ type QP struct {
 	verbs.Front
 	hca  *HCA
 	peer *QP
-	rxQ  *sim.Queue[*packet]
+	tx   stream // the send work request in execution
+
+	rx   sim.Stage[*packet]
+	rxPk *packet  // the packet in the receive processor
+	rxT0 sim.Time // when its pass began
 }
 
 func (h *HCA) newQP() *QP {
-	q := &QP{
-		Front: verbs.NewFront(&h.dev, len(h.qps)),
-		hca:   h,
-		rxQ:   sim.NewQueue[*packet](h.eng, h.name+"/rxq"),
-	}
+	q := &QP{Front: verbs.NewFront(&h.dev, len(h.qps)), hca: h}
+	q.tx.q = q
+	q.OnSend(txNext, q)
+	q.rx.Init(h.eng, rxNext, q)
 	h.qps = append(h.qps, q)
-	h.eng.Go(fmt.Sprintf("%s/qp%d/rx", h.name, q.QPN()), q.rxLoop)
-	h.eng.Go(fmt.Sprintf("%s/qp%d/tx", h.name, q.QPN()), q.txLoop)
 	return q
 }
 
-// txLoop executes send work requests strictly in order, as the RC send
-// queue requires: packets of consecutive messages never interleave within
-// one QP.
-func (q *QP) txLoop(p *sim.Proc) {
-	for {
-		q.execute(p, q.NextSend(p))
-	}
+// stream is one message going out through the send processor: the QP's
+// send work request in execution (RC runs them strictly in order, so
+// messages never interleave within a QP), or an RDMA Read response.
+type stream struct {
+	q          *QP
+	op         verbs.Op
+	src        *mem.Region
+	data       *mem.View // the payload view; nil for a Read Request WQE
+	srcOff, n  int
+	stag       mem.RKey
+	remoteOff  int
+	msg, rdMsg *txMsg
+	dma        bool     // payload fetched from host memory (not inline)
+	ready      sim.Time // one-packet DMA prefetch
+	off        int      // offset of the packet in flight
+	cause      trace.Ref
+	// The packet in the send processor.
+	pk    *packet
+	first bool
+	vl    *sim.Resource
+	t0    sim.Time
 }
 
-// execute runs one WQE on the send processor.
-func (q *QP) execute(wp *sim.Proc, wr verbs.WR) {
-	h := q.hca
+// txNext fetches the WQE of QP v's next landed send work request, or
+// leaves the send stage idle. Small payloads ride inline in the WQE.
+func txNext(v any) {
+	q := v.(*QP)
+	wr, ok := q.TakeSend()
+	if !ok {
+		return
+	}
+	h, s, desc := q.hca, &q.tx, 64
+	if wr.Op != verbs.OpRead && wr.Len <= h.cfg.InlineSize {
+		desc += wr.Len
+	}
+	s.msg, s.t0 = &txMsg{wr: wr, qpn: q.QPN()}, h.eng.Now()
+	h.eng.AfterArg(h.pcie.ReadAsync(desc)-h.eng.Now(), txFetched, s)
+}
+
+func txFetched(v any) {
+	s := v.(*stream)
+	q, h, wr := s.q, s.q.hca, &s.msg.wr
+	if tr := h.eng.Trc(); tr.Enabled() {
+		wr.Cause = tr.CompleteR(h.name, "wqe-fetch", int64(s.t0), int64(h.eng.Now()),
+			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
+	}
 	switch wr.Op {
 	case verbs.OpWrite, verbs.OpSend:
-		// WQE fetch; small payloads ride inline in the descriptor.
-		desc := 64
-		inline := wr.Len <= h.cfg.InlineSize
-		if inline {
-			desc += wr.Len
-		}
-		t0 := h.eng.Now()
-		h.pcie.Read(wp, desc)
-		if tr := h.eng.Trc(); tr.Enabled() {
-			wr.Cause = tr.CompleteR(h.name, "wqe-fetch", int64(t0), int64(h.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
-		}
-		msg := &txMsg{wr: wr, qpn: q.QPN()}
-		q.stream(wp, wr.Op, wr.Local, wr.LocalOff, wr.Len, wr.RemoteKey, wr.RemoteOff, msg, nil, !inline, wr.Cause)
 	case verbs.OpRead:
-		t0 := h.eng.Now()
-		h.pcie.Read(wp, 64)
-		if tr := h.eng.Trc(); tr.Enabled() {
-			wr.Cause = tr.CompleteR(h.name, "wqe-fetch", int64(t0), int64(h.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
-		}
-		msg := &txMsg{wr: wr, qpn: q.QPN()}
 		pk := h.pkts.Get()
-		*pk = packet{
-			dstQPN: q.peer.QPN(),
-			kind:   pktReadReq,
-			n:      28,
-			rd: readReq{
-				srcKey:  wr.RemoteKey,
-				srcOff:  wr.RemoteOff,
-				n:       wr.Len,
-				sinkKey: wr.Local.Key,
-				sinkOff: wr.LocalOff,
-				msg:     msg,
-			},
-		}
-		q.engineSend(wp, true, wr.Cause, pk)
+		*pk = packet{dstQPN: q.peer.QPN(), kind: pktReadReq, n: 28, rd: readReq{
+			srcKey: wr.RemoteKey, srcOff: wr.RemoteOff, n: wr.Len,
+			sinkKey: wr.Local.Key, sinkOff: wr.LocalOff, msg: s.msg}}
+		s.data = nil
+		s.send(pk, true, wr.Cause)
+		return
 	default:
 		panic(fmt.Sprintf("ib %s: bad op %v on send queue", h.name, wr.Op))
 	}
+	*s = stream{q: q, op: wr.Op, src: wr.Local, srcOff: wr.LocalOff, n: wr.Len,
+		stag: wr.RemoteKey, remoteOff: wr.RemoteOff, msg: s.msg,
+		dma: wr.Len > h.cfg.InlineSize, cause: wr.Cause}
+	start(s)
 }
 
-// stream packetizes one message through the send processor. dma controls
-// whether payload is fetched from host memory (false for inline sends and
-// for read responses sourced by the responder, which still DMA — the
-// responder passes true).
-func (q *QP) stream(wp *sim.Proc, op verbs.Op, src *mem.Region, srcOff, n int, stag mem.RKey, remoteOff int, msg *txMsg, rdMsg *txMsg, dma bool, cause trace.Ref) {
-	h := q.hca
-	mtu := h.cfg.MTU
-	// Snapshot the message payload once as a copy-on-write view; packets
-	// carry ranges of it. The ACK releases the sender's hold; a read
-	// response has no sender completion, so it lets go once streamed.
-	data := src.View(srcOff, n)
-	if msg != nil {
-		msg.data = data
-	} else {
-		defer data.Release()
+// start packetizes stream v's message through the send processor. The
+// payload is snapshotted once as a copy-on-write view that packets carry
+// ranges of; the ACK releases the sender's hold, and a read response,
+// which has no sender completion, lets go once streamed.
+func start(v any) {
+	s := v.(*stream)
+	h := s.q.hca
+	s.data = s.src.View(s.srcOff, s.n)
+	if s.msg != nil {
+		s.msg.data = s.data
 	}
-	// One-packet DMA prefetch (see iwarp.emitSegments for the rationale).
-	var ready sim.Time
-	if dma && n > 0 {
-		ready, _ = h.pcie.ReadNext(wp.Now(), min(mtu, n))
+	// One-packet DMA prefetch (see start in internal/iwarp for the rationale).
+	if s.dma && s.n > 0 {
+		s.ready, _ = h.pcie.ReadNext(h.eng.Now(), min(h.cfg.MTU, s.n))
 	}
-	for off := 0; off < n; off += mtu {
-		take := min(mtu, n-off)
-		if dma {
-			cur := ready
-			if next := off + take; next < n {
-				ready, _ = h.pcie.ReadNext(wp.Now(), min(mtu, n-next))
-			}
-			wp.SleepUntil(cur)
+	s.off = 0
+	s.nextPacket()
+}
+
+func (s *stream) nextPacket() {
+	h := s.q.hca
+	switch {
+	case s.off >= s.n && s.msg != nil:
+		txNext(s.q)
+	case s.off >= s.n:
+		s.data.Release()
+	case s.dma:
+		cur := s.ready
+		if next := s.off + min(h.cfg.MTU, s.n-s.off); next < s.n {
+			s.ready, _ = h.pcie.ReadNext(h.eng.Now(), min(h.cfg.MTU, s.n-next))
 		}
-		pk := h.pkts.Get()
-		*pk = packet{
-			dstQPN: q.peer.QPN(),
-			kind:   pktData,
-			op:     op,
-			n:      take,
-			offset: remoteOff + off,
-			stag:   stag,
-			first:  off == 0,
-			last:   off+take == n,
-			msg:    msg,
-			rdMsg:  rdMsg,
-		}
-		if op == verbs.OpSend {
-			pk.offset = off
-		}
-		pk.data, pk.voff = data, off
-		q.engineSend(wp, pk.first, cause, pk)
+		h.eng.AfterArg(cur-h.eng.Now(), streamPacket, s)
+	default:
+		streamPacket(s)
 	}
 }
 
-// engineSend pushes one packet through the (capacity-1) send processor,
-// paying a context reload if this QP fell out of the context cache and the
+func streamPacket(v any) {
+	s := v.(*stream)
+	take := min(s.q.hca.cfg.MTU, s.n-s.off)
+	pk := s.q.hca.pkts.Get()
+	*pk = packet{dstQPN: s.q.peer.QPN(), kind: pktData, op: s.op, n: take,
+		offset: s.remoteOff + s.off, stag: s.stag, first: s.off == 0, last: s.off+take == s.n,
+		msg: s.msg, rdMsg: s.rdMsg, data: s.data, voff: s.off}
+	if s.op == verbs.OpSend {
+		pk.offset = s.off
+	}
+	s.send(pk, pk.first, s.cause)
+}
+
+// send pushes one packet through the (capacity-1) send processor, paying a
+// context reload if this QP fell out of the context cache and the
 // completion-writeback cost after the final packet of a message. With
 // link-level flow control armed, the packet first takes a credit from its
 // virtual lane — stalling the WQE (before it occupies the send processor,
 // so other work is not head-of-line blocked by an empty lane) until the
 // switch has granted buffer for it.
-func (q *QP) engineSend(wp *sim.Proc, firstOfMsg bool, cause trace.Ref, pk *packet) {
-	h := q.hca
-	var vl *sim.Resource
+func (s *stream) send(pk *packet, firstOfMsg bool, cause trace.Ref) {
+	q, h := s.q, s.q.hca
+	s.pk, s.first, s.cause, s.vl = pk, firstOfMsg, cause, nil
 	if h.vls != nil {
-		vl = h.vls[q.QPN()%len(h.vls)]
-		if !vl.TryAcquire(1) {
+		s.vl = h.vls[q.QPN()%len(h.vls)]
+		if !s.vl.TryAcquire(1) {
 			// Lane out of credits: the link ahead has not drained. Count
 			// the stall and wait for a credit to return.
 			h.creditStalls++
 			h.cCreditStalls.Inc()
-			vl.Acquire(wp, 1)
+			s.vl.AcquireThen(1, sendEnter, s)
+			return
 		}
 	}
-	t0 := h.eng.Now()
-	h.txEngine.Acquire(wp, 1)
+	sendEnter(s)
+}
+
+func sendEnter(v any) {
+	s := v.(*stream)
+	s.t0 = s.q.hca.eng.Now()
+	s.q.hca.txEngine.AcquireThen(1, sendHold, s)
+}
+
+func sendHold(v any) {
+	s := v.(*stream)
+	h := s.q.hca
 	hold := h.cfg.TxPktTime
-	if firstOfMsg && h.touchCtx(q.QPN()) {
+	if s.first && h.touchCtx(s.q.QPN()) {
 		hold += h.cfg.CtxMissTime
 	}
-	wp.Sleep(hold)
+	h.eng.AfterArg(hold, sendEmit, s)
+}
+
+// sendEmit puts the packet on the wire, then holds the send processor for
+// the completion writeback after the last packet of a message.
+func sendEmit(v any) {
+	s := v.(*stream)
+	q, h, pk := s.q, s.q.hca, s.pk
 	if tr := h.eng.Trc(); tr.Enabled() {
-		pk.cause = tr.CompleteR(h.name, "tx-pkt", int64(t0), int64(h.eng.Now()),
-			trace.Cause(cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(pk.n)))
+		pk.cause = tr.CompleteR(h.name, "tx-pkt", int64(s.t0), int64(h.eng.Now()),
+			trace.Cause(s.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(pk.n)))
 	}
 	// Read before emit: from there on the packet belongs to the receiver.
 	cqe := pk.last || pk.kind != pktData
+	s.pk = nil
 	txEnd := q.emit(pk)
-	if vl != nil {
+	if s.vl != nil {
 		// The credit comes back once the switch has forwarded the packet
 		// out of the buffer the credit represents: uplink serialization end
 		// plus the (modeled) credit-return round trip. Scheduled on this
 		// HCA's own engine, so flow control adds no cross-shard edges. A
 		// stalled or congested uplink pushes txEnd out and starves the
 		// lane — exactly the lossless backpressure IB trades drops for.
-		h.eng.AtArg(txEnd+h.cfg.CreditReturn, returnCredit, vl)
+		h.eng.AtArg(txEnd+h.cfg.CreditReturn, returnCredit, s.vl)
 	}
 	if cqe {
-		wp.Sleep(h.cfg.CqeTime)
+		h.eng.AfterArg(h.cfg.CqeTime, sendDone, s)
+	} else {
+		sendDone(s)
 	}
-	h.txEngine.Release(1)
+}
+
+// sendDone frees the send processor and moves on: to the stream's next
+// packet, or, after a Read Request, to the next work request.
+func sendDone(v any) {
+	s := v.(*stream)
+	s.q.hca.txEngine.Release(1)
+	if s.data == nil {
+		txNext(s.q)
+		return
+	}
+	s.off += s.q.hca.cfg.MTU
+	s.nextPacket()
 }
 
 // returnCredit gives one credit back to the virtual lane v.
@@ -265,68 +307,88 @@ func (q *QP) emit(pk *packet) sim.Time {
 	})
 }
 
-// rxLoop is the per-QP receive process; the capacity-1 receive processor is
-// shared across all QPs of the HCA.
-func (q *QP) rxLoop(p *sim.Proc) {
+// rxNext takes QP v's next arrived packet into the HCA's capacity-1
+// receive processor (shared by all its QPs), or leaves the stage idle.
+func rxNext(v any) {
+	q := v.(*QP)
+	pk, ok := q.rx.Next()
+	if !ok {
+		return
+	}
 	h := q.hca
-	for {
-		pk := q.rxQ.Get(p)
-		switch pk.kind {
-		case pktAck:
-			h.cAcksRx.Inc()
-			t0 := h.eng.Now()
-			h.rxEngine.Use(p, h.cfg.AckTime)
-			ackRef := trace.RefNone
-			if tr := h.eng.Trc(); tr.Enabled() {
-				ackRef = tr.CompleteR(h.name, "rx-ack", int64(t0), int64(h.eng.Now()),
-					trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())))
-			}
-			m := pk.ackFor
-			if m.wr.Op == verbs.OpWrite || m.wr.Op == verbs.OpSend {
-				// The ACK returns to the QP that sent the message.
-				h.qps[m.qpn].Complete(&m.wr, ackRef)
-				m.data.Release()
-			}
-			h.pkts.Put(pk)
-		case pktReadReq:
-			h.cReadReqs.Inc()
-			t0 := h.eng.Now()
-			h.rxEngine.Use(p, h.cfg.RxPktTime)
-			reqRef := trace.RefNone
-			if tr := h.eng.Trc(); tr.Enabled() {
-				reqRef = tr.CompleteR(h.name, "rx-pkt", int64(t0), int64(h.eng.Now()),
-					trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())))
-			}
-			rd := pk.rd
-			h.pkts.Put(pk)
-			region, ok := h.reg.Lookup(rd.srcKey)
-			if !ok {
-				panic(fmt.Sprintf("ib %s: read request for unknown rkey %d", h.name, rd.srcKey))
-			}
-			h.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", h.name, q.QPN()), func(rp *sim.Proc) {
-				q.stream(rp, verbs.OpWrite, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, true, reqRef)
-			})
-		case pktData:
-			h.cPktsRx.Inc()
-			q.handleData(p, pk)
-		}
+	q.rxPk, q.rxT0 = pk, h.eng.Now()
+	switch pk.kind {
+	case pktAck:
+		h.cAcksRx.Inc()
+		h.rxEngine.UseThen(h.cfg.AckTime, rxAck, q)
+	case pktReadReq:
+		h.cReadReqs.Inc()
+		h.rxEngine.UseThen(h.cfg.RxPktTime, rxReadReq, q)
+	case pktData:
+		h.cPktsRx.Inc()
+		h.rxEngine.AcquireThen(1, rxHold, q)
 	}
 }
 
-// handleData performs DDP-equivalent placement for an arriving data packet.
-func (q *QP) handleData(p *sim.Proc, pk *packet) {
+// rxAck completes the message an arrived ACK acknowledges.
+func rxAck(v any) {
+	q := v.(*QP)
+	h, pk := q.hca, q.rxPk
+	ackRef := trace.RefNone
+	if tr := h.eng.Trc(); tr.Enabled() {
+		ackRef = tr.CompleteR(h.name, "rx-ack", int64(q.rxT0), int64(h.eng.Now()),
+			trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())))
+	}
+	m := pk.ackFor
+	if m.wr.Op == verbs.OpWrite || m.wr.Op == verbs.OpSend {
+		// The ACK returns to the QP that sent the message.
+		h.qps[m.qpn].Complete(&m.wr, ackRef)
+		m.data.Release()
+	}
+	h.pkts.Put(pk)
+	rxNext(q)
+}
+
+// rxReadReq starts the response to an arrived RDMA Read Request.
+func rxReadReq(v any) {
+	q := v.(*QP)
+	h, pk := q.hca, q.rxPk
+	reqRef := trace.RefNone
+	if tr := h.eng.Trc(); tr.Enabled() {
+		reqRef = tr.CompleteR(h.name, "rx-pkt", int64(q.rxT0), int64(h.eng.Now()),
+			trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())))
+	}
+	rd := pk.rd
+	h.pkts.Put(pk)
+	region, ok := h.reg.Lookup(rd.srcKey)
+	if !ok {
+		panic(fmt.Sprintf("ib %s: read request for unknown rkey %d", h.name, rd.srcKey))
+	}
+	s := &stream{q: q, op: verbs.OpWrite, src: region, srcOff: rd.srcOff, n: rd.n,
+		stag: rd.sinkKey, remoteOff: rd.sinkOff, rdMsg: rd.msg, dma: true, cause: reqRef}
+	h.eng.AfterArg(0, start, s)
+	rxNext(q)
+}
+
+func rxHold(v any) {
+	q := v.(*QP)
 	h := q.hca
-	t0 := h.eng.Now()
-	h.rxEngine.Acquire(p, 1)
 	hold := h.cfg.RxPktTime
-	if pk.first && h.touchCtx(q.QPN()) {
+	if q.rxPk.first && h.touchCtx(q.QPN()) {
 		hold += h.cfg.CtxMissTime
 	}
-	p.Sleep(hold)
+	h.eng.AfterArg(hold, rxData, q)
+}
+
+// rxData performs DDP-equivalent placement for the data packet whose
+// receive pass just ended.
+func rxData(v any) {
+	q := v.(*QP)
+	h, pk := q.hca, q.rxPk
 	h.rxEngine.Release(1)
 	rxRef := trace.RefNone
 	if tr := h.eng.Trc(); tr.Enabled() {
-		rxRef = tr.CompleteR(h.name, "rx-pkt", int64(t0), int64(h.eng.Now()),
+		rxRef = tr.CompleteR(h.name, "rx-pkt", int64(q.rxT0), int64(h.eng.Now()),
 			trace.Cause(pk.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(pk.n)))
 	}
 
@@ -346,7 +408,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 		if wr != nil {
 			pk.wr, pk.in = wr, in
 			h.eng.AtArg(h.pcie.WriteFrom(h.eng.Now(), pk.n), placeSend, pk)
-			return
+			break
 		}
 		// No posted receive: the message waits as early; its last packet
 		// is acknowledged at once.
@@ -355,6 +417,7 @@ func (q *QP) handleData(p *sim.Proc, pk *packet) {
 		}
 		h.pkts.Put(pk)
 	}
+	rxNext(q)
 }
 
 // placeWrite lands an RDMA Write (or Read Response) packet in its target

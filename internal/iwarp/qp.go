@@ -95,8 +95,15 @@ type QP struct {
 	peer *QP
 	conn *tcpsim.Conn
 
-	rxQ   *sim.Queue[rxSeg]
-	emitQ *sim.Queue[*fetchedWR]
+	// The fetch stage's WQE and when its fetch began, the emit stage and
+	// its emission, and the receive stage with the segment in its pass.
+	fetching *fetchedWR
+	fetchT0  sim.Time
+	emitQ    sim.Stage[*fetchedWR]
+	em       emission
+	rx       sim.Stage[rxSeg]
+	rxCur    rxSeg
+	rxT0     sim.Time
 
 	// Causal bookkeeping (RefNone with tracing off). txCause is the
 	// tx-engine event whose FPDU the next emitted TCP segments carry;
@@ -118,9 +125,11 @@ func (r *RNIC) newQP() *QP {
 		Front: verbs.NewFront(&r.dev, len(r.qps)),
 		rnic:  r,
 		conn:  tcpsim.NewConn(r.eng, fmt.Sprintf("%s/qp%d", r.name, len(r.qps))),
-		rxQ:   sim.NewQueue[rxSeg](r.eng, r.name+"/rxq"),
-		emitQ: sim.NewQueue[*fetchedWR](r.eng, r.name+"/emitq"),
 	}
+	q.em.q = q
+	q.OnSend(fetchNext, q)
+	q.emitQ.Init(r.eng, emitNext, q)
+	q.rx.Init(r.eng, rxNext, q)
 	q.conn.MSS = r.cfg.MSS
 	q.conn.WindowBytes = r.cfg.TCPWindow
 	q.conn.RTO = r.cfg.TCPRTO
@@ -140,9 +149,6 @@ func (r *RNIC) newQP() *QP {
 		}
 	}
 	r.qps = append(r.qps, q)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/rx", r.name, q.QPN()), q.rxLoop)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/fetch", r.name, q.QPN()), q.fetchLoop)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/emit", r.name, q.QPN()), q.emitLoop)
 	return q
 }
 
@@ -153,50 +159,69 @@ type fetchedWR struct {
 	msg *txMsg
 }
 
-// fetchLoop and emitLoop form the NE010's pipelined WQE path: descriptor
-// and payload fetches of the next message overlap protocol processing of
-// the current one (the pipelined protocol engine / transaction switch),
-// while emission order per connection stays strict. This is a deliberate
-// architectural contrast with internal/ib, whose processor-based HCA
-// fetches and executes one WQE at a time — the difference shows up in the
-// paper's LogP gap (Fig. 5) and multi-connection (Fig. 2) results.
-func (q *QP) fetchLoop(p *sim.Proc) {
-	r := q.rnic
-	for {
-		wr := q.NextSend(p)
-		t0 := r.eng.Now()
-		r.pcie.Read(p, 64) // descriptor fetch
-		if tr := r.eng.Trc(); tr.Enabled() {
-			wr.Cause = tr.CompleteR(r.name, "wqe-fetch", int64(t0), int64(r.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())))
-		}
-		f := &fetchedWR{wr: wr}
-		switch wr.Op {
-		case verbs.OpWrite, verbs.OpSend:
-			f.msg = &txMsg{wr: wr, cause: wr.Cause}
-			maxP, _ := q.segParams(wr.Op)
-			f.msg.segs = (wr.Len + maxP - 1) / maxP
-		case verbs.OpRead:
-			// The read request carries no local payload.
-		default:
-			panic(fmt.Sprintf("iwarp %s: bad op %v on send queue", r.name, wr.Op))
-		}
-		q.emitQ.Put(f)
+// The fetch and emit stages form the NE010's pipelined WQE path:
+// descriptor and payload fetches of the next message overlap protocol
+// processing of the current one (the pipelined protocol engine /
+// transaction switch), while emission order per connection stays strict.
+// This is a deliberate architectural contrast with internal/ib, whose
+// processor-based HCA fetches and executes one WQE at a time — the
+// difference shows up in the paper's LogP gap (Fig. 5) and
+// multi-connection (Fig. 2) results.
+
+// fetchNext fetches the descriptor of QP v's next landed send work
+// request, or leaves the fetch stage idle.
+func fetchNext(v any) {
+	q := v.(*QP)
+	wr, ok := q.TakeSend()
+	if !ok {
+		return
 	}
+	r := q.rnic
+	q.fetching, q.fetchT0 = &fetchedWR{wr: wr}, r.eng.Now()
+	r.eng.AfterArg(r.pcie.ReadAsync(64)-r.eng.Now(), fetched, q)
 }
 
-func (q *QP) emitLoop(p *sim.Proc) {
-	for {
-		f := q.emitQ.Get(p)
-		switch f.wr.Op {
-		case verbs.OpWrite:
-			q.emitSegments(p, segTagged, f.wr.Local, f.wr.LocalOff, f.wr.Len, f.wr.RemoteKey, f.wr.RemoteOff, f.msg, nil, f.msg.cause)
-		case verbs.OpSend:
-			q.emitSegments(p, segUntagged, f.wr.Local, f.wr.LocalOff, f.wr.Len, 0, 0, f.msg, nil, f.msg.cause)
-		case verbs.OpRead:
-			q.sendReadRequest(p, f.wr)
-		}
+func fetched(v any) {
+	q := v.(*QP)
+	r, f := q.rnic, q.fetching
+	if tr := r.eng.Trc(); tr.Enabled() {
+		f.wr.Cause = tr.CompleteR(r.name, "wqe-fetch", int64(q.fetchT0), int64(r.eng.Now()),
+			trace.Cause(f.wr.Cause), trace.I64("qpn", int64(q.QPN())))
 	}
+	switch f.wr.Op {
+	case verbs.OpWrite, verbs.OpSend:
+		f.msg = &txMsg{wr: f.wr, cause: f.wr.Cause}
+		maxP, _ := q.segParams(f.wr.Op)
+		f.msg.segs = (f.wr.Len + maxP - 1) / maxP
+	case verbs.OpRead:
+		// The read request carries no local payload.
+	default:
+		panic(fmt.Sprintf("iwarp %s: bad op %v on send queue", r.name, f.wr.Op))
+	}
+	q.emitQ.Put(f)
+	fetchNext(q)
+}
+
+// emitNext emits QP v's next fetched work request, or leaves the emit
+// stage idle.
+func emitNext(v any) {
+	q := v.(*QP)
+	f, ok := q.emitQ.Next()
+	if !ok {
+		return
+	}
+	wr := &f.wr
+	if wr.Op == verbs.OpRead {
+		q.em = emission{q: q, kind: segReadReq, read: wr, cause: wr.Cause}
+		pass(&q.em)
+		return
+	}
+	q.em = emission{q: q, kind: segUntagged, src: wr.Local, srcOff: wr.LocalOff, n: wr.Len,
+		msg: f.msg, cause: f.msg.cause}
+	if wr.Op == verbs.OpWrite {
+		q.em.kind, q.em.stag, q.em.remoteOff = segTagged, wr.RemoteKey, wr.RemoteOff
+	}
+	start(&q.em)
 }
 
 // segParams returns the maximum DDP payload and header size for an op.
@@ -207,90 +232,114 @@ func (q *QP) segParams(op verbs.Op) (maxP, hdr int) {
 	return q.rnic.maxTagged, TaggedHeader
 }
 
-// sendData pushes one RDMAP message through the full transmit pipeline in
-// the calling process: used by the RDMA Read responder, which streams a
-// local region back without the send-queue path.
-func (q *QP) sendData(wp *sim.Proc, kind segKind, src *mem.Region, srcOff, n int, stag mem.RKey, remoteOff int, msg *txMsg, rdMsg *txMsg, cause trace.Ref) {
-	maxP, _ := q.segParams(verbs.OpWrite)
-	if kind == segUntagged {
-		maxP, _ = q.segParams(verbs.OpSend)
-	}
-	if msg != nil {
-		msg.segs = (n + maxP - 1) / maxP
-	}
-	q.emitSegments(wp, kind, src, srcOff, n, stag, remoteOff, msg, rdMsg, cause)
+// emission is the protocol-engine emission phase of one RDMAP message: the
+// emit stage's work request, or an RDMA Read response, which bypasses the
+// send queue. Each DDP segment (or Read Request) takes one engine pass.
+type emission struct {
+	q          *QP
+	kind       segKind
+	src        *mem.Region
+	srcOff, n  int
+	stag       mem.RKey
+	remoteOff  int
+	msg, rdMsg *txMsg
+	read       *verbs.WR // the Read Request WQE (kind segReadReq)
+	cause      trace.Ref
+	data       *mem.View
+	maxP, hdr  int
+	off        int      // offset of the segment in the engine
+	ready, t0  sim.Time // one-segment DMA prefetch; start of the engine pass
 }
 
-// emitSegments runs the protocol-engine emission phase of one message,
-// booking each segment's host DMA just in time.
-func (q *QP) emitSegments(wp *sim.Proc, kind segKind, src *mem.Region, srcOff, n int, stag mem.RKey, remoteOff int, msg *txMsg, rdMsg *txMsg, cause trace.Ref) {
-	r := q.rnic
-	maxP, hdr := q.segParams(verbs.OpWrite)
-	if kind == segUntagged {
-		maxP, hdr = q.segParams(verbs.OpSend)
+// start begins emission v of a data message. The payload is snapshotted
+// once as a copy-on-write view that segments carry ranges of; the final
+// ACK releases the sender's hold, and a read response, which has no sender
+// completion, lets go once emitted.
+func start(v any) {
+	s := v.(*emission)
+	op := verbs.OpWrite
+	if s.kind == segUntagged {
+		op = verbs.OpSend
 	}
-	// Snapshot the message payload once as a copy-on-write view; segments
-	// carry ranges of it. The final ACK releases the sender's hold; a read
-	// response has no sender completion, so it lets go once emitted.
-	data := src.View(srcOff, n)
-	if msg != nil {
-		msg.data = data
-	} else {
-		defer data.Release()
+	s.maxP, s.hdr = s.q.segParams(op)
+	s.data = s.src.View(s.srcOff, s.n)
+	if s.msg != nil {
+		s.msg.data = s.data
 	}
 	// One-segment DMA prefetch: segment i+1's fetch is booked before
 	// segment i is processed, keeping the bus busy through engine time
 	// while bounding how far ahead the shared chipset path is reserved.
-	var ready sim.Time
-	if n > 0 {
-		ready = r.hostToEngine(min(maxP, n) + hdr)
+	if s.n > 0 {
+		s.ready = s.q.rnic.hostToEngine(min(s.maxP, s.n) + s.hdr)
 	}
-	for off := 0; off < n; {
-		take := min(maxP, n-off)
-		cur := ready
-		if next := off + take; next < n {
-			ready = r.hostToEngine(min(maxP, n-next) + hdr)
+	s.off = 0
+	s.nextSeg()
+}
+
+func (s *emission) nextSeg() {
+	r := s.q.rnic
+	switch {
+	case s.off >= s.n && s.msg != nil:
+		emitNext(s.q)
+	case s.off >= s.n:
+		s.data.Release()
+	default:
+		cur := s.ready
+		if next := s.off + min(s.maxP, s.n-s.off); next < s.n {
+			s.ready = r.hostToEngine(min(s.maxP, s.n-next) + s.hdr)
 		}
-		wp.SleepUntil(cur)
-		t0 := r.eng.Now()
-		r.txSched.Use(wp, r.cfg.SchedTime)
-		r.txEngine.Acquire(wp, 1)
-		wp.Sleep(r.cfg.TxSegTime)
-		segCause := cause
-		if tr := r.eng.Trc(); tr.Enabled() {
-			// One protocol-engine pass per DDP segment: scheduling, the
-			// engine slot, and segmentation time, caused by the WQE fetch
-			// (or, on the read-responder path, the request's rx pass).
-			segCause = tr.CompleteR(r.name, "tx-seg", int64(t0), int64(r.eng.Now()),
-				trace.Cause(cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(take)))
-		}
-		seg := &ddpSeg{
-			kind:    kind,
-			n:       take,
-			offset:  remoteOff + off,
-			stag:    stag,
-			first:   off == 0,
-			last:    off+take == n,
-			msg:     msg,
-			rdMsg:   rdMsg,
-			src:     q,
-			fpdu:    r.cfg.Framing.FPDUBytes(hdr, take),
-			txCause: segCause,
-		}
-		if kind == segUntagged {
-			seg.offset = off
-		}
-		seg.data, seg.voff = data, off
-		r.txEngine.Release(1)
-		r.cSegsTx.Inc()
-		framing, markers := r.cfg.Framing.FramingOverhead(hdr, take)
-		r.cFramingBytes.Add(int64(framing))
-		r.cMarkerBytes.Add(int64(markers))
-		// The remaining pipeline stages add latency without occupying an
-		// engine slot; scheduling preserves per-connection segment order.
-		r.eng.AfterArg(r.cfg.TxPipeDelay, enterTCP, seg)
-		off += take
+		r.eng.AfterArg(cur-r.eng.Now(), pass, s)
 	}
+}
+
+// pass takes emission v's transaction-switch slot, then a protocol-engine
+// slot.
+func pass(v any) {
+	s := v.(*emission)
+	r := s.q.rnic
+	s.t0 = r.eng.Now()
+	r.txSched.UseThen(r.cfg.SchedTime, passSched, s)
+}
+
+func passSched(v any) {
+	r := v.(*emission).q.rnic
+	r.txEngine.HoldThen(r.cfg.TxSegTime, passDone, v)
+}
+
+// passDone ends emission v's engine pass: the segment heads down the
+// transmit pipeline, or the Read Request goes to TCP.
+func passDone(v any) {
+	s := v.(*emission)
+	if s.kind == segReadReq {
+		s.q.sendReadRequest(s)
+		return
+	}
+	q, r := s.q, s.q.rnic
+	take := min(s.maxP, s.n-s.off)
+	segCause := s.cause
+	if tr := r.eng.Trc(); tr.Enabled() {
+		// One protocol-engine pass per DDP segment: scheduling, the
+		// engine slot, and segmentation time, caused by the WQE fetch
+		// (or, on the read-responder path, the request's rx pass).
+		segCause = tr.CompleteR(r.name, "tx-seg", int64(s.t0), int64(r.eng.Now()),
+			trace.Cause(s.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(take)))
+	}
+	seg := &ddpSeg{kind: s.kind, data: s.data, voff: s.off, n: take, offset: s.remoteOff + s.off,
+		stag: s.stag, first: s.off == 0, last: s.off+take == s.n, msg: s.msg, rdMsg: s.rdMsg,
+		src: q, fpdu: r.cfg.Framing.FPDUBytes(s.hdr, take), txCause: segCause}
+	if s.kind == segUntagged {
+		seg.offset = s.off
+	}
+	r.txEngine.Release(1)
+	r.cSegsTx.Inc()
+	framing, markers := r.cfg.Framing.FramingOverhead(s.hdr, take)
+	r.cFramingBytes.Add(int64(framing))
+	r.cMarkerBytes.Add(int64(markers))
+	// The remaining pipeline stages add latency without occupying an
+	// engine slot; scheduling preserves per-connection segment order.
+	r.eng.AfterArg(r.cfg.TxPipeDelay, enterTCP, seg)
+	s.off += take
+	s.nextSeg()
 }
 
 // enterTCP hands DDP segment v to its QP's TCP connection at the end of
@@ -303,28 +352,15 @@ func enterTCP(v any) {
 	q.drainTx()
 }
 
-// sendReadRequest emits an RDMAP Read Request for wr (an OpRead WQE).
-func (q *QP) sendReadRequest(wp *sim.Proc, wr verbs.WR) {
-	r := q.rnic
-	msg := &txMsg{wr: wr}
-	seg := &ddpSeg{
-		kind: segReadReq,
-		n:    ReadRequestBytes,
-		rd: readReq{
-			srcKey:  wr.RemoteKey,
-			srcOff:  wr.RemoteOff,
-			n:       wr.Len,
-			sinkKey: wr.Local.Key,
-			sinkOff: wr.LocalOff,
-			msg:     msg,
-		},
-	}
-	t0 := r.eng.Now()
-	r.txSched.Use(wp, r.cfg.SchedTime)
-	r.txEngine.Acquire(wp, 1)
-	wp.Sleep(r.cfg.TxSegTime)
+// sendReadRequest hands the RDMAP Read Request of emission s, whose engine
+// pass just ended, to TCP, then moves the emit stage on.
+func (q *QP) sendReadRequest(s *emission) {
+	r, wr := q.rnic, s.read
+	seg := &ddpSeg{kind: segReadReq, n: ReadRequestBytes, rd: readReq{
+		srcKey: wr.RemoteKey, srcOff: wr.RemoteOff, n: wr.Len,
+		sinkKey: wr.Local.Key, sinkOff: wr.LocalOff, msg: &txMsg{wr: *wr}}}
 	if tr := r.eng.Trc(); tr.Enabled() {
-		q.txCause = tr.CompleteR(r.name, "tx-seg", int64(t0), int64(r.eng.Now()),
+		q.txCause = tr.CompleteR(r.name, "tx-seg", int64(s.t0), int64(r.eng.Now()),
 			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(ReadRequestBytes)))
 	}
 	r.cSegsTx.Inc()
@@ -335,11 +371,12 @@ func (q *QP) sendReadRequest(wp *sim.Proc, wr verbs.WR) {
 	q.conn.Send(r.cfg.Framing.FPDUBytes(UntaggedHeader, ReadRequestBytes), seg)
 	r.txEngine.Release(1)
 	q.drainTx()
+	emitNext(q)
 }
 
 // drainTx moves every currently-sendable TCP segment onto the wire, pacing
 // below line rate while the DCQCN limiter is armed. It runs in engine
-// context (from WQE processes, the TCP OnSendable hook, and ACK arrival).
+// context (from the emit stage, the TCP OnSendable hook, and ACK arrival).
 // A pacing delay only ever *postpones* transmissions — the wake fires
 // strictly later on the same engine, so pdes lookahead bounds are intact.
 func (q *QP) drainTx() {
@@ -411,68 +448,88 @@ type rxSeg struct {
 	cause   trace.Ref
 }
 
-// rxLoop is the per-QP receive process: it serializes TCP input per
-// connection while sharing the RNIC's pipelined engine across QPs.
-func (q *QP) rxLoop(p *sim.Proc) {
+// rxNext takes QP v's next arrived TCP segment into the RNIC's pipelined
+// engine, or leaves the receive stage idle: TCP input stays serial per
+// connection while the engine is shared across QPs.
+func rxNext(v any) {
+	q := v.(*QP)
+	rx, ok := q.rx.Next()
+	if !ok {
+		return
+	}
 	r := q.rnic
-	for {
-		rx := q.rxQ.Get(p)
-		tseg := rx.seg
-		if tseg.Len == 0 {
-			// Pure ACK: cheap engine pass, may open the TX window. A corrupt
-			// one fails the TCP checksum and is discarded after the same
-			// engine pass; the sender's RTO covers the lost window update.
-			r.cAcksRx.Inc()
-			t0 := r.eng.Now()
-			r.rxEngine.Use(p, r.cfg.RxAckTime)
-			if rx.corrupt {
-				r.cCrcRejects.Inc()
-				continue
-			}
-			if tr := r.eng.Trc(); tr.Enabled() {
-				q.ackCause = tr.CompleteR(r.name, "rx-ack", int64(t0), int64(r.eng.Now()),
-					trace.Cause(rx.cause), trace.I64("qpn", int64(q.QPN())))
-			}
-			if rx.ece {
-				// The peer saw our data cross a congested queue: apply the
-				// TCP cut (once per window) and, when it takes, the DCQCN
-				// rate cut. Reacting before Input keeps the cut sized to
-				// the flight the mark belongs to.
-				r.cECNEchoes.Inc()
-				if q.conn.ECNCut() && q.limiter != nil {
-					q.limiter.OnCongestion(r.eng.Now())
-					r.cRateCuts.Inc()
-				}
-			}
-			q.conn.Input(tseg)
-			continue
+	q.rxCur, q.rxT0 = rx, r.eng.Now()
+	if rx.seg.Len == 0 {
+		// Pure ACK: cheap engine pass, may open the TX window.
+		r.cAcksRx.Inc()
+		r.rxEngine.UseThen(r.cfg.RxAckTime, rxAck, q)
+		return
+	}
+	r.cSegsRx.Inc()
+	r.rxSched.UseThen(r.cfg.SchedTime, rxSched, q)
+}
+
+// rxAck feeds an arrived pure ACK to TCP. A corrupt one fails the TCP
+// checksum and is discarded after the same engine pass; the sender's RTO
+// covers the lost window update.
+func rxAck(v any) {
+	q := v.(*QP)
+	r, rx := q.rnic, &q.rxCur
+	if rx.corrupt {
+		r.cCrcRejects.Inc()
+		rxNext(q)
+		return
+	}
+	if tr := r.eng.Trc(); tr.Enabled() {
+		q.ackCause = tr.CompleteR(r.name, "rx-ack", int64(q.rxT0), int64(r.eng.Now()),
+			trace.Cause(rx.cause), trace.I64("qpn", int64(q.QPN())))
+	}
+	if rx.ece {
+		// The peer saw our data cross a congested queue: apply the TCP cut
+		// (once per window) and, when it takes, the DCQCN rate cut.
+		// Reacting before Input keeps the cut sized to the flight the mark
+		// belongs to.
+		r.cECNEchoes.Inc()
+		if q.conn.ECNCut() && q.limiter != nil {
+			q.limiter.OnCongestion(r.eng.Now())
+			r.cRateCuts.Inc()
 		}
-		r.cSegsRx.Inc()
-		t0 := r.eng.Now()
-		r.rxSched.Use(p, r.cfg.SchedTime)
-		r.rxEngine.Acquire(p, 1)
-		p.Sleep(r.cfg.RxSegTime)
-		r.rxEngine.Release(1)
-		var rxRef trace.Ref
+	}
+	q.conn.Input(rx.seg)
+	rxNext(q)
+}
+
+func rxSched(v any) {
+	r := v.(*QP).rnic
+	r.rxEngine.HoldThen(r.cfg.RxSegTime, rxPassed, v)
+}
+
+// rxPassed ends a data segment's engine pass and sends it down the rest of
+// the receive pipeline.
+func rxPassed(v any) {
+	q := v.(*QP)
+	r, rx := q.rnic, &q.rxCur
+	r.rxEngine.Release(1)
+	var rxRef trace.Ref
+	if tr := r.eng.Trc(); tr.Enabled() {
+		rxRef = tr.CompleteR(r.name, "rx-seg", int64(q.rxT0), int64(r.eng.Now()),
+			trace.Cause(rx.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(rx.seg.Len)))
+	}
+	if rx.corrupt {
+		// MPA CRC reject: the engine has already paid the receive pass
+		// that computed the CRC; the FPDU is discarded without reaching
+		// DDP placement or the TOE, so no ACK advances and the sender's
+		// go-back-N retransmission recovers the stream.
+		r.cCrcRejects.Inc()
 		if tr := r.eng.Trc(); tr.Enabled() {
-			rxRef = tr.CompleteR(r.name, "rx-seg", int64(t0), int64(r.eng.Now()),
-				trace.Cause(rx.cause), trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(tseg.Len)))
+			tr.Instant(r.name, "mpa-crc-reject", trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(rx.seg.Len)))
 		}
-		if rx.corrupt {
-			// MPA CRC reject: the engine has already paid the receive pass
-			// that computed the CRC; the FPDU is discarded without reaching
-			// DDP placement or the TOE, so no ACK advances and the sender's
-			// go-back-N retransmission recovers the stream.
-			r.cCrcRejects.Inc()
-			if tr := r.eng.Trc(); tr.Enabled() {
-				tr.Instant(r.name, "mpa-crc-reject", trace.I64("qpn", int64(q.QPN())), trace.I64("bytes", int64(tseg.Len)))
-			}
-			continue
-		}
+	} else {
 		ps := r.passFree.Get()
-		*ps = rxPass{q: q, seg: tseg, ecn: rx.ecn, ref: rxRef}
+		*ps = rxPass{q: q, seg: rx.seg, ecn: rx.ecn, ref: rxRef}
 		r.eng.AfterArg(r.cfg.RxPipeDelay, finishRx, ps)
 	}
+	rxNext(q)
 }
 
 // finishRx runs at the end of rx pass v's pipeline: TCP input, the ACK
@@ -498,7 +555,7 @@ func finishRx(v any) {
 }
 
 // handleSeg places one arrived DDP segment; cause is the rx-engine pass that
-// completed the segment's record. Runs in the rx process.
+// completed the segment's record.
 func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 	r := q.rnic
 	switch seg.kind {
@@ -531,9 +588,9 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			panic(fmt.Sprintf("iwarp %s: read request for unknown STag %d", r.name, rd.srcKey))
 		}
 		// The responder RNIC streams the data back without host involvement.
-		r.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", r.name, q.QPN()), func(rp *sim.Proc) {
-			q.sendData(rp, segTagged, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, cause)
-		})
+		s := &emission{q: q, kind: segTagged, src: region, srcOff: rd.srcOff, n: rd.n,
+			stag: rd.sinkKey, remoteOff: rd.sinkOff, rdMsg: rd.msg, cause: cause}
+		r.eng.AfterArg(0, start, s)
 	}
 }
 

@@ -244,7 +244,7 @@ func (r *RNIC) Deliver(f *fabric.Frame) {
 	if ws.dstQPN < 0 || ws.dstQPN >= len(r.qps) {
 		panic(fmt.Sprintf("iwarp %s: frame for unknown QP %d", r.name, ws.dstQPN))
 	}
-	r.qps[ws.dstQPN].rxQ.Put(rxSeg{seg: ws.seg, corrupt: f.Corrupt, ecn: f.ECN, ece: ws.ece, cause: f.Cause})
+	r.qps[ws.dstQPN].rx.Put(rxSeg{seg: ws.seg, corrupt: f.Corrupt, ecn: f.ECN, ece: ws.ece, cause: f.Cause})
 	r.wsegFree.Put(ws)
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -383,5 +384,74 @@ func TestCopyCostMonotone(t *testing.T) {
 			t.Errorf("CopyCost(%d) = %v not monotone", n, c)
 		}
 		prev = c
+	}
+}
+
+// regCacheScenario has two users walk buffers a, b, a of one RegCache at
+// once, Get then Put of each, so the walk covers misses, hits and two
+// misses racing to pin the same window. With then set the users are
+// GetThen/PutThen handler chains instead of processes. It returns each
+// Get's and Put's latency in completion order, the cache and table stats,
+// and the events fired.
+func regCacheScenario(t *testing.T, enabled, then bool) string {
+	eng, m := newMem(t)
+	tab := NewRegTable(eng, "nic0", RegCost{Base: 3 * sim.Microsecond, PerPage: sim.Microsecond, DeregBase: 2 * sim.Microsecond})
+	cache := NewRegCache(tab, 8)
+	cache.Enabled = enabled
+	a, b := m.Alloc(8192), m.Alloc(4096)
+	walk := []*Buffer{a, b, a}
+	var log []string
+	record := func(user, op string, t0 sim.Time) {
+		log = append(log, fmt.Sprintf("%s %s %v", user, op, eng.Now()-t0))
+	}
+	for _, user := range []string{"u0", "u1"} {
+		if !then {
+			eng.Go(user, func(p *sim.Proc) {
+				for _, buf := range walk {
+					t0 := p.Now()
+					r := cache.Get(p, buf, 0, buf.Len())
+					record(user, "get", t0)
+					t0 = p.Now()
+					cache.Put(p, r)
+					record(user, "put", t0)
+				}
+			})
+			continue
+		}
+		i, t0 := 0, sim.Time(0)
+		var step func(any)
+		put := func(any) {
+			record(user, "put", t0)
+			i++
+			step(nil)
+		}
+		got := func(r *Region, _ any) {
+			record(user, "get", t0)
+			t0 = eng.Now()
+			cache.PutThen(r, put, nil)
+		}
+		step = func(any) {
+			if i < len(walk) {
+				t0 = eng.Now()
+				cache.GetThen(walk[i], 0, walk[i].Len(), got, nil)
+			}
+		}
+		eng.AfterArg(0, step, nil)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, live := cache.Stats()
+	regs, deregs, pinned := tab.Stats()
+	return fmt.Sprintf("%v hits=%d misses=%d live=%d regs=%d deregs=%d pinned=%d events=%d",
+		log, hits, misses, live, regs, deregs, pinned, eng.Metrics().Snapshot().Counters["sim.events_fired"])
+}
+
+func TestRegCacheThenMatchesGetPut(t *testing.T) {
+	for _, enabled := range []bool{true, false} {
+		want := regCacheScenario(t, enabled, false)
+		if got := regCacheScenario(t, enabled, true); got != want {
+			t.Errorf("enabled=%v:\nGetThen/PutThen: %s\nGet/Put:         %s", enabled, got, want)
+		}
 	}
 }

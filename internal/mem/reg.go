@@ -83,6 +83,8 @@ type RegTable struct {
 	// count up from 1 and are never reused.
 	regions []*Region
 
+	ops *sim.FreeList[regOp] // the Then forms' operations in flight
+
 	registrations   int64
 	deregistrations int64
 	pinnedBytes     int64
@@ -99,6 +101,7 @@ func NewRegTable(eng *sim.Engine, name string, cost RegCost) *RegTable {
 	reg := eng.Metrics()
 	return &RegTable{
 		eng: eng, name: name, Cost: cost,
+		ops:     sim.FreeListOf[regOp](eng),
 		cRegs:   reg.Counter("mem.registrations"),
 		cDeregs: reg.Counter("mem.deregistrations"),
 		cPages:  reg.Counter("mem.pages_pinned"),
@@ -106,14 +109,58 @@ func NewRegTable(eng *sim.Engine, name string, cost RegCost) *RegTable {
 	}
 }
 
+// regOp is one registration or deregistration in flight through the Then
+// forms, pooled on the engine.
+type regOp struct {
+	t             *RegTable
+	c             *RegCache // GetThen's cache, settled once the pin lands
+	buf           *Buffer
+	off, n, pages int
+	t0            sim.Time
+	r             *Region            // DeregisterThen's region
+	got           func(*Region, any) // RegisterThen's continuation
+	done          func(any)          // DeregisterThen's continuation
+	arg           any
+}
+
 // Register pins [off, off+n) of buf, charging the registration cost to p.
 func (t *RegTable) Register(p *sim.Proc, buf *Buffer, off, n int) *Region {
+	pages := t.pages(buf, off, n)
+	t0 := t.eng.Now()
+	p.Sleep(t.Cost.Of(pages))
+	return t.pin(buf, off, n, pages, t0)
+}
+
+// RegisterThen is Register for event handlers: the registration cost
+// elapses, then got receives the region, settled in cache c if non-nil
+// (see RegCache.GetThen), and arg.
+func (t *RegTable) RegisterThen(c *RegCache, buf *Buffer, off, n int, got func(*Region, any), arg any) {
+	op := t.ops.Get()
+	*op = regOp{t: t, c: c, buf: buf, off: off, n: n, pages: t.pages(buf, off, n), t0: t.eng.Now(), got: got, arg: arg}
+	t.eng.AfterArg(t.Cost.Of(op.pages), registered, op)
+}
+
+func registered(v any) {
+	op := v.(*regOp)
+	t, c, got, arg := op.t, op.c, op.got, op.arg
+	r := t.pin(op.buf, op.off, op.n, op.pages, op.t0)
+	if c != nil {
+		r = c.settle(r)
+	}
+	t.ops.Put(op)
+	got(r, arg)
+}
+
+// pages checks a registration window and counts its pages.
+func (t *RegTable) pages(buf *Buffer, off, n int) int {
 	if off < 0 || n <= 0 || off+n > buf.Len() {
 		panic(fmt.Sprintf("mem %s: register [%d,%d) of %d-byte buffer", t.name, off, off+n, buf.Len()))
 	}
-	pages := buf.Pages(off, n)
-	t0 := t.eng.Now()
-	p.Sleep(t.Cost.Of(pages))
+	return buf.Pages(off, n)
+}
+
+// pin records a charged registration that began at t0 and pins it.
+func (t *RegTable) pin(buf *Buffer, off, n, pages int, t0 sim.Time) *Region {
 	ref := t.eng.Trc().CompleteR(t.name, "mem.register", int64(t0), int64(t.eng.Now()),
 		trace.I64("bytes", int64(n)), trace.I64("pages", int64(pages)))
 	t.cPages.Add(int64(pages))
@@ -160,6 +207,22 @@ func (t *RegTable) fill(r *Region, buf *Buffer, off, n int) {
 func (t *RegTable) Deregister(p *sim.Proc, r *Region) {
 	p.Sleep(t.Cost.DeregBase)
 	t.DeregisterFree(r)
+}
+
+// DeregisterThen is Deregister for event handlers: the deregistration
+// cost elapses, the region is unpinned, then done(arg) runs.
+func (t *RegTable) DeregisterThen(r *Region, done func(any), arg any) {
+	op := t.ops.Get()
+	*op = regOp{t: t, r: r, done: done, arg: arg}
+	t.eng.AfterArg(t.Cost.DeregBase, deregistered, op)
+}
+
+func deregistered(v any) {
+	op := v.(*regOp)
+	t, r, done, arg := op.t, op.r, op.done, op.arg
+	t.ops.Put(op)
+	t.DeregisterFree(r)
+	done(arg)
 }
 
 // DeregisterFree unpins without charging time.
@@ -217,6 +280,10 @@ type cacheKey struct {
 	n    int
 }
 
+func cacheKeyOf(buf *Buffer, off, n int) cacheKey {
+	return cacheKey{buf.Addr() + uint64(off), n}
+}
+
 type cacheEntry struct {
 	region *Region
 	inUse  int
@@ -241,28 +308,59 @@ func NewRegCache(t *RegTable, maxEntries int) *RegCache {
 // may complete the same registration first, in which case the duplicate pin
 // is discarded and the canonical entry shared.
 func (c *RegCache) Get(p *sim.Proc, buf *Buffer, off, n int) *Region {
-	if !c.Enabled {
-		c.misses++
-		c.cMisses.Inc()
-		return c.Table.Register(p, buf, off, n)
+	if r := c.lookup(buf, off, n); r != nil {
+		return r
 	}
-	k := cacheKey{buf.Addr() + uint64(off), n}
-	if e, ok := c.entries[k]; ok {
-		c.hits++
-		c.cHits.Inc()
-		c.promote(k)
-		e.inUse++
-		return e.region
+	return c.settle(c.Table.Register(p, buf, off, n))
+}
+
+// GetThen is Get for event handlers: got receives the region and arg, at
+// once on a hit, after the registration cost on a miss.
+func (c *RegCache) GetThen(buf *Buffer, off, n int, got func(*Region, any), arg any) {
+	if r := c.lookup(buf, off, n); r != nil {
+		got(r, arg)
+		return
+	}
+	c.Table.RegisterThen(c, buf, off, n, got, arg)
+}
+
+// lookup takes a use of the cached region of [off, off+n) of buf, or
+// counts a miss and returns nil (always, with the cache disabled).
+func (c *RegCache) lookup(buf *Buffer, off, n int) *Region {
+	if c.Enabled {
+		if r := c.share(cacheKeyOf(buf, off, n)); r != nil {
+			c.hits++
+			c.cHits.Inc()
+			return r
+		}
 	}
 	c.misses++
 	c.cMisses.Inc()
-	r := c.Table.Register(p, buf, off, n)
-	if e, ok := c.entries[k]; ok {
-		// Someone else registered this window while we slept in Register.
+	return nil
+}
+
+// share takes a use of k's cached region, or returns nil.
+func (c *RegCache) share(k cacheKey) *Region {
+	e, ok := c.entries[k]
+	if !ok {
+		return nil
+	}
+	c.promote(k)
+	e.inUse++
+	return e.region
+}
+
+// settle caches r, the registration of a miss, and returns it, unless a
+// racing Get cached the same window while r was being pinned: then r is
+// dropped and the canonical entry shared. A disabled cache keeps nothing.
+func (c *RegCache) settle(r *Region) *Region {
+	if !c.Enabled {
+		return r
+	}
+	k := cacheKeyOf(r.Buf, r.Off, r.Len)
+	if shared := c.share(k); shared != nil {
 		c.Table.DeregisterFree(r)
-		c.promote(k)
-		e.inUse++
-		return e.region
+		return shared
 	}
 	c.insert(k, r)
 	return r
@@ -323,8 +421,23 @@ func (c *RegCache) Put(p *sim.Proc, r *Region) {
 		c.Table.Deregister(p, r)
 		return
 	}
-	k := cacheKey{r.Buf.Addr() + uint64(r.Off), r.Len}
-	if e, ok := c.entries[k]; ok && e.inUse > 0 {
+	c.release(r)
+}
+
+// PutThen is Put for event handlers: done(arg) runs at once with the
+// cache enabled, after the deregistration cost with it disabled.
+func (c *RegCache) PutThen(r *Region, done func(any), arg any) {
+	if !c.Enabled {
+		c.Table.DeregisterThen(r, done, arg)
+		return
+	}
+	c.release(r)
+	done(arg)
+}
+
+// release drops one use of a cached region.
+func (c *RegCache) release(r *Region) {
+	if e, ok := c.entries[cacheKeyOf(r.Buf, r.Off, r.Len)]; ok && e.inUse > 0 {
 		e.inUse--
 	}
 }

@@ -102,3 +102,38 @@ func TestBarrierNonPowerOfTwoWorld(t *testing.T) {
 		}
 	})
 }
+
+// TestFullMeshProcsScaleWithRanks runs an Alltoall over 64 ranks, which
+// wires a queue pair (or, on MX, message traffic) between every pair of
+// ranks. NIC stages are event handlers, so the processes a world runs are
+// its programs, a few per rank: live and started processes stay O(ranks)
+// although the mesh has O(ranks^2) connections and messages.
+func TestFullMeshProcsScaleWithRanks(t *testing.T) {
+	const ranks = 64
+	const n = 64
+	for _, kind := range []cluster.Kind{cluster.IWARP, cluster.IB, cluster.MXoE} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			var eng *sim.Engine
+			peakLive := 0
+			w := runLazy(t, kind, ranks, func(pr *sim.Proc, p *Process) {
+				eng = pr.Engine()
+				send := p.Host().Mem.Alloc(ranks * n)
+				recv := p.Host().Mem.Alloc(ranks * n)
+				p.Alltoall(pr, send, recv, n)
+				peakLive = max(peakLive, pr.Engine().LiveProcs())
+			})
+			if !kind.IsMX() {
+				if got, want := w.ConnectedPairs(), ranks*(ranks-1)/2; got != want {
+					t.Fatalf("%d connected pairs, want a full mesh of %d", got, want)
+				}
+			}
+			started := eng.Metrics().Snapshot().Counters["sim.procs_started"]
+			t.Logf("%d live processes at peak, %d started", peakLive, started)
+			if peakLive > 2*ranks || started > 4*ranks {
+				t.Errorf("%d ranks: %d live processes at peak and %d started, want O(ranks): at most %d and %d",
+					ranks, peakLive, started, 2*ranks, 4*ranks)
+			}
+		})
+	}
+}

@@ -208,6 +208,7 @@ func (b *vbind) sendBounces(size int) {
 // control QP, or for its data QP if data, and posts it.
 func (b *vbind) recvBounces(pr *sim.Proc, peer, size int, data bool) {
 	slab := b.newBounces(size)
+	b.recvQP(peer, data).ReserveRecv(len(slab))
 	for i := range slab {
 		bb := &slab[i]
 		bb.peer, bb.recv, bb.data = peer, true, data
@@ -530,12 +531,16 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 
 // postRecv posts a receive bounce on the QP it serves.
 func (b *vbind) postRecv(pr *sim.Proc, bb *bounceBuf) {
-	qp := b.qps[bb.peer]
-	if bb.data {
-		qp = b.dataQPs[bb.peer]
-	}
 	bb.posted = true
-	qp.PostRecv(pr, verbs.WR{ID: bounceWR(bb), Op: verbs.OpRecv, Local: bb.reg})
+	b.recvQP(bb.peer, bb.data).PostRecv(pr, verbs.WR{ID: bounceWR(bb), Op: verbs.OpRecv, Local: bb.reg})
+}
+
+// recvQP returns peer's data QP if data, else its control QP.
+func (b *vbind) recvQP(peer int, data bool) verbs.QP {
+	if data {
+		return b.dataQPs[peer]
+	}
+	return b.qps[peer]
 }
 
 // waitArrival blocks until the next channel completion has been handled;

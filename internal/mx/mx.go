@@ -184,14 +184,35 @@ type packet struct {
 	cause trace.Ref
 }
 
-// postedRecv is one NIC-resident receive entry.
+// postedRecv is one NIC-resident receive entry; until its doorbell lands
+// it is also the doorbell event's argument.
 type postedRecv struct {
+	e     *Endpoint
 	match uint64
 	mask  uint64
 	buf   *mem.Buffer
 	off   int
 	n     int
 	h     *Handle
+}
+
+// msgOp is one NIC sequence of a message transfer, run as a chain of
+// event handlers on the engine's free-listed ops: an eager or
+// rendezvous-data packet stream, an RTS or CTS with the pinning before it,
+// or a receive that matched an unexpected message.
+type msgOp struct {
+	e    *Endpoint
+	x    *xfer
+	kind pktKind // pktEager, pktRndvData (streams), pktRTS or pktCTS
+	dma  bool    // stream payload fetched by DMA (not PIO)
+	// Stream position; pinning window [off, end) of buf; or the receive
+	// (end bytes at off of buf, handle h) an unexpected message matched.
+	off, end int
+	buf      *mem.Buffer
+	h        *Handle
+	ready    sim.Time // one-packet DMA prefetch
+	t0       sim.Time
+	stalled  bool // a throttle stall is already counted for this packet
 }
 
 // Endpoint is one MX endpoint (one NIC, one process).
@@ -207,10 +228,19 @@ type Endpoint struct {
 
 	posted     []*postedRecv
 	unexpected []*xfer
-	rxQ        *sim.Queue[*packet]
 
-	// pkts recycles packet structs, shared by every endpoint on the engine.
+	// rx is the NIC receive processor's stage, with the packet in its pass,
+	// when the pass began, and the posted-queue walk (entry, snapshot).
+	rx     sim.Stage[*packet]
+	rxPk   *packet
+	rxT0   sim.Time
+	rxI    int
+	rxWalk int
+
+	// pkts recycles packets and ops msgOps, shared by every endpoint on
+	// the engine.
 	pkts *sim.FreeList[packet]
+	ops  *sim.FreeList[msgOp]
 
 	// Stats.
 	EagerSent, RndvSent     int64
@@ -235,9 +265,10 @@ func NewEndpoint(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.
 		hostMem: hostMem,
 		pcie:    pci.New(eng, cfg.PCIe),
 		nic:     sim.NewResource(eng, name+"/nic-proc", 1),
-		rxQ:     sim.NewQueue[*packet](eng, name+"/rxq"),
 		pkts:    sim.FreeListOf[packet](eng),
+		ops:     sim.FreeListOf[msgOp](eng),
 	}
+	e.rx.Init(eng, rxNext, e)
 	e.regs = mem.NewRegCache(mem.NewRegTable(eng, name+"/reg", cfg.RegCost), cfg.RegCacheSize)
 	e.port = net.Attach(e)
 	mreg := eng.Metrics()
@@ -249,7 +280,6 @@ func NewEndpoint(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.
 	e.cNICWalk = mreg.Counter("mx.nic_posted_walk_entries")
 	e.cHostWalk = mreg.Counter("mx.host_unexpected_walk_entries")
 	e.cThrottle = mreg.Counter("mx.throttle_stalls")
-	eng.Go(name+"/rx", e.rxLoop)
 	return e
 }
 
@@ -274,7 +304,7 @@ func (e *Endpoint) RegCache() *mem.RegCache { return e.regs }
 func (e *Endpoint) Deliver(f *fabric.Frame) {
 	pk := f.Payload.(*packet)
 	pk.cause = f.Cause // chain NIC rx processing from the delivering wire hop
-	e.rxQ.Put(pk)
+	e.rx.Put(pk)
 }
 
 // Isend starts a non-blocking matched send of n bytes to peer.
@@ -301,129 +331,151 @@ func (e *Endpoint) IsendCause(p *sim.Proc, peer *Endpoint, match uint64, buf *me
 	p.Sleep(e.cfg.PostOverhead)
 	x.txCause = e.eng.Trc().CompleteR(e.name, "doorbell", int64(post), int64(e.eng.Now()),
 		trace.Cause(cause), trace.I64("bytes", int64(n)))
+	op := e.ops.Get()
+	op.e, op.x, op.kind = e, x, pktRTS
 	if n <= e.cfg.EagerMax {
 		e.EagerSent++
 		e.cEager.Inc()
-		e.eagerSend(p, x, buf, off)
+		op.kind = pktEager
+		if n <= e.cfg.PIOMax {
+			// Host PIO: descriptor and payload written straight to the NIC.
+			e.eng.AtArg(e.pcie.Doorbell(64+n), rang, op)
+			return h
+		}
+		op.dma = true
 	} else {
+		// Rendezvous: the NIC pins the source buffer, then sends the RTS.
 		e.RndvSent++
 		e.cRndv.Inc()
-		e.rndvSend(p, x, buf, off)
+		op.buf, op.off, op.end = buf, off, off+n
 	}
+	e.eng.AtArg(e.pcie.Doorbell(64), rang, op)
 	return h
 }
 
-// eagerSend pushes an eager message through the NIC.
-func (e *Endpoint) eagerSend(p *sim.Proc, x *xfer, buf *mem.Buffer, off int) {
-	if x.n <= e.cfg.PIOMax {
-		// Host PIO: descriptor and payload written straight to the NIC.
-		at := e.pcie.Doorbell(64 + x.n)
-		e.eng.At(at, func() {
-			e.eng.Go(e.name+"/tx", func(np *sim.Proc) { e.txPackets(np, x, false) })
-		})
-		return
+func rang(v any) {
+	op := v.(*msgOp)
+	if op.kind == pktRTS {
+		op.e.eng.AfterArg(0, pin, op)
+	} else {
+		op.e.eng.AfterArg(0, stream, op)
 	}
-	at := e.pcie.Doorbell(64)
-	e.eng.At(at, func() {
-		e.eng.Go(e.name+"/tx", func(np *sim.Proc) { e.txPackets(np, x, true) })
-	})
 }
 
-// throttle pauses the calling NIC stream while the endpoint's uplink
-// backlog exceeds Config.ThrottleBacklog. The sleep duration is exactly the
-// excess, so the stream resumes the instant the queue is back at the
-// threshold (unless other streams on the same port refilled it, in which
-// case the loop waits again). A no-op when throttling is disarmed.
-func (e *Endpoint) throttle(np *sim.Proc) {
-	th := e.cfg.ThrottleBacklog
-	if th <= 0 {
+// stream streams message op.x's packets through the NIC processor with a
+// one-packet DMA prefetch: an eager message, or rendezvous data after the
+// CTS.
+func stream(v any) {
+	op := v.(*msgOp)
+	if e, x := op.e, op.x; op.dma && x.n > 0 {
+		op.ready, _ = e.pcie.ReadNext(e.eng.Now(), min(e.cfg.MTU, x.n))
+	}
+	op.nextPacket()
+}
+
+func (op *msgOp) nextPacket() {
+	e, x := op.e, op.x
+	if take := min(e.cfg.MTU, x.n-op.off); op.dma && take > 0 {
+		cur := op.ready
+		if next := op.off + take; next < x.n {
+			op.ready, _ = e.pcie.ReadNext(e.eng.Now(), min(e.cfg.MTU, x.n-next))
+		}
+		e.eng.AfterArg(cur-e.eng.Now(), throttle, op)
 		return
 	}
-	stalled := false
-	for {
-		over := e.port.UpBacklog(np.Now()) - th
-		if over <= 0 {
+	throttle(op)
+}
+
+// throttle holds stream op while the endpoint's uplink backlog exceeds
+// Config.ThrottleBacklog, waiting exactly the excess each time (other
+// streams on the port may refill it), then sends the packet through the
+// NIC processor. A pass-through when throttling is disarmed.
+func throttle(v any) {
+	op := v.(*msgOp)
+	e := op.e
+	if th := e.cfg.ThrottleBacklog; th > 0 {
+		if over := e.port.UpBacklog(e.eng.Now()) - th; over > 0 {
+			if !op.stalled {
+				op.stalled = true
+				e.ThrottleStalls++
+				e.cThrottle.Inc()
+			}
+			e.eng.AfterArg(over, throttle, op)
 			return
 		}
-		if !stalled {
-			stalled = true
-			e.ThrottleStalls++
-			e.cThrottle.Inc()
-		}
-		np.Sleep(over)
+	}
+	op.stalled = false
+	op.t0 = e.eng.Now()
+	e.nic.UseThen(e.cfg.TxPktTime, streamed, op)
+}
+
+// streamed puts stream op's packet on the wire and moves on; after the
+// last packet, the completion writeback of an eager send occupies the NIC
+// processor briefly, then the send completes locally.
+func streamed(v any) {
+	op := v.(*msgOp)
+	e, x := op.e, op.x
+	take := min(e.cfg.MTU, x.n-op.off)
+	x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(op.t0), int64(e.eng.Now()),
+		trace.Cause(x.txCause), trace.I64("bytes", int64(take)))
+	e.sendPacket(x.dst, packet{kind: op.kind, x: x, off: op.off, n: take,
+		first: op.off == 0, last: op.off+take >= x.n, cause: x.txCause})
+	if op.off += e.cfg.MTU; op.off < x.n {
+		op.nextPacket()
+	} else if op.kind == pktRndvData {
+		e.ops.Put(op)
+	} else {
+		op.t0 = e.eng.Now()
+		e.nic.UseThen(e.cfg.TxDoneTime, txDone, op)
 	}
 }
 
-// txPackets streams an eager message's packets through the NIC processor
-// with a one-packet DMA prefetch.
-func (e *Endpoint) txPackets(np *sim.Proc, x *xfer, dma bool) {
-	var ready sim.Time
-	if dma && x.n > 0 {
-		ready, _ = e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n))
-	}
-	for off := 0; off < x.n || (x.n == 0 && off == 0); off += e.cfg.MTU {
-		take := min(e.cfg.MTU, x.n-off)
-		if dma && take > 0 {
-			cur := ready
-			if next := off + take; next < x.n {
-				ready, _ = e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n-next))
-			}
-			np.SleepUntil(cur)
-		}
-		e.throttle(np)
-		t0 := np.Now()
-		e.nic.Use(np, e.cfg.TxPktTime)
-		x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
-			trace.Cause(x.txCause), trace.I64("bytes", int64(take)))
-		e.sendPacket(x.dst, packet{
-			kind:  pktEager,
-			x:     x,
-			off:   off,
-			n:     take,
-			first: off == 0,
-			last:  off+take >= x.n,
-			cause: x.txCause,
-		})
-		if x.n == 0 {
-			break
-		}
-	}
-	// Completion writeback occupies the NIC processor briefly, then the
-	// eager send completes locally.
-	t0 := np.Now()
-	e.nic.Use(np, e.cfg.TxDoneTime)
-	x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "tx-done", int64(t0), int64(np.Now()),
+func txDone(v any) {
+	op := v.(*msgOp)
+	e, x := op.e, op.x
+	x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "tx-done", int64(op.t0), int64(e.eng.Now()),
 		trace.Cause(x.txCause))
 	x.sendH.done.Fire()
 	x.data.Release()
+	e.ops.Put(op)
 }
 
-// rndvSend performs the sender half of the internal rendezvous.
-func (e *Endpoint) rndvSend(p *sim.Proc, x *xfer, buf *mem.Buffer, off int) {
-	at := e.pcie.Doorbell(64)
-	e.eng.At(at, func() {
-		e.eng.Go(e.name+"/rts", func(np *sim.Proc) {
-			// Pin the source buffer in RegChunk pieces through the internal
-			// cache while the RTS travels.
-			e.pin(np, buf, off, x.n)
-			t0 := np.Now()
-			e.nic.Use(np, e.cfg.TxPktTime)
-			x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
-				trace.Cause(x.txCause), trace.Str("pkt", "rts"))
-			e.sendPacket(x.dst, packet{kind: pktRTS, x: x, n: 16, cause: x.txCause})
-		})
-	})
-}
-
-// pin charges chunked registration through the internal cache.
-func (e *Endpoint) pin(np *sim.Proc, buf *mem.Buffer, off, n int) {
-	chunk := e.cfg.RegChunk
-	for o := off; o < off+n; {
-		take := min(chunk, off+n-o)
-		r := e.regs.Get(np, buf, o, take)
-		e.regs.Put(np, r)
-		o += take
+// pin pins control op's window [op.off, op.end) in RegChunk pieces through
+// the internal cache, then sends its RTS or CTS through the NIC processor.
+func pin(v any) {
+	op := v.(*msgOp)
+	e := op.e
+	if op.off < op.end {
+		e.regs.GetThen(op.buf, op.off, min(e.cfg.RegChunk, op.end-op.off), pinned, op)
+		return
 	}
+	op.t0 = e.eng.Now()
+	e.nic.UseThen(e.cfg.TxPktTime, controlSent, op)
+}
+
+// pinned lets go of control op's chunk at once: the pin-down cache keeps
+// it.
+func pinned(r *mem.Region, v any) {
+	op := v.(*msgOp)
+	op.off += r.Len
+	op.e.regs.PutThen(r, pin, op)
+}
+
+// controlSent puts control op's RTS (to the receiver) or CTS (back to the
+// sender) on the wire.
+func controlSent(v any) {
+	op := v.(*msgOp)
+	e, x := op.e, op.x
+	if op.kind == pktRTS {
+		x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(op.t0), int64(e.eng.Now()),
+			trace.Cause(x.txCause), trace.Str("pkt", "rts"))
+		e.sendPacket(x.dst, packet{kind: pktRTS, x: x, n: 16, cause: x.txCause})
+	} else {
+		x.rxCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(op.t0), int64(e.eng.Now()),
+			trace.Cause(x.rxCause), trace.Str("pkt", "cts"))
+		e.sendPacket(x.src, packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
+	}
+	e.ops.Put(op)
 }
 
 // sendPacket places a copy of pkt, in a packet from the free list, on the
@@ -462,32 +514,86 @@ func (e *Endpoint) IrecvCause(p *sim.Proc, match, mask uint64, buf *mem.Buffer, 
 		p.Sleep(e.cfg.HostSearchPerEntry)
 		if x.match&mask == match&mask {
 			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
-			e.consumeUnexpected(p, x, buf, off, n, h)
+			if !e.claim(x, buf, off, n, h) {
+				return h
+			}
+			if x.arrived == nil || x.arrived.Fired() {
+				// Copy out of the unexpected ring with host memcpy economics.
+				if x.stashed() {
+					p.Sleep(e.ringCopy(x, buf, off))
+				}
+				e.deliver(x, buf, off, h)
+				return h
+			}
+			// The descriptor matched but the payload is still arriving;
+			// finish the delivery asynchronously (mx_wait semantics).
+			op := e.ops.Get()
+			*op = msgOp{e: e, x: x, buf: buf, off: off, h: h}
+			e.eng.AfterArg(0, lateArrival, op)
 			return h
 		}
 	}
-	pr := &postedRecv{match: match, mask: mask, buf: buf, off: off, n: n, h: h}
-	at := e.pcie.Doorbell(64)
-	e.eng.At(at, func() {
-		// Close the post/arrival race: re-check unexpected messages that
-		// landed while the doorbell was in flight.
-		for i, x := range e.unexpected {
-			if x.match&mask == match&mask {
-				e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
-				e.eng.Go(e.name+"/late-match", func(np *sim.Proc) {
-					e.consumeUnexpected(np, x, buf, off, n, h)
-				})
-				return
-			}
-		}
-		e.posted = append(e.posted, pr)
-	})
+	pr := &postedRecv{e: e, match: match, mask: mask, buf: buf, off: off, n: n, h: h}
+	e.eng.AtArg(e.pcie.Doorbell(64), postBell, pr)
 	return h
 }
 
-// consumeUnexpected completes a receive from the unexpected queue: eager
-// data is copied out of the host ring; a rendezvous RTS triggers the CTS.
-func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off, n int, h *Handle) {
+// postBell lands posted receive v on the NIC. It first closes the
+// post/arrival race: an unexpected message that landed while the doorbell
+// was in flight is matched at once.
+func postBell(v any) {
+	pr := v.(*postedRecv)
+	e := pr.e
+	for i, x := range e.unexpected {
+		if x.match&pr.mask == pr.match&pr.mask {
+			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
+			op := e.ops.Get()
+			*op = msgOp{e: e, x: x, buf: pr.buf, off: pr.off, end: pr.n, h: pr.h}
+			e.eng.AfterArg(0, lateMatch, op)
+			return
+		}
+	}
+	e.posted = append(e.posted, pr)
+}
+
+// lateMatch completes receive op, whose doorbell matched an unexpected
+// message.
+func lateMatch(v any) {
+	op := v.(*msgOp)
+	e, x := op.e, op.x
+	if !e.claim(x, op.buf, op.off, op.end, op.h) {
+		e.ops.Put(op)
+	} else if x.arrived == nil || x.arrived.Fired() {
+		copyOut(op)
+	} else {
+		e.eng.AfterArg(0, lateArrival, op)
+	}
+}
+
+func lateArrival(v any) { v.(*msgOp).x.arrived.WaitThen(copyOut, v) }
+
+// copyOut copies receive op's message out of the unexpected ring with host
+// memcpy economics, then completes the receive.
+func copyOut(v any) {
+	op := v.(*msgOp)
+	if e, x := op.e, op.x; x.stashed() {
+		e.eng.AfterArg(e.ringCopy(x, op.buf, op.off), delivered, op)
+		return
+	}
+	delivered(op)
+}
+
+func delivered(v any) {
+	op := v.(*msgOp)
+	op.e.deliver(op.x, op.buf, op.off, op.h)
+	op.e.ops.Put(op)
+}
+
+// claim binds unexpected message x to receive h (n bytes at off of buf).
+// A rendezvous then proceeds on the NIC: claim attaches the buffer, starts
+// the CTS and reports false. For an eager message it reports true, and
+// the caller copies the message out of the unexpected ring.
+func (e *Endpoint) claim(x *xfer, buf *mem.Buffer, off, n int, h *Handle) bool {
 	if x.n > n {
 		panic(fmt.Sprintf("mx %s: %d-byte message for %d-byte receive", e.name, x.n, n))
 	}
@@ -495,92 +601,102 @@ func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off,
 	h.Src = x.src
 	h.Match = x.match
 	if x.n <= e.cfg.EagerMax {
-		finish := func(np *sim.Proc) {
-			// Copy out of the unexpected ring with host memcpy economics.
-			if x.unexpData != nil && x.n > 0 {
-				ringCopy := e.hostMem.CopyRate.TxTime(x.n) + e.hostMem.TouchCost(buf, off, x.n)
-				np.Sleep(ringCopy)
-				buf.Store(off, x.unexpData[:x.n])
-			}
-			h.Cause = x.rxCause
-			h.done.Fire()
-		}
-		if x.arrived == nil || x.arrived.Fired() {
-			finish(p)
-			return
-		}
-		// The descriptor matched but the payload is still arriving; finish
-		// the delivery asynchronously (mx_wait semantics).
-		e.eng.Go(e.name+"/late-arrival", func(np *sim.Proc) {
-			x.arrived.Wait(np)
-			finish(np)
-		})
-		return
+		return true
 	}
-	// Rendezvous: attach the user buffer and fire the CTS.
 	x.recvH = h
 	x.recvBuf = buf
 	x.recvOff = off
-	e.eng.Go(e.name+"/cts", func(np *sim.Proc) {
-		e.pin(np, buf, off, x.n)
-		t0 := np.Now()
-		e.nic.Use(np, e.cfg.TxPktTime)
-		x.rxCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
-			trace.Cause(x.rxCause), trace.Str("pkt", "cts"))
-		e.sendPacket(x.src, packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
-	})
+	e.startCTS(x)
+	return false
 }
 
-// rxLoop is the NIC receive processor.
-func (e *Endpoint) rxLoop(p *sim.Proc) {
-	for {
-		pk := e.rxQ.Get(p)
-		switch pk.kind {
-		case pktEager:
-			e.rxEager(p, pk)
-		case pktRTS:
-			e.rxRTS(p, pk)
-			e.pkts.Put(pk)
-		case pktCTS:
-			e.rxCTS(p, pk)
-			e.pkts.Put(pk)
-		case pktRndvData:
-			e.rxRndvData(p, pk)
-		case pktRndvAck:
-			t0 := p.Now()
-			e.nic.Use(p, e.cfg.RxPktTime)
-			pk.x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "rx-ack", int64(t0), int64(p.Now()),
-				trace.Cause(pk.cause))
-			pk.x.sendH.done.Fire()
-			pk.x.data.Release()
-			e.pkts.Put(pk)
-		}
+// startCTS has the NIC pin matched rendezvous x's receive buffer and
+// return the CTS: no host on the critical path ("progression thread").
+func (e *Endpoint) startCTS(x *xfer) {
+	op := e.ops.Get()
+	*op = msgOp{e: e, x: x, kind: pktCTS, buf: x.recvBuf, off: x.recvOff, end: x.recvOff + x.n}
+	e.eng.AfterArg(0, pin, op)
+}
+
+// stashed reports whether unexpected eager message x left bytes in the
+// host unexpected ring, which copying out into the receive buffer costs
+// ringCopy.
+func (x *xfer) stashed() bool { return x.unexpData != nil && x.n > 0 }
+
+func (e *Endpoint) ringCopy(x *xfer, buf *mem.Buffer, off int) sim.Time {
+	return e.hostMem.CopyRate.TxTime(x.n) + e.hostMem.TouchCost(buf, off, x.n)
+}
+
+// deliver stores unexpected eager message x into buf at off and completes
+// receive h.
+func (e *Endpoint) deliver(x *xfer, buf *mem.Buffer, off int, h *Handle) {
+	if x.stashed() {
+		buf.Store(off, x.unexpData[:x.n])
+	}
+	h.Cause = x.rxCause
+	h.done.Fire()
+}
+
+// rxNext takes endpoint v's next arrived packet into the NIC receive
+// processor, or leaves the stage idle. Eager data and RTS hold the
+// processor through the match; CTS, rendezvous data and ACK take one pass.
+func rxNext(v any) {
+	e := v.(*Endpoint)
+	pk, ok := e.rx.Next()
+	if !ok {
+		return
+	}
+	e.rxPk, e.rxT0 = pk, e.eng.Now()
+	if pk.kind == pktEager || pk.kind == pktRTS {
+		e.nic.HoldThen(e.cfg.RxPktTime, rxHeld, e)
+	} else {
+		e.nic.UseThen(e.cfg.RxPktTime, rxPassed, e)
 	}
 }
 
-// match walks the NIC posted queue (charging per-entry NIC time) and
-// removes and returns the first entry matching bits. The costed walk runs
-// over a snapshot (the walk takes simulated time during which receives may
-// be posted); a free re-scan of the live queue afterwards catches entries
-// added mid-walk, so a message never strands in the unexpected queue while
-// its receive sits posted.
-func (e *Endpoint) match(p *sim.Proc, bits uint64) *postedRecv {
+// rxHeld starts the match of an RTS or of an eager message's first
+// packet: MatchBase, then a walk of the posted queue.
+func rxHeld(v any) {
+	e := v.(*Endpoint)
+	if pk := e.rxPk; pk.kind == pktEager && !pk.first {
+		e.rxMatched(nil)
+		return
+	}
 	e.cNICAttempts.Inc()
-	p.Sleep(e.cfg.MatchBase)
-	n := len(e.posted)
-	for i := 0; i < n && i < len(e.posted); i++ {
-		pr := e.posted[i]
+	e.rxI, e.rxWalk = 0, -1
+	e.eng.AfterArg(e.cfg.MatchBase, rxWalk, e)
+}
+
+// rxWalk charges NIC time for the next posted entry. The costed walk
+// covers the entries posted when it starts; entries posted during it (the
+// walk takes simulated time) are caught by a free re-scan of the live
+// queue at its end, so a message never strands in the unexpected queue
+// while its receive sits posted.
+func rxWalk(v any) {
+	e := v.(*Endpoint)
+	if e.rxWalk < 0 {
+		e.rxWalk = len(e.posted)
+	}
+	if e.rxI < e.rxWalk && e.rxI < len(e.posted) {
 		e.TraversedPostedEntries++
 		e.cNICWalk.Inc()
-		p.Sleep(e.cfg.MatchPerEntry)
-		if bits&pr.mask == pr.match&pr.mask {
-			e.posted = append(e.posted[:i], e.posted[i+1:]...)
-			e.PostedMatchedOnNIC++
-			e.cNICMatched.Inc()
-			return pr
-		}
+		e.eng.AfterArg(e.cfg.MatchPerEntry, rxWalked, e)
+		return
 	}
-	return e.matchFree(bits)
+	e.rxMatched(e.matchFree(e.rxPk.x.match))
+}
+
+func rxWalked(v any) {
+	e := v.(*Endpoint)
+	if pr := e.posted[e.rxI]; e.rxPk.x.match&pr.mask == pr.match&pr.mask {
+		e.posted = append(e.posted[:e.rxI], e.posted[e.rxI+1:]...)
+		e.PostedMatchedOnNIC++
+		e.cNICMatched.Inc()
+		e.rxMatched(pr)
+		return
+	}
+	e.rxI++
+	rxWalk(e)
 }
 
 // matchFree scans the live posted queue without charging time.
@@ -596,45 +712,94 @@ func (e *Endpoint) matchFree(bits uint64) *postedRecv {
 	return nil
 }
 
-// rxEager handles one eager data packet.
-func (e *Endpoint) rxEager(p *sim.Proc, pk *packet) {
+// rxMatched ends the pass of the eager packet or RTS in service, which
+// matched pr (nil: nothing, or not a first packet), and takes the next
+// packet. An unmatched message is queued unexpected.
+func (e *Endpoint) rxMatched(pr *postedRecv) {
+	pk := e.rxPk
 	x := pk.x
-	t0 := p.Now()
-	e.nic.Acquire(p, 1)
-	p.Sleep(e.cfg.RxPktTime)
-	if pk.first {
-		if pr := e.match(p, x.match); pr != nil {
-			if x.n > pr.n {
-				panic(fmt.Sprintf("mx %s: %d-byte message for %d-byte receive", e.name, x.n, pr.n))
+	e.nic.Release(1)
+	rts := pk.kind == pktRTS
+	if rts {
+		x.rxCause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(e.rxT0), int64(e.eng.Now()),
+			trace.Cause(pk.cause), trace.Str("pkt", "rts"))
+	}
+	if pk.first || rts {
+		if pr != nil {
+			e.matched(x, pr)
+			if rts {
+				e.startCTS(x)
 			}
-			x.recvH = pr.h
-			x.recvBuf = pr.buf
-			x.recvOff = pr.off
-			x.recvH.Len = x.n
-			x.recvH.Src = x.src
-			x.recvH.Match = x.match
 		} else {
-			// Unexpected: the descriptor is queued now (matching state is
-			// visible to subsequent receive posts immediately); the payload
-			// finishes arriving into the host ring asynchronously.
 			e.UnexpectedArrivals++
 			e.cUnexp.Inc()
-			x.unexpData = make([]byte, x.n)
-			x.arrived = sim.NewCompletion(e.eng)
+			if !rts {
+				x.unexpData = make([]byte, x.n)
+				x.arrived = sim.NewCompletion(e.eng)
+			}
 			e.unexpected = append(e.unexpected, x)
 		}
 	}
-	e.nic.Release(1)
-	pk.cause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(e.eng.Now()),
-		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
-	t := e.pcie.WriteFrom(e.eng.Now(), pk.n)
-	if x.recvH != nil {
-		// Matched: DMA straight into the user buffer.
-		e.eng.AtArg(t, placeEager, pk)
+	if rts {
+		e.pkts.Put(pk)
+		rxNext(e)
 		return
 	}
-	// Unexpected: DMA into the host unexpected ring.
-	e.eng.AtArg(t, stashEager, pk)
+	pk.cause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(e.rxT0), int64(e.eng.Now()),
+		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
+	// Matched: DMA straight into the user buffer; else into the host
+	// unexpected ring.
+	place := stashEager
+	if x.recvH != nil {
+		place = placeEager
+	}
+	e.eng.AtArg(e.pcie.WriteFrom(e.eng.Now(), pk.n), place, pk)
+	rxNext(e)
+}
+
+func (e *Endpoint) matched(x *xfer, pr *postedRecv) {
+	if x.n > pr.n {
+		what := "message"
+		if x.n > e.cfg.EagerMax {
+			what = "rendezvous"
+		}
+		panic(fmt.Sprintf("mx %s: %d-byte %s for %d-byte receive", e.name, x.n, what, pr.n))
+	}
+	x.recvH = pr.h
+	x.recvBuf = pr.buf
+	x.recvOff = pr.off
+	x.recvH.Len = x.n
+	x.recvH.Src = x.src
+	x.recvH.Match = x.match
+}
+
+// rxPassed ends the pass of the CTS, rendezvous data or ACK in service and
+// takes the next packet.
+func rxPassed(v any) {
+	e := v.(*Endpoint)
+	pk := e.rxPk
+	x := pk.x
+	switch pk.kind {
+	case pktCTS:
+		// Start streaming rendezvous data at the sender.
+		x.txCause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(e.rxT0), int64(e.eng.Now()),
+			trace.Cause(pk.cause), trace.Str("pkt", "cts"))
+		op := e.ops.Get()
+		*op = msgOp{e: e, x: x, kind: pktRndvData, dma: true}
+		e.eng.AfterArg(0, stream, op)
+		e.pkts.Put(pk)
+	case pktRndvData:
+		pk.cause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(e.rxT0), int64(e.eng.Now()),
+			trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
+		e.eng.AtArg(e.pcie.WriteFrom(e.eng.Now(), pk.n), placeRndv, pk)
+	case pktRndvAck:
+		x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "rx-ack", int64(e.rxT0), int64(e.eng.Now()),
+			trace.Cause(pk.cause))
+		x.sendH.done.Fire()
+		x.data.Release()
+		e.pkts.Put(pk)
+	}
+	rxNext(e)
 }
 
 // placeEager lands matched eager packet v in the user buffer once its host
@@ -664,86 +829,6 @@ func stashEager(v any) {
 		x.arrived.Fire()
 	}
 	e.pkts.Put(pk)
-}
-
-// rxRTS handles a rendezvous request: match now or park it as unexpected.
-func (e *Endpoint) rxRTS(p *sim.Proc, pk *packet) {
-	x := pk.x
-	t0 := p.Now()
-	e.nic.Acquire(p, 1)
-	p.Sleep(e.cfg.RxPktTime)
-	pr := e.match(p, x.match)
-	e.nic.Release(1)
-	x.rxCause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(e.eng.Now()),
-		trace.Cause(pk.cause), trace.Str("pkt", "rts"))
-	if pr == nil {
-		e.UnexpectedArrivals++
-		e.cUnexp.Inc()
-		e.unexpected = append(e.unexpected, x)
-		return
-	}
-	if x.n > pr.n {
-		panic(fmt.Sprintf("mx %s: %d-byte rendezvous for %d-byte receive", e.name, x.n, pr.n))
-	}
-	x.recvH = pr.h
-	x.recvBuf = pr.buf
-	x.recvOff = pr.off
-	x.recvH.Len = x.n
-	x.recvH.Src = x.src
-	x.recvH.Match = x.match
-	// The NIC pins the receive buffer and returns the CTS: no host on the
-	// critical path ("progression thread").
-	e.eng.Go(e.name+"/cts", func(np *sim.Proc) {
-		e.pin(np, x.recvBuf, x.recvOff, x.n)
-		t0 := np.Now()
-		e.nic.Use(np, e.cfg.TxPktTime)
-		x.rxCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t0), int64(np.Now()),
-			trace.Cause(x.rxCause), trace.Str("pkt", "cts"))
-		e.sendPacket(x.src, packet{kind: pktCTS, x: x, n: 16, cause: x.rxCause})
-	})
-}
-
-// rxCTS starts streaming rendezvous data at the sender.
-func (e *Endpoint) rxCTS(p *sim.Proc, pk *packet) {
-	x := pk.x
-	t0 := p.Now()
-	e.nic.Use(p, e.cfg.RxPktTime)
-	x.txCause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(p.Now()),
-		trace.Cause(pk.cause), trace.Str("pkt", "cts"))
-	e.eng.Go(e.name+"/rndv-data", func(np *sim.Proc) {
-		ready, _ := e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n))
-		for off := 0; off < x.n; off += e.cfg.MTU {
-			take := min(e.cfg.MTU, x.n-off)
-			cur := ready
-			if next := off + take; next < x.n {
-				ready, _ = e.pcie.ReadNext(np.Now(), min(e.cfg.MTU, x.n-next))
-			}
-			np.SleepUntil(cur)
-			e.throttle(np)
-			t1 := np.Now()
-			e.nic.Use(np, e.cfg.TxPktTime)
-			x.txCause = e.eng.Trc().CompleteR(e.name, "tx-pkt", int64(t1), int64(np.Now()),
-				trace.Cause(x.txCause), trace.I64("bytes", int64(take)))
-			e.sendPacket(x.dst, packet{
-				kind:  pktRndvData,
-				x:     x,
-				off:   off,
-				n:     take,
-				first: off == 0,
-				last:  off+take == x.n,
-				cause: x.txCause,
-			})
-		}
-	})
-}
-
-// rxRndvData places rendezvous payload at the receiver.
-func (e *Endpoint) rxRndvData(p *sim.Proc, pk *packet) {
-	t0 := p.Now()
-	e.nic.Use(p, e.cfg.RxPktTime)
-	pk.cause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(p.Now()),
-		trace.Cause(pk.cause), trace.I64("bytes", int64(pk.n)))
-	e.eng.AtArg(e.pcie.WriteFrom(e.eng.Now(), pk.n), placeRndv, pk)
 }
 
 // placeRndv lands rendezvous packet v in the user buffer once its host DMA

@@ -132,22 +132,11 @@ func (b *Bus) reserve(d Dir, earliest sim.Time, bytes int) (start, end sim.Time)
 	return start, end
 }
 
-// Read blocks p while the device DMA-reads `bytes` from host memory: a
-// request round trip followed by the data streaming across the bus.
-func (b *Bus) Read(p *sim.Proc, bytes int) {
-	p.SleepUntil(b.ReadAsync(bytes))
-}
-
-// ReadAsync books a DMA read and returns the virtual time at which the last
-// byte reaches the device. Safe from engine context.
+// ReadAsync books a DMA read of `bytes` from host memory — a request round
+// trip followed by the data streaming across the bus — and returns the
+// virtual time at which the last byte reaches the device.
 func (b *Bus) ReadAsync(bytes int) sim.Time {
-	return b.ReadFrom(b.eng.Now(), bytes)
-}
-
-// ReadFrom is ReadAsync with an explicit earliest start time, for pipelines
-// that book several bus stages ahead of the data actually flowing.
-func (b *Bus) ReadFrom(earliest sim.Time, bytes int) sim.Time {
-	return b.ReadChained(earliest, bytes, true)
+	return b.ReadChained(b.eng.Now(), bytes, true)
 }
 
 // ReadChained books one read of a pipelined burst. The first read of a
@@ -181,14 +170,8 @@ func (b *Bus) ReadNext(now sim.Time, bytes int) (end sim.Time, first bool) {
 	return b.chainEnd, first
 }
 
-// Write blocks p while the device DMA-writes `bytes` into host memory,
-// returning once the data is globally visible.
-func (b *Bus) Write(p *sim.Proc, bytes int) {
-	p.SleepUntil(b.WriteAsync(bytes))
-}
-
-// WriteAsync books a posted DMA write and returns the time the data becomes
-// visible in host memory. Safe from engine context.
+// WriteAsync books a posted DMA write of `bytes` into host memory and
+// returns the time the data becomes globally visible.
 func (b *Bus) WriteAsync(bytes int) sim.Time {
 	return b.WriteFrom(b.eng.Now(), bytes)
 }

@@ -1,13 +1,13 @@
 package sim
 
-// Completion is a one-shot event that processes can wait on. It may carry a
-// value. The zero value is not usable; create completions with NewCompletion.
+// Completion is a one-shot event that processes and handlers can wait on.
+// It may carry a value. Create completions with NewCompletion.
 type Completion struct {
 	e       *Engine
 	done    bool
 	at      Time
 	value   any
-	waiters []*Proc
+	waiters []waiter
 	subs    []func()
 }
 
@@ -43,8 +43,8 @@ func (c *Completion) FireValue(v any) {
 func (c *Completion) fire() {
 	c.done = true
 	c.at = c.e.now
-	for _, p := range c.waiters {
-		p.unpark()
+	for _, w := range c.waiters {
+		w.wake(c.e)
 	}
 	c.waiters = nil
 	for _, fn := range c.subs {
@@ -59,8 +59,18 @@ func (c *Completion) Wait(p *Proc) {
 	if c.done {
 		return
 	}
-	c.waiters = append(c.waiters, p)
+	c.waiters = append(c.waiters, waiter{p: p})
 	p.park()
+}
+
+// WaitThen runs fn(arg) once the completion fires: at once if it has,
+// else from an event Fire schedules, in order with waiting processes.
+func (c *Completion) WaitThen(fn func(any), arg any) {
+	if c.done {
+		fn(arg)
+		return
+	}
+	c.waiters = append(c.waiters, waiter{fn: fn, arg: arg})
 }
 
 // OnFire registers fn to run (in engine context) when the completion fires.

@@ -483,11 +483,11 @@ func (e *Engine) Close() {
 	// once with the killed flag set: a parked proc's yield returns into a
 	// panic with errProcKilled, which Proc.exit recovers, and an unstarted
 	// one skips its body. Either way the coroutine ends up idle. Snapshot
-	// and sort once — re-scanning the map for the minimum id per kill is
-	// O(procs^2), which multi-switch worlds with tens of thousands of QP
-	// processes turn from invisible into seconds of teardown per world. A
-	// dying proc cannot spawn or wake others (completions only schedule
-	// events), so the snapshot stays complete.
+	// and sort once, so procs die in id order. The procs are programs
+	// (ranks, benchmarks, MPI init), a few per node: NIC stages are event
+	// handlers, whose pending events simply go with the heap. A dying proc
+	// cannot spawn or wake others (completions only schedule events), so
+	// the snapshot stays complete.
 	live := make([]*Proc, 0, len(e.procs))
 	for q := range e.procs {
 		live = append(live, q)

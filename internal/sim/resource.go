@@ -3,16 +3,17 @@ package sim
 import "fmt"
 
 // Resource models a capacity-limited facility (a bus, a protocol engine, a
-// DMA channel). Processes Acquire units, hold them for some virtual time and
-// Release them. Waiters are served strictly FIFO with head-of-line blocking,
-// which matches hardware arbiters: a large request at the head is not
-// overtaken by smaller ones behind it.
+// DMA channel). Processes and event handlers acquire units, hold them for
+// some virtual time and Release them. Waiters of both kinds share one FIFO
+// with head-of-line blocking, which matches hardware arbiters: a large
+// request at the head is not overtaken by smaller ones behind it.
 type Resource struct {
 	e        *Engine
 	name     string
 	capacity int
 	inUse    int
-	waiters  Ring[resWaiter]
+	waiters  Ring[waiter]
+	uses     *FreeList[useOp] // holds in flight (UseThen, HoldThen), from the engine
 
 	// Utilization bookkeeping.
 	busyTime  Time // integral of (inUse>0)
@@ -20,9 +21,23 @@ type Resource struct {
 	everyBusy bool
 }
 
-type resWaiter struct {
-	p *Proc
-	n int
+// waiter is a parked process, or (p nil) the continuation fn(arg) that
+// AcquireThen or WaitThen left behind; n counts the units a Resource
+// waiter requests.
+type waiter struct {
+	p   *Proc
+	fn  func(any)
+	arg any
+	n   int
+}
+
+// wake resumes w at the current instant, by one scheduled event.
+func (w waiter) wake(e *Engine) {
+	if w.p != nil {
+		w.p.unpark()
+	} else {
+		e.AfterArg(0, w.fn, w.arg)
+	}
 }
 
 // NewResource returns a resource with the given capacity (units).
@@ -44,7 +59,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.TryAcquire(n) {
 		return
 	}
-	r.waiters.Push(resWaiter{p, n})
+	r.waiters.Push(waiter{p: p, n: n})
 	for {
 		p.park()
 		// The releaser granted us our units before unparking, so the head
@@ -53,6 +68,20 @@ func (r *Resource) Acquire(p *Proc, n int) {
 			return
 		}
 	}
+}
+
+// AcquireThen takes n units, then runs fn(arg): at once if they are free
+// and nobody waits, else from the one event that the Release granting them
+// schedules, as it would wake a parked process.
+func (r *Resource) AcquireThen(n int, fn func(any), arg any) {
+	if n <= 0 || n > r.capacity {
+		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.name, n, r.capacity))
+	}
+	if r.TryAcquire(n) {
+		fn(arg)
+		return
+	}
+	r.waiters.Push(waiter{fn: fn, arg: arg, n: n})
 }
 
 // granted reports whether p's waiter entry has been satisfied and removed.
@@ -94,7 +123,7 @@ func (r *Resource) Release(n int) {
 	for r.waiters.Len() > 0 && r.inUse+r.waiters.Peek().n <= r.capacity {
 		w := r.waiters.Pop()
 		r.take(w.n)
-		w.p.unpark()
+		w.wake(r.e)
 	}
 }
 
@@ -104,6 +133,47 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Acquire(p, 1)
 	p.Sleep(d)
 	r.Release(1)
+}
+
+// useOp is one UseThen or HoldThen hold in flight.
+type useOp struct {
+	r       *Resource
+	d       Time
+	release bool
+	fn      func(any)
+	arg     any
+}
+
+// UseThen is Use for event handlers: acquire one unit, hold it for d,
+// release it, then run fn(arg), with exactly the events Use schedules.
+func (r *Resource) UseThen(d Time, fn func(any), arg any) { r.hold(d, true, fn, arg) }
+
+// HoldThen is UseThen without the release: fn(arg) runs still holding the
+// unit, and the caller releases it.
+func (r *Resource) HoldThen(d Time, fn func(any), arg any) { r.hold(d, false, fn, arg) }
+
+func (r *Resource) hold(d Time, release bool, fn func(any), arg any) {
+	if r.uses == nil {
+		r.uses = FreeListOf[useOp](r.e)
+	}
+	u := r.uses.Get()
+	*u = useOp{r: r, d: d, release: release, fn: fn, arg: arg}
+	r.AcquireThen(1, useHold, u)
+}
+
+func useHold(v any) {
+	u := v.(*useOp)
+	u.r.e.AfterArg(u.d, useDone, u)
+}
+
+func useDone(v any) {
+	u := v.(*useOp)
+	r, release, fn, arg := u.r, u.release, u.fn, u.arg
+	r.uses.Put(u)
+	if release {
+		r.Release(1)
+	}
+	fn(arg)
 }
 
 // Utilization returns the fraction of the elapsed virtual time [0, now] the

@@ -19,10 +19,7 @@ func (r *Ring[T]) Len() int { return r.n }
 // Push appends v at the tail, doubling the backing array when it is full.
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
-		grown := make([]T, max(4, 2*len(r.buf)))
-		k := copy(grown, r.buf[r.head:])
-		copy(grown[k:], r.buf[:r.head])
-		r.buf, r.head = grown, 0
+		r.resize(max(4, 2*len(r.buf)))
 	}
 	i := r.head + r.n
 	if i >= len(r.buf) {
@@ -30,6 +27,22 @@ func (r *Ring[T]) Push(v T) {
 	}
 	r.buf[i] = v
 	r.n++
+}
+
+// Grow makes room for n more items, so the next n Pushes do not
+// reallocate.
+func (r *Ring[T]) Grow(n int) {
+	if need := r.n + n; need > len(r.buf) {
+		r.resize(need)
+	}
+}
+
+// resize moves the items to a fresh backing array of size slots.
+func (r *Ring[T]) resize(size int) {
+	grown := make([]T, size)
+	k := copy(grown, r.buf[r.head:r.head+min(r.n, len(r.buf)-r.head)])
+	copy(grown[k:], r.buf[:r.n-k])
+	r.buf, r.head = grown, 0
 }
 
 // Pop removes and returns the oldest item; the ring must not be empty.

@@ -47,7 +47,7 @@ type Front struct {
 	scq    *CQ
 	rcq    *CQ
 	places *sim.Queue[Placement]
-	sendQ  *sim.Queue[WR]
+	sendQ  sim.Stage[WR] // landed send work requests, served by the NIC's send stage
 
 	recvQ sim.Ring[WR]       // posted receive work requests
 	early sim.Ring[*Inbound] // completed Sends that found no posted receive
@@ -71,7 +71,6 @@ func NewFront(dev *Device, qpn int) Front {
 		scq:       NewCQ(dev.Eng, dev.Name+"/scq", dev.PollDetect),
 		rcq:       NewCQ(dev.Eng, dev.Name+"/rcq", dev.PollDetect),
 		places:    sim.NewQueue[Placement](dev.Eng, dev.Name+"/placements"),
-		sendQ:     sim.NewQueue[WR](dev.Eng, dev.Name+"/sq"),
 		logPlaces: true,
 	}
 }
@@ -115,6 +114,17 @@ func (f *Front) PostSend(p *sim.Proc, wr WR) {
 	d.Eng.AtArg(at, sendBell, f)
 }
 
+// OnSend makes wake(arg) the NIC's send stage, woken when a send work
+// request lands on an idle stage; it takes the work with TakeSend.
+func (f *Front) OnSend(wake func(any), arg any) { f.sendQ.Init(f.dev.Eng, wake, arg) }
+
+// TakeSend returns the oldest landed send work request, or reports false
+// and idles the send stage when none is left.
+func (f *Front) TakeSend() (WR, bool) { return f.sendQ.Next() }
+
+// ReserveRecv implements QP.
+func (f *Front) ReserveRecv(n int) { f.recvQ.Grow(n) }
+
 // sendBell lands the oldest send doorbell of front end v on the send queue.
 func sendBell(v any) {
 	f := v.(*Front)
@@ -141,10 +151,6 @@ func recvBell(v any) {
 	}
 	f.recvQ.Push(wr)
 }
-
-// NextSend blocks p until a posted send work request has landed and
-// returns it, oldest first.
-func (f *Front) NextSend(p *sim.Proc) WR { return f.sendQ.Get(p) }
 
 // Arrive accounts one arriving piece of a Send: bytes [voff, voff+n) of
 // view, at offset off of the message, caused by the rx pass cause. The

@@ -128,6 +128,9 @@ type QP interface {
 	PostSend(p *sim.Proc, wr WR)
 	// PostRecv posts a receive buffer for untagged (Send) traffic.
 	PostRecv(p *sim.Proc, wr WR)
+	// ReserveRecv makes room for n more posted receives, so preposting a
+	// ring of them does not regrow the receive queue.
+	ReserveRecv(n int)
 	// SendCQ returns the completion queue for send-side work.
 	SendCQ() *CQ
 	// RecvCQ returns the completion queue for receive completions.
