@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck resultscheck loc clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck countercheck simdcheck resultscheck loc clean
 
 all: verify
 
@@ -193,6 +193,24 @@ tracetoolcheck:
 	./tracetool diff iwarp.jsonl ib.jsonl > /dev/null; \
 	sha256sum iwarp.jsonl ib.jsonl mxom-1k.jsonl mxom-64k.jsonl | cmp "$$data/traces.sha256" -; \
 	echo "tracetoolcheck: traces and blame reports match testdata/tracetool"
+
+# countercheck gates the simulator's exact work counters. Each
+# testdata/counters/NAME.args holds the netbench arguments of one
+# single-world run; its -metrics dump (the result line, then every counter,
+# gauge and histogram: events fired, process parks, frames, bytes copied,
+# all in virtual time, so deterministic) must cmp equal to NAME.out. A
+# change that means to change the work a run does shows it as a diff of
+# these files; regenerate them in that directory with
+#   for a in *.args; do netbench $(cat $a) -metrics > ${a%.args}.out; done
+countercheck:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/netbench" ./cmd/netbench; \
+	cd testdata/counters; \
+	for a in *.args; do \
+		"$$tmp/netbench" $$(cat "$$a") -metrics > "$$tmp/$${a%.args}.out"; \
+		cmp "$${a%.args}.out" "$$tmp/$${a%.args}.out"; \
+	done; \
+	echo "countercheck: $$(ls *.args | wc -l) metrics dumps match testdata/counters"
 
 # loc prints the root module's Go line counts, non-test and test, without
 # simbench/ (a module of its own) and testdata/ (analyzer fixtures): the two

@@ -193,6 +193,65 @@ func TestBlameSumInvariantEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBlameSurvivesJSONL blames the last MPI call of an MXoM 64 KiB MPI
+// ping-pong (the rendezvous path, whose events carry two causes) from the
+// live log and from the same trace written to JSONL and read back, as
+// cmd/tracetool does: the two reports must agree node for node.
+func TestBlameSurvivesJSONL(t *testing.T) {
+	const n, iters = 64 << 10, 4
+	tb, w := mpi.DefaultWorld(cluster.MXoM, 2)
+	defer tb.Close()
+	tr := tb.Eng.StartTrace(0)
+	for r := 0; r < 2; r++ {
+		p := w.Rank(r)
+		peer := 1 - r
+		tb.Eng.Go(fmt.Sprintf("rank%d", r), func(pr *sim.Proc) {
+			buf := p.Host().Mem.Alloc(n)
+			p.Barrier(pr)
+			for i := 0; i < iters; i++ {
+				if r == 0 {
+					p.Send(pr, peer, 1, buf, 0, n)
+					p.Recv(pr, peer, 2, buf, 0, n)
+				} else {
+					p.Recv(pr, peer, 1, buf, 0, n)
+					p.Send(pr, peer, 2, buf, 0, n)
+				}
+			}
+		})
+	}
+	if err := tb.Run(); err != nil {
+		t.Fatal(err)
+	}
+	blame := func(log *trace.Log, drops trace.DropStats) *Report {
+		t.Helper()
+		d, err := Build(log, drops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.Blame(d.Terminal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	live := blame(tr.Log(), tr.DropStats())
+	var jsonl strings.Builder
+	if err := tr.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	log, drops, err := trace.ReadJSONL(strings.NewReader(jsonl.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := blame(log, drops)
+	if live.Start != read.Start || live.End != read.End || live.Buckets != read.Buckets {
+		t.Fatalf("JSONL report [%d, %d] %v, live [%d, %d] %v", read.Start, read.End, read.Buckets, live.Start, live.End, live.Buckets)
+	}
+	if a, b := refs(live.Path), refs(read.Path); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("JSONL critical path (%d nodes) %v, live (%d nodes) %v", len(b), b, len(a), a)
+	}
+}
+
 func refs(path []*Node) []trace.Ref {
 	out := make([]trace.Ref, len(path))
 	for i, n := range path {

@@ -335,12 +335,34 @@ func (tb *Testbed) Close() {
 	}
 }
 
+// CheckFaults rejects a scenario the stack cannot run. Only iWARP has a
+// reliability layer (the offloaded TCP) under it; the IB and Myrinet
+// fabrics are link-level lossless, so a clause that loses frames would
+// hang or break their models, and the run would report a meaningless
+// number instead of failing. Corruption stays allowed everywhere: IB and MX
+// ignore the flag, as their link-level CRC retry sits below the model.
+func CheckFaults(k Kind, sc *faults.Scenario) error {
+	if k == IWARP || sc == nil {
+		return nil
+	}
+	for i, cl := range sc.Clauses {
+		if cl.Drops() {
+			return fmt.Errorf("cluster: clause %d (%s) loses frames, which the lossless %v fabric cannot recover; use a pausing flap, rate or congest", i, cl.Kind, k)
+		}
+	}
+	return nil
+}
+
 // ApplyFaults compiles a fault scenario against this testbed's fabric and
-// NICs (see internal/faults). Host i's NIC backs port i; MX endpoints have
-// no stallable protocol engine, so nic-stall clauses aimed at them are
-// rejected by faults.Attach. A nil or empty scenario attaches nothing and
-// returns nil, keeping the run bit-identical to an un-faulted testbed.
+// NICs (see internal/faults), after CheckFaults. Host i's NIC backs port i;
+// MX endpoints have no stallable protocol engine, so nic-stall clauses
+// aimed at them are rejected by faults.Attach. A nil or empty scenario
+// attaches nothing and returns nil, keeping the run bit-identical to an
+// un-faulted testbed.
 func (tb *Testbed) ApplyFaults(sc *faults.Scenario) (*faults.Injector, error) {
+	if err := CheckFaults(tb.Kind, sc); err != nil {
+		return nil, err
+	}
 	nics := make([]faults.EngineStaller, len(tb.Hosts))
 	for i, h := range tb.Hosts {
 		switch {

@@ -213,6 +213,13 @@ func (c *Clause) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// Drops reports whether the clause loses frames: loss, burst-loss and a
+// dropping flap. Only a stack with a reliability layer under it survives
+// that; a link-level lossless fabric has none (see cluster.CheckFaults).
+func (c Clause) Drops() bool {
+	return c.Kind == KindLoss || c.Kind == KindBurstLoss || c.Kind == KindFlap && c.Drop
+}
+
 // Loss returns a clause dropping every frame independently with the given
 // probability.
 func Loss(rate float64) Clause {

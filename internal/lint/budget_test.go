@@ -51,7 +51,7 @@ func TestAllowDirectiveBudget(t *testing.T) {
 	// event loop.
 	want := map[string]int{
 		"maporder":    0,
-		"noalloc":     15,
+		"noalloc":     14,
 		"nogoroutine": 0,
 		"sharedstate": 1,
 		"tracekeys":   8,

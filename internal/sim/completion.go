@@ -82,10 +82,3 @@ func (c *Completion) OnFire(fn func()) {
 	}
 	c.subs = append(c.subs, fn)
 }
-
-// WaitAll blocks p until every completion in cs has fired.
-func WaitAll(p *Proc, cs ...*Completion) {
-	for _, c := range cs {
-		c.Wait(p)
-	}
-}

@@ -12,21 +12,20 @@ import (
 // Event is a scheduled callback. It can be cancelled before it fires.
 //
 // Events live on the engine's free list between uses: a node is recycled
-// when it fires if it was scheduled through a no-handle API (After, At, the
-// process dispatch paths), so the steady-state schedule→fire cycle performs
-// no allocation. Nodes returned by Schedule are never recycled — the
-// caller's handle outlives the firing, and Cancel on a stale handle must
-// stay a harmless no-op rather than cancel an unrelated reused event.
+// when it fires if it was scheduled through a no-handle API (After, At,
+// AfterArg, AtArg — a process's resume included), so the steady-state
+// schedule→fire cycle performs no allocation. Nodes returned by Schedule
+// are never recycled — the caller's handle outlives the firing, and Cancel
+// on a stale handle must stay a harmless no-op rather than cancel an
+// unrelated reused event.
 type Event struct {
 	at    Time
 	seq   uint64
-	fn    func()    // callback; nil for dispatch and argument-carrying events
-	fnArg func(any) // argument-carrying callback (AfterArg/AtArg); nil otherwise
-	arg   any       // argument passed to fnArg
-	proc  *Proc     // non-nil for a process's pre-bound dispatch event
-	eng   *Engine   // owner, for Cancel's heap removal
-	index int32     // heap index; -1 while not queued
-	owned bool      // no caller handle escaped: recycle on fire
+	fn    func(any) // callback, run as fn(arg)
+	arg   any
+	eng   *Engine // owner, for Cancel's heap removal
+	index int32   // heap index; -1 while not queued
+	owned bool    // no caller handle escaped: recycle on fire
 }
 
 // Cancel prevents the event from firing and removes it from the event heap
@@ -146,15 +145,14 @@ func (e *Engine) alloc() *Event {
 //simlint:noalloc
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.fnArg = nil
 	ev.arg = nil
 	e.free = append(e.free, ev) //simlint:allow noalloc amortized free-list growth; steady state reuses capacity
 }
 
-// schedule queues fn at now+after and returns the node.
+// schedule queues fn(arg) at now+after and returns the node.
 //
 //simlint:noalloc
-func (e *Engine) schedule(after Time, fn func(), owned bool) *Event {
+func (e *Engine) schedule(after Time, fn func(any), arg any, owned bool) *Event {
 	if e.closed {
 		panic("sim: Schedule on closed engine")
 	}
@@ -165,12 +163,17 @@ func (e *Engine) schedule(after Time, fn func(), owned bool) *Event {
 	ev.at = e.now + after
 	ev.seq = e.seq
 	ev.fn = fn
+	ev.arg = arg
 	ev.owned = owned
 	e.seq++
 	e.push(ev)
 	e.live++
 	return ev
 }
+
+// call is the callback of the func() forms: the func rides as the
+// argument, and converting a func value to any does not allocate.
+func call(fn any) { fn.(func())() }
 
 // Schedule arranges for fn to run at now+after. A negative delay is treated
 // as zero. fn runs in engine context: it must not block on virtual time (use
@@ -181,7 +184,7 @@ func (e *Engine) schedule(after Time, fn func(), owned bool) *Event {
 //
 //simlint:noalloc
 func (e *Engine) Schedule(after Time, fn func()) *Event {
-	return e.schedule(after, fn, false)
+	return e.schedule(after, call, fn, false)
 }
 
 // After is Schedule without the cancellation handle. The event node is
@@ -190,7 +193,7 @@ func (e *Engine) Schedule(after Time, fn func()) *Event {
 //
 //simlint:noalloc
 func (e *Engine) After(after Time, fn func()) {
-	e.schedule(after, fn, true)
+	e.schedule(after, call, fn, true)
 }
 
 // ScheduleAt is Schedule with an absolute timestamp, which must not be in
@@ -201,7 +204,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) in the past (now %v)", at, e.now))
 	}
-	return e.schedule(at-e.now, fn, false)
+	return e.schedule(at-e.now, call, fn, false)
 }
 
 // At is ScheduleAt without the cancellation handle; like After, the event
@@ -212,7 +215,7 @@ func (e *Engine) At(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: At(%v) in the past (now %v)", at, e.now))
 	}
-	e.schedule(at-e.now, fn, true)
+	e.schedule(at-e.now, call, fn, true)
 }
 
 // AfterArg is After for an argument-carrying callback: fn(arg) runs at
@@ -223,9 +226,7 @@ func (e *Engine) At(at Time, fn func()) {
 //
 //simlint:noalloc
 func (e *Engine) AfterArg(after Time, fn func(any), arg any) {
-	ev := e.schedule(after, nil, true)
-	ev.fnArg = fn
-	ev.arg = arg
+	e.schedule(after, fn, arg, true)
 }
 
 // AtArg is AfterArg with an absolute timestamp, which must not be in the
@@ -238,34 +239,7 @@ func (e *Engine) AtArg(at Time, fn func(any), arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: AtArg(%v) in the past (now %v)", at, e.now))
 	}
-	ev := e.schedule(at-e.now, nil, true)
-	ev.fnArg = fn
-	ev.arg = arg
-}
-
-// scheduleProc queues p's pre-bound dispatch event at now+after. Every
-// process owns exactly one dispatch node, reused in place across parks, so
-// the park→unpark cycle allocates nothing. A parked process has at most one
-// dispatch pending by construction; a second one would switch into a
-// process that is already running, so it is a fatal bug.
-//
-//simlint:noalloc
-func (e *Engine) scheduleProc(p *Proc, after Time) {
-	if e.closed {
-		panic("sim: Schedule on closed engine")
-	}
-	if after < 0 {
-		after = 0
-	}
-	ev := &p.ev
-	if ev.index >= 0 {
-		panic("sim: proc " + p.name + " unparked twice")
-	}
-	ev.at = e.now + after
-	ev.seq = e.seq
-	e.seq++
-	e.push(ev)
-	e.live++
+	e.schedule(at-e.now, fn, arg, true)
 }
 
 // push inserts ev into the 4-ary heap.
@@ -412,19 +386,11 @@ func (e *Engine) runThrough(last Time, caller string) error {
 		e.now = ev.at
 		e.live--
 		e.cEvents.Inc()
-		if p := ev.proc; p != nil {
-			e.dispatch(p)
-			continue
-		}
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+		fn, arg := ev.fn, ev.arg
 		if ev.owned {
 			e.recycle(ev)
 		}
-		if fn != nil {
-			fn() //simlint:allow noalloc the callback's allocations are charged to whoever scheduled it, not to the fire path
-		} else {
-			fnArg(arg) //simlint:allow noalloc the callback's allocations are charged to whoever scheduled it, not to the fire path
-		}
+		fn(arg) //simlint:allow noalloc the callback's allocations are charged to whoever scheduled it, not to the fire path
 	}
 	return e.err
 }
@@ -543,9 +509,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		name: name,
 		fn:   fn,
 	}
-	p.ev.proc = p
-	p.ev.eng = e
-	p.ev.index = -1
 	c := e.idle
 	if c != nil {
 		e.idle, c.idle = c.idle, nil
@@ -555,7 +518,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	c.p, p.co = p, c
 	e.procs[p] = struct{}{}
 	e.cProcs.Inc()
-	e.scheduleProc(p, 0)
+	p.unpark(0)
 	return p
 }
 

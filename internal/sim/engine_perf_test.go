@@ -151,7 +151,7 @@ func TestAtArgDeliversArgument(t *testing.T) {
 }
 
 func TestSleepResumeZeroAlloc(t *testing.T) {
-	// A parked process resumes through its pre-bound dispatch event; the
+	// A parked process resumes through a pooled event; the
 	// sleep→resume cycle must not allocate either.
 	e := NewEngine()
 	defer e.Close()

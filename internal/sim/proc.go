@@ -30,13 +30,8 @@ type Proc struct {
 	co     *coro         // the coroutine running the body; nil once dead
 	dead   bool
 	killed bool
+	waking bool // a resume event is queued and has not fired yet
 	done   *Completion
-
-	// ev is the process's pre-bound dispatch event: Sleep, Yield and unpark
-	// push this one node (with a fresh sequence number) instead of
-	// allocating an event and a closure per yield, which keeps the
-	// steady-state park→resume cycle allocation-free.
-	ev Event
 }
 
 // coro is a recycled process coroutine. Its loop runs the body of the proc
@@ -128,11 +123,27 @@ func (p *Proc) park() {
 	}
 }
 
-// unpark schedules the process to resume at the current virtual time.
+// unpark schedules the process to resume after d (zero when negative), by
+// one pooled event. A process has at most one resume pending by
+// construction; a second would switch into a process that is already
+// running, so it is a fatal bug.
 //
 //simlint:noalloc
-func (p *Proc) unpark() {
-	p.e.scheduleProc(p, 0)
+func (p *Proc) unpark(d Time) {
+	if p.waking {
+		panic("sim: proc " + p.name + " unparked twice")
+	}
+	p.waking = true
+	p.e.AfterArg(d, resume, p)
+}
+
+// resume is the handler of a process's resume event.
+//
+//simlint:noalloc
+func resume(v any) {
+	p := v.(*Proc)
+	p.waking = false
+	p.e.dispatch(p)
 }
 
 // Sleep blocks the process for d virtual time. Negative durations count as
@@ -141,7 +152,7 @@ func (p *Proc) unpark() {
 //
 //simlint:noalloc
 func (p *Proc) Sleep(d Time) {
-	p.e.scheduleProc(p, d)
+	p.unpark(d)
 	p.park()
 }
 

@@ -200,3 +200,42 @@ func TestPanickedProcCoroutineIsReusable(t *testing.T) {
 		t.Errorf("recycled coroutine wakeups = %v", got)
 	}
 }
+
+// TestSecondWakePanics pins the one-resume-per-park invariant that Acquire
+// relies on: a wake that finds the process's resume already queued is a
+// bookkeeping bug (a stale or duplicate waiter entry) and must panic rather
+// than switch into a process that is running by then. Both wakes below come
+// from a Completion whose waiter list names the process a second time.
+func TestSecondWakePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc, c *Completion)
+	}{
+		// Parked on the completion, and listed on it twice.
+		{"duplicate waiter", func(p *Proc, c *Completion) {
+			c.waiters = append(c.waiters, waiter{p: p})
+			c.Wait(p)
+		}},
+		// Asleep (its resume already queued), and listed on the completion.
+		{"stale waiter", func(p *Proc, c *Completion) {
+			c.waiters = append(c.waiters, waiter{p: p})
+			p.Sleep(Microsecond)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			defer e.Close()
+			c := NewCompletion(e)
+			e.Go("sleeper", func(p *Proc) { tc.body(p, c) })
+			if err := e.RunFor(Nanosecond); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sim: proc sleeper unparked twice") {
+					t.Fatalf("second wake: recovered %v, want the unparked-twice panic", r)
+				}
+			}()
+			c.Fire()
+		})
+	}
+}

@@ -9,20 +9,16 @@ package sim
 // reused however puts and gets interleave: the steady-state put→get cycle
 // allocates nothing, with or without a standing backlog.
 type Queue[T any] struct {
-	e       *Engine
 	name    string
 	items   Ring[T]
 	getters Ring[*Proc]
-
 	puts    int64
-	maxLen  int
-	lenTime Time // integral of queue length over time, for AvgLen
-	lastAt  Time
 }
 
-// NewQueue returns an empty queue bound to e.
+// NewQueue returns an empty queue for the processes of e. The queue keeps
+// no clock: a woken getter resumes through its own process's engine.
 func NewQueue[T any](e *Engine, name string) *Queue[T] {
-	return &Queue[T]{e: e, name: name}
+	return &Queue[T]{name: name}
 }
 
 // Name returns the queue name.
@@ -34,33 +30,12 @@ func (q *Queue[T]) Len() int { return q.items.Len() }
 // Puts returns the total number of items ever put.
 func (q *Queue[T]) Puts() int64 { return q.puts }
 
-// MaxLen returns the high-water mark of the queue length.
-func (q *Queue[T]) MaxLen() int { return q.maxLen }
-
-func (q *Queue[T]) account() {
-	q.lenTime += Time(q.Len()) * (q.e.now - q.lastAt)
-	q.lastAt = q.e.now
-}
-
-// AvgLen returns the time-averaged queue length over [0, now].
-func (q *Queue[T]) AvgLen() float64 {
-	if q.e.now == 0 {
-		return 0
-	}
-	q.account()
-	return float64(q.lenTime) / float64(q.e.now)
-}
-
 // Put appends an item and wakes the first waiting getter, if any.
 func (q *Queue[T]) Put(v T) {
-	q.account()
 	q.puts++
 	q.items.Push(v)
-	if q.Len() > q.maxLen {
-		q.maxLen = q.Len()
-	}
 	if q.getters.Len() > 0 {
-		q.getters.Pop().unpark()
+		q.getters.Pop().unpark(0)
 	}
 }
 
@@ -71,11 +46,10 @@ func (q *Queue[T]) Get(p *Proc) T {
 		q.getters.Push(p)
 		p.park()
 	}
-	q.account()
 	v := q.items.Pop()
 	// Cascade: if items remain and other getters wait, keep them moving.
 	if q.Len() > 0 && q.getters.Len() > 0 {
-		q.getters.Pop().unpark()
+		q.getters.Pop().unpark(0)
 	}
 	return v
 }
@@ -86,7 +60,6 @@ func (q *Queue[T]) TryGet() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	q.account()
 	return q.items.Pop(), true
 }
 

@@ -14,11 +14,6 @@ type Resource struct {
 	inUse    int
 	waiters  Ring[waiter]
 	uses     *FreeList[useOp] // holds in flight (UseThen, HoldThen), from the engine
-
-	// Utilization bookkeeping.
-	busyTime  Time // integral of (inUse>0)
-	lastBusy  Time
-	everyBusy bool
 }
 
 // waiter is a parked process, or (p nil) the continuation fn(arg) that
@@ -34,7 +29,7 @@ type waiter struct {
 // wake resumes w at the current instant, by one scheduled event.
 func (w waiter) wake(e *Engine) {
 	if w.p != nil {
-		w.p.unpark()
+		w.p.unpark(0)
 	} else {
 		e.AfterArg(0, w.fn, w.arg)
 	}
@@ -59,15 +54,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.TryAcquire(n) {
 		return
 	}
+	// Release takes the units for us before it wakes us. A parked process
+	// waits on nothing else, and a second wake is fatal ("unparked
+	// twice"), so the one wake-up is the grant.
 	r.waiters.Push(waiter{p: p, n: n})
-	for {
-		p.park()
-		// The releaser granted us our units before unparking, so the head
-		// check below tells us whether this wakeup was really ours.
-		if r.granted(p) {
-			return
-		}
-	}
+	p.park()
 }
 
 // AcquireThen takes n units, then runs fn(arg): at once if they are free
@@ -84,28 +75,10 @@ func (r *Resource) AcquireThen(n int, fn func(any), arg any) {
 	r.waiters.Push(waiter{fn: fn, arg: arg, n: n})
 }
 
-// granted reports whether p's waiter entry has been satisfied and removed.
-func (r *Resource) granted(p *Proc) bool {
-	for i := range r.waiters.Len() {
-		if r.waiters.At(i).p == p {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *Resource) take(n int) {
-	if r.inUse == 0 {
-		r.lastBusy = r.e.now
-		r.everyBusy = true
-	}
-	r.inUse += n
-}
-
 // TryAcquire takes n units if immediately available and reports success.
 func (r *Resource) TryAcquire(n int) bool {
 	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
-		r.take(n)
+		r.inUse += n
 		return true
 	}
 	return false
@@ -117,12 +90,9 @@ func (r *Resource) Release(n int) {
 		panic(fmt.Sprintf("sim: resource %q release %d with %d in use", r.name, n, r.inUse))
 	}
 	r.inUse -= n
-	if r.inUse == 0 && r.everyBusy {
-		r.busyTime += r.e.now - r.lastBusy
-	}
 	for r.waiters.Len() > 0 && r.inUse+r.waiters.Peek().n <= r.capacity {
 		w := r.waiters.Pop()
-		r.take(w.n)
+		r.inUse += w.n
 		w.wake(r.e)
 	}
 }
@@ -174,17 +144,4 @@ func useDone(v any) {
 		r.Release(1)
 	}
 	fn(arg)
-}
-
-// Utilization returns the fraction of the elapsed virtual time [0, now] the
-// resource spent with at least one unit in use.
-func (r *Resource) Utilization() float64 {
-	busy := r.busyTime
-	if r.inUse > 0 {
-		busy += r.e.now - r.lastBusy
-	}
-	if r.e.now == 0 {
-		return 0
-	}
-	return float64(busy) / float64(r.e.now)
 }

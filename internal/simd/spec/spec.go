@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 )
 
@@ -169,6 +170,10 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("spec: set the top-level seed, not faults.seed (the cache key records the former)")
 	}
 	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
+	kind, _ := cluster.ParseKind(c.Net)
+	if err := cluster.CheckFaults(kind, c.Faults); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 

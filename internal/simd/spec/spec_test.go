@@ -86,11 +86,29 @@ func TestNormalizeRejects(t *testing.T) {
 		{`{"custom":{"net":"ib","benchmark":"alltoall","ranks":4,"topology":{"hosts_per_leaf":0,"spines":1}}}`, "hosts_per_leaf"},
 		{`{"seed":9,"custom":{"net":"ib","benchmark":"latency"}}`, "seed requires a fault scenario"},
 		{`{"custom":{"net":"ib","benchmark":"latency","faults":{"seed":5,"clauses":[{"kind":"loss","rate":0.1}]}}}`, "top-level seed"},
+		{`{"seed":1,"custom":{"net":"ib","benchmark":"latency","faults":{"clauses":[{"kind":"loss","rate":0.05}]}}}`, "lossless IB fabric"},
+		{`{"seed":1,"custom":{"net":"mxom","benchmark":"mpi-latency","faults":{"clauses":[{"kind":"burst-loss","p_bad":0.02,"p_good":0.3,"loss_bad":1}]}}}`, "lossless MXoM fabric"},
+		{`{"seed":1,"custom":{"net":"mxoe","benchmark":"alltoall","faults":{"clauses":[{"kind":"flap","port":1,"from":"0s","until":"50us","drop":true}]}}}`, "lossless MXoE fabric"},
 		{`{"custom":{"net":"ib","benchmark":"latency","typo_field":1}}`, "unknown field"},
 		{`{"experiment":"fig1"} trailing`, "trailing data"},
 	} {
 		if _, err := Parse([]byte(tc.js)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Parse(%s) = %v, want error containing %q", tc.js, err, tc.want)
+		}
+	}
+}
+
+// TestNormalizeAcceptsSurvivableFaults: frame loss is fine on iWARP (the
+// offloaded TCP recovers it), and so are corruption and a pausing flap on
+// the lossless fabrics.
+func TestNormalizeAcceptsSurvivableFaults(t *testing.T) {
+	for _, js := range []string{
+		`{"seed":1,"custom":{"net":"iwarp","benchmark":"latency","faults":{"clauses":[{"kind":"loss","rate":0.05}]}}}`,
+		`{"seed":1,"custom":{"net":"mxom","benchmark":"latency","faults":{"clauses":[{"kind":"corrupt","rate":0.05}]}}}`,
+		`{"seed":1,"custom":{"net":"ib","benchmark":"latency","faults":{"clauses":[{"kind":"flap","port":1,"from":"0s","until":"50us"}]}}}`,
+	} {
+		if _, err := Parse([]byte(js)); err != nil {
+			t.Errorf("Parse(%s): %v", js, err)
 		}
 	}
 }

@@ -155,3 +155,16 @@ func TestJSONLRoundTripDropCounts(t *testing.T) {
 		t.Fatalf("drops = %+v", drops)
 	}
 }
+
+// TestReadJSONLRejectsNonScalarAttrs: WriteJSONL writes attributes as one
+// object of strings, numbers and bools, so anything else is malformed
+// input and an error naming the line, not a silently dropped attribute.
+func TestReadJSONLRejectsNonScalarAttrs(t *testing.T) {
+	for _, attrs := range []string{`[1]`, `{"a":[1]}`, `{"a":{"b":1}}`, `{"a":null}`} {
+		line := `{"ph":"i","who":"a","name":"e","ts_ps":0,"attrs":` + attrs + "}\n"
+		_, _, err := ReadJSONL(strings.NewReader(`{"ph":"i","who":"a","name":"ok","ts_ps":0}` + "\n" + line))
+		if err == nil || !strings.Contains(err.Error(), "line 2: attrs") {
+			t.Errorf("attrs %s: err = %v, want a line 2 attrs error", attrs, err)
+		}
+	}
+}

@@ -2,22 +2,23 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // ReadJSONL parses a trace written by WriteJSONL back into a log plus the
 // drop counters from the metadata line. Traces written before the metadata
-// line existed parse with zero DropStats. Attribute values round-trip with
-// their kinds (integers stay integers), which causal analysis depends on for
-// the Self/Cause refs.
+// line existed parse with zero DropStats. Attributes round-trip in record
+// order, repeated keys included, and with their kinds (integers stay
+// integers), which causal analysis depends on for the Self/Cause refs.
 func ReadJSONL(r io.Reader) (*Log, DropStats, error) {
 	var (
 		log   = &Log{}
 		drops DropStats
+		buf   []Attr
 	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -34,7 +35,7 @@ func ReadJSONL(r io.Reader) (*Log, DropStats, error) {
 			Name  string `json:"name"`
 			Ts    int64  `json:"ts_ps"`
 			Dur   int64  `json:"dur_ps"`
-			Attrs map[string]json.RawMessage
+			Attrs json.RawMessage
 			Drops *struct {
 				Spans       int64 `json:"spans"`
 				Instants    int64 `json:"instants"`
@@ -62,7 +63,11 @@ func ReadJSONL(r io.Reader) (*Log, DropStats, error) {
 		ev := log.push()
 		*ev = Event{Ph: raw.Ph[0], Who: raw.Who, Name: raw.Name, Ts: raw.Ts, Dur: raw.Dur}
 		if len(raw.Attrs) > 0 {
-			ev.Attrs = parseAttrs(log, raw.Attrs)
+			attrs, err := parseAttrs(log, raw.Attrs, &buf)
+			if err != nil {
+				return nil, drops, fmt.Errorf("trace: line %d: %w", lineNo, err)
+			}
+			ev.Attrs = attrs
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -85,43 +90,46 @@ func ReadJSONLFile(path string) (*Log, DropStats, error) {
 	return log, drops, nil
 }
 
-// parseAttrs reconstructs typed attributes from raw JSON values into the
-// log's arena. Map order is not record order; keys are sorted so re-parsing
-// is deterministic (analysis never depends on attribute position).
-func parseAttrs(log *Log, raw map[string]json.RawMessage) []Attr {
-	keys := make([]string, 0, len(raw))
-	for k := range raw {
-		keys = append(keys, k)
+// parseAttrs reconstructs typed attributes from a raw JSON object into the
+// log's arena, in record order and keeping repeated keys: an event with
+// two causes carries two causal.cause attributes, and the causal DAG needs
+// both. buf is scratch space reused across events.
+func parseAttrs(log *Log, raw json.RawMessage, buf *[]Attr) ([]Attr, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, fmt.Errorf("attrs: not an object")
 	}
-	sort.Strings(keys)
-	attrs := log.reserve(len(keys))
-	k := 0
-	for _, key := range keys {
-		v := raw[key]
-		var s string
-		if json.Unmarshal(v, &s) == nil {
-			attrs[k] = Str(key, s)
-			k++
-			continue
+	attrs := (*buf)[:0]
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil, fmt.Errorf("attrs: %w", err)
 		}
-		var b bool
-		if json.Unmarshal(v, &b) == nil {
-			attrs[k] = Bool(key, b)
-			k++
-			continue
+		key := t.(string) // object keys always decode as strings
+		if t, err = dec.Token(); err != nil {
+			return nil, fmt.Errorf("attrs: %w", err)
 		}
-		var n json.Number
-		if json.Unmarshal(v, &n) == nil {
+		switch v := t.(type) {
+		case string:
+			attrs = append(attrs, Str(key, v))
+		case bool:
+			attrs = append(attrs, Bool(key, v))
+		case json.Number:
 			// WriteJSONL never writes an integer as "-0", so that
 			// literal is the float negative zero.
-			if i, err := n.Int64(); err == nil && n != "-0" {
-				attrs[k] = I64(key, i)
-				k++
-			} else if f, err := n.Float64(); err == nil {
-				attrs[k] = F64(key, f)
-				k++
+			if i, err := v.Int64(); err == nil && v != "-0" {
+				attrs = append(attrs, I64(key, i))
+			} else if f, err := v.Float64(); err == nil {
+				attrs = append(attrs, F64(key, f))
+			} else {
+				return nil, fmt.Errorf("attrs: %q: %w", key, err)
 			}
+		default:
+			return nil, fmt.Errorf("attrs: %q is not a string, number or bool", key)
 		}
 	}
-	return log.keep(k)
+	*buf = attrs
+	copy(log.reserve(len(attrs)), attrs)
+	return log.keep(len(attrs)), nil
 }
