@@ -131,15 +131,13 @@ func HotspotLatency(kind cluster.Kind, senders, n, iters int) sim.Time {
 	return hotspotLatency(kind, senders, n, iters, nil)
 }
 
-// hotspotLatency is HotspotLatency with a fault scenario applied after
-// world init, its windows re-anchored at the workload start (see
-// faults.Scenario.ShiftedBy — the verbs worlds consume virtual time
-// setting up their QP mesh).
+// hotspotLatency is HotspotLatency with a fault scenario applied to the
+// built world, whose workload starts at t = 0 with the clause windows.
 func hotspotLatency(kind cluster.Kind, senders, n, iters int, sc *faults.Scenario) sim.Time {
 	tb := cluster.NewWithOptions(kind, senders+1, shardOpts())
 	w := mpi.NewWorld(tb, mpi.ConfigFor(kind))
 	defer tb.Close()
-	tb.MustApplyFaults(sc.ShiftedBy(tb.Eng.Now()))
+	tb.MustApplyFaults(sc)
 	// Per-sender slots, not one shared accumulator: sender procs may run on
 	// different shard engines, and the slot indexed by rank keeps the sum
 	// below independent of execution interleaving.

@@ -21,12 +21,12 @@ func socketPair(label string) (eng *sim.Engine, a, b sockets.Endpoint, am, bm *m
 	case "TCP/host":
 		eng = sim.NewEngine()
 		a, b = sockets.NewHostTCPPair(eng, sockets.DefaultHostTCPConfig())
-		am, bm = sockets.HostMem(a), sockets.HostMem(b)
+		am, bm = a.Mem(), b.Mem()
 		closer = eng.Close
 	case "TCP/TOE":
 		eng = sim.NewEngine()
 		a, b = sockets.NewTOEPair(eng, sockets.DefaultTOEConfig())
-		am, bm = sockets.HostMem(a), sockets.HostMem(b)
+		am, bm = a.Mem(), b.Mem()
 		closer = eng.Close
 	case "SDP/iWARP":
 		tb, sa, sb := sockets.NewSDPPair(cluster.IWARP, sockets.DefaultSDPConfig())

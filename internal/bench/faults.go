@@ -157,14 +157,13 @@ func FaultsFlapRecovery(durations []sim.Time) Figure {
 
 // streamElapsed streams msgs blocking size-byte MPI sends from rank 0 to
 // rank 1 plus a final zero-byte ack and returns the sender's elapsed time.
-// The scenario (which may be nil) is applied after world init with its
-// windows re-anchored at the workload start, so flap timestamps mean "into
-// the stream" regardless of how much virtual time QP setup consumed.
+// The scenario (which may be nil) is applied to the built world, whose
+// setup takes no virtual time, so flap timestamps mean "into the stream".
 func streamElapsed(kind cluster.Kind, msgs, size int, sc *faults.Scenario) sim.Time {
 	tb := cluster.NewWithOptions(kind, 2, shardOpts())
 	w := mpi.NewWorld(tb, mpi.ConfigFor(kind))
 	defer tb.Close()
-	tb.MustApplyFaults(sc.ShiftedBy(tb.Eng.Now()))
+	tb.MustApplyFaults(sc)
 	var elapsed sim.Time
 	tb.Go(0, "sender", func(pr *sim.Proc) {
 		p := w.Rank(0)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/congestion"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -27,10 +26,6 @@ type ScaleOpts struct {
 	// Topology, when non-nil, runs the kernel on a multi-switch fabric
 	// (see fabric.LeafSpine / fabric.FatTree); nil is the single switch.
 	Topology *fabric.TopologySpec
-	// Faults, when non-nil, is applied to the world after init with its
-	// windows re-anchored at the workload start, like the degraded-mode
-	// figure family does.
-	Faults *faults.Scenario
 	// Congestion, when non-nil, arms bounded switch queues and ECN marking
 	// on the world's fabric (see fabric.SetCongestion).
 	Congestion *fabric.CongestionConfig
@@ -118,7 +113,6 @@ func collectiveScale(kind cluster.Kind, nodes, iters int, opts ScaleOpts,
 	kernel func(p *mpi.Process, pr *sim.Proc) func(*sim.Proc)) (ScaleResult, error) {
 	tb, w, tr := scalingWorld(shardOpts(), kind, nodes, opts)
 	defer tb.Close()
-	tb.MustApplyFaults(opts.Faults.ShiftedBy(tb.Eng.Now()))
 	var res ScaleResult
 	for r := 0; r < nodes; r++ {
 		r := r

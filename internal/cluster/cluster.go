@@ -358,8 +358,13 @@ func CheckFaults(k Kind, sc *faults.Scenario) error {
 // MX endpoints have no stallable protocol engine, so nic-stall clauses
 // aimed at them are rejected by faults.Attach. A nil or empty scenario
 // attaches nothing and returns nil, keeping the run bit-identical to an
-// un-faulted testbed.
+// un-faulted testbed. Clause windows are virtual time from world build,
+// which is when every workload starts, so a world whose clock has already
+// moved is refused: its windows would be partly or wholly spent.
 func (tb *Testbed) ApplyFaults(sc *faults.Scenario) (*faults.Injector, error) {
+	if now := tb.Eng.Now(); now != 0 {
+		return nil, fmt.Errorf("cluster: faults applied at %v; clause windows count from t = 0, so apply them before the world runs", now)
+	}
 	if err := CheckFaults(tb.Kind, sc); err != nil {
 		return nil, err
 	}
@@ -408,14 +413,4 @@ func (tb *Testbed) Run() error {
 		return tb.Eng.Run()
 	}
 	return tb.rt.Run()
-}
-
-// RunFor drives the simulation for d virtual time. It is a facility for
-// one-engine worlds (interactive harnesses); sharded testbeds run to
-// completion.
-func (tb *Testbed) RunFor(d sim.Time) error {
-	if len(tb.engs) > 1 {
-		panic("cluster: RunFor on a sharded testbed")
-	}
-	return tb.Eng.RunFor(d)
 }

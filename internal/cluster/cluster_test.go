@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/ib"
 	"repro/internal/iwarp"
 	"repro/internal/mx"
@@ -105,6 +106,24 @@ func TestConnectQPEndToEnd(t *testing.T) {
 			t.Errorf("%v: data corrupt", kind)
 		}
 		tb.Close()
+	}
+}
+
+// Clause windows count from world build, so a scenario applied after the
+// clock has moved would land partly or wholly in the past.
+func TestApplyFaultsRejectsMovedClock(t *testing.T) {
+	sc := faults.New(1).Add(faults.Flap(0, 0, sim.Millisecond))
+	tb := New(IWARP, 2)
+	defer tb.Close()
+	if _, err := tb.ApplyFaults(sc); err != nil {
+		t.Fatalf("at t = 0: %v", err)
+	}
+	tb.Eng.Go("idle", func(p *sim.Proc) { p.Sleep(sim.Microsecond) })
+	if err := tb.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.ApplyFaults(sc); err == nil {
+		t.Errorf("faults applied at %v, want an error", tb.Eng.Now())
 	}
 }
 

@@ -399,28 +399,6 @@ func (s *Scenario) Add(cs ...Clause) *Scenario {
 // Empty reports whether the scenario injects nothing (nil counts).
 func (s *Scenario) Empty() bool { return s == nil || len(s.Clauses) == 0 }
 
-// ShiftedBy returns a copy of the scenario with every clause window moved
-// dt later (open Until windows stay open). Clause timestamps are absolute
-// virtual time, but a harness usually wants them anchored at the start of
-// its measured workload — which is not t=0 when world setup has already
-// consumed virtual time (the verbs MPI worlds drain an init run before any
-// benchmark traffic). Shifting by the engine's current time at apply point
-// re-anchors the schedule there.
-func (s *Scenario) ShiftedBy(dt sim.Time) *Scenario {
-	if s.Empty() || dt == 0 {
-		return s
-	}
-	out := &Scenario{Seed: s.Seed, Clauses: append([]Clause(nil), s.Clauses...)}
-	for i := range out.Clauses {
-		c := &out.Clauses[i]
-		c.From = Duration(c.From.T() + dt)
-		if c.Until != 0 {
-			c.Until = Duration(c.Until.T() + dt)
-		}
-	}
-	return out
-}
-
 // Validate checks every clause's static invariants.
 func (s *Scenario) Validate() error {
 	if s == nil {

@@ -149,27 +149,3 @@ func TestParseScenario(t *testing.T) {
 		t.Errorf("round trip changed scenario:\n  %+v\n  %+v", orig, back)
 	}
 }
-
-func TestShiftedBy(t *testing.T) {
-	var nilsc *Scenario
-	if nilsc.ShiftedBy(sim.Microsecond) != nil {
-		t.Error("nil scenario shifted to non-nil")
-	}
-	sc := New(1).Add(Flap(1, 10*sim.Microsecond, 20*sim.Microsecond), Loss(0.1))
-	if sc.ShiftedBy(0) != sc {
-		t.Error("zero shift should be the identity")
-	}
-	out := sc.ShiftedBy(5 * sim.Microsecond)
-	if got := out.Clauses[0]; got.From.T() != 15*sim.Microsecond || got.Until.T() != 25*sim.Microsecond {
-		t.Errorf("flap shifted to [%v, %v)", got.From.T(), got.Until.T())
-	}
-	if got := out.Clauses[1]; got.From.T() != 5*sim.Microsecond || got.Until != 0 {
-		t.Errorf("open loss window shifted to [%v, %v); Until must stay open", got.From.T(), got.Until.T())
-	}
-	if out.Seed != sc.Seed {
-		t.Error("shift lost the seed")
-	}
-	if sc.Clauses[0].From.T() != 10*sim.Microsecond {
-		t.Error("shift mutated the original scenario")
-	}
-}

@@ -28,15 +28,14 @@ type fingerprint struct {
 }
 
 // runWorkload executes a fixed 8 x 32KB MPI ping-pong on a 2-node testbed.
-// When apply is set the scenario is applied after world init, re-anchored at
-// the engine's current time so closed clause windows land on the workload
-// rather than on QP setup.
+// When apply is set the scenario is applied to the built world, whose
+// workload starts at t = 0 with the clause windows.
 func runWorkload(t *testing.T, kind cluster.Kind, sc *faults.Scenario, apply bool) fingerprint {
 	t.Helper()
 	tb, w := DefaultWorld(kind, 2)
 	defer tb.Close()
 	if apply {
-		tb.MustApplyFaults(sc.ShiftedBy(tb.Eng.Now()))
+		tb.MustApplyFaults(sc)
 	}
 	for r := 0; r < 2; r++ {
 		r := r

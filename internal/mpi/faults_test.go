@@ -128,17 +128,17 @@ func TestFrameFaultsOnEveryStack(t *testing.T) {
 	}
 }
 
-// faultedPingPong builds a 2-node MPI world of kind, applies sc with its
-// windows re-anchored at the workload start, and ping-pongs a 4 KiB
-// message 20 times, checking the bytes. It returns rank 0's elapsed time
-// and the frames the scenario dropped or corrupted, or ApplyFaults' error.
+// faultedPingPong builds a 2-node MPI world of kind, applies sc, and
+// ping-pongs a 4 KiB message 20 times, checking the bytes. It returns rank
+// 0's elapsed time and the frames the scenario dropped or corrupted, or
+// ApplyFaults' error.
 func faultedPingPong(t *testing.T, kind cluster.Kind, sc *faults.Scenario) (sim.Time, int64, error) {
 	t.Helper()
 	const size, iters = 4 << 10, 20
 	tb := cluster.New(kind, 2)
 	defer tb.Close()
 	w := NewWorld(tb, ConfigFor(kind))
-	inj, err := tb.ApplyFaults(sc.ShiftedBy(tb.Eng.Now()))
+	inj, err := tb.ApplyFaults(sc)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -227,8 +227,9 @@ type umsg struct {
 }
 
 // NewWorld builds an MPI job over a testbed and completes MPI_Init-style
-// setup (QP wiring, bounce-buffer pre-posting). It drives the engine briefly
-// to drain setup events.
+// setup (QP wiring, bounce-buffer pre-posting). Setup is free and never runs
+// the engine: the world's clock still reads 0, so every workload starts at
+// t = 0, and fault windows count from there.
 func NewWorld(tb *cluster.Testbed, cfg Config) *World {
 	w := &World{tb: tb, cfg: cfg}
 	// Walk-length histograms: entries traversed per matching attempt.
@@ -265,9 +266,6 @@ func NewWorld(tb *cluster.Testbed, cfg Config) *World {
 		}
 		for _, p := range w.procs {
 			p.vb.prepost()
-		}
-		if err := tb.Run(); err != nil {
-			panic(fmt.Sprintf("mpi: init failed: %v", err))
 		}
 	}
 	return w

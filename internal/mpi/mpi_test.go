@@ -26,6 +26,23 @@ func run2(t *testing.T, kind cluster.Kind, fn func(pr *sim.Proc, p *Process, pee
 	return w
 }
 
+// MPI_Init never runs the engine: right after NewWorld an eagerly connected
+// world of any stack reads t = 0 with no process started and no event
+// fired, so its workload and any fault windows start together.
+func TestNewWorldLeavesClockAtZero(t *testing.T) {
+	for _, kind := range cluster.Kinds {
+		tb, _ := DefaultWorld(kind, 2)
+		c := tb.Eng.Metrics().Snapshot().Counters
+		if now := tb.Eng.Now(); now != 0 {
+			t.Errorf("%v: clock reads %v after NewWorld, want 0", kind, now)
+		}
+		if p, e := c["sim.procs_started"], c["sim.events_fired"]; p != 0 || e != 0 {
+			t.Errorf("%v: NewWorld started %d processes and fired %d events, want none", kind, p, e)
+		}
+		tb.Close()
+	}
+}
+
 func TestPingPongAllKindsEager(t *testing.T) {
 	for _, kind := range cluster.Kinds {
 		kind := kind

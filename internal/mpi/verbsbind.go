@@ -144,36 +144,24 @@ func (b *vbind) addPeer(rank int, ctrl, data verbs.QP) {
 	b.dataQPs[rank] = data
 }
 
-// prepost allocates and posts the eager bounce pools. Registration and
-// posting happen at MPI_Init time, off the measured path, so they use the
-// free-of-charge registration entry points. Peers are visited in rank order:
-// posting touches shared NIC resources, so map-order iteration would make
-// init-time bookkeeping (and with it whole-run event ordering) vary between
+// prepost allocates and preposts every peer's share of the eager bounce
+// pools at MPI_Init, off the measured path and without running the engine.
+// Peers are visited in rank order: map-order iteration would hand out
+// bounce slots, and with them work-request IDs, differently between
 // identically-seeded runs on three or more nodes.
 func (b *vbind) prepost() {
-	p := b.p
-	size := hdrBytes + p.world.cfg.EagerThreshold
-	peers := b.peerRanks()
-	p.eng().Go(fmt.Sprintf("mpi/r%d/init", p.rank), func(pr *sim.Proc) {
-		for range peers {
-			b.sendBounces(size)
-		}
-		for _, peer := range peers {
-			b.recvBounces(pr, peer, size, false)
-		}
-		// The data QPs only ever receive header-sized FINs.
-		for _, peer := range peers {
-			b.recvBounces(pr, peer, hdrBytes, true)
-		}
-	})
+	for _, peer := range b.peerRanks() {
+		b.prepostPeer(nil, peer)
+	}
 }
 
-// prepostPeer allocates and posts one peer's share of the eager machinery
-// — the send-bounce credits plus the control and data receive rings — in
-// the context of the calling proc (LazyConnect worlds wire pairs on first
-// use, from whichever rank's send touched the pair). Registration uses the
-// same free-of-charge entry points as init-time prepost: the modeled cost
-// of lazy setup is the ring posting, not re-pinning.
+// prepostPeer allocates and posts one peer's share of the eager machinery:
+// the send-bounce credits plus the control and data receive rings.
+// Registration is free of charge. A nil pr preposts the rings at MPI_Init;
+// otherwise they are posted, at a cost, in the context of the calling proc
+// (LazyConnect worlds wire pairs on first use, from whichever rank's send
+// touched the pair): the modeled cost of lazy setup is the ring posting,
+// not re-pinning.
 func (b *vbind) prepostPeer(pr *sim.Proc, peer int) {
 	size := hdrBytes + b.p.world.cfg.EagerThreshold
 	b.sendBounces(size)
@@ -205,7 +193,7 @@ func (b *vbind) sendBounces(size int) {
 }
 
 // recvBounces allocates peer's receive ring of size-byte bounces for its
-// control QP, or for its data QP if data, and posts it.
+// control QP, or for its data QP if data, and posts it (see postRecv).
 func (b *vbind) recvBounces(pr *sim.Proc, peer, size int, data bool) {
 	slab := b.newBounces(size)
 	b.recvQP(peer, data).ReserveRecv(len(slab))
@@ -529,10 +517,16 @@ func (b *vbind) handleArrival(pr *sim.Proc, bb *bounceBuf, cause trace.Ref) {
 	}
 }
 
-// postRecv posts a receive bounce on the QP it serves.
+// postRecv posts a receive bounce on the QP it serves, charging pr; a nil
+// pr preposts it at MPI_Init, free of charge.
 func (b *vbind) postRecv(pr *sim.Proc, bb *bounceBuf) {
 	bb.posted = true
-	b.recvQP(bb.peer, bb.data).PostRecv(pr, verbs.WR{ID: bounceWR(bb), Op: verbs.OpRecv, Local: bb.reg})
+	qp, wr := b.recvQP(bb.peer, bb.data), verbs.WR{ID: bounceWR(bb), Op: verbs.OpRecv, Local: bb.reg}
+	if pr == nil {
+		qp.PrepostRecv(wr)
+		return
+	}
+	qp.PostRecv(pr, wr)
 }
 
 // recvQP returns peer's data QP if data, else its control QP.

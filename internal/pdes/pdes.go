@@ -108,8 +108,8 @@ func (rt *Runtime) Post(src, dst int, at sim.Time, fn func(any), arg any) {
 // Run drives every shard until no shard has pending events and no handoff
 // is in flight, then returns the first shard failure by shard index (so a
 // multi-shard failure reports identically at any shard count). It may be
-// called again after it returns (e.g. a setup run followed by the measured
-// run); worker goroutines live only for the duration of one call.
+// called again after it returns; worker goroutines live only for the
+// duration of one call.
 func (rt *Runtime) Run() error {
 	n := len(rt.engs)
 	cmd := make([]chan sim.Time, n)

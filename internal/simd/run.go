@@ -101,16 +101,13 @@ func runCustom(s spec.Spec, res *Result) (*Result, error) {
 		scenario = &sc
 	}
 
-	collective := c.Benchmark == "alltoall" || c.Benchmark == "allgather" || c.Benchmark == "allreduce" || c.Benchmark == "halo"
 	var last *cluster.Testbed
 	var applyErr error
 	cluster.OnNew = func(tb *cluster.Testbed) {
 		last = tb
-		// The many-rank drivers apply faults themselves (re-anchored at
-		// workload start, like the figure families); the two-node
-		// micro-benchmarks take them at world build with absolute
-		// virtual-time windows, like netbench -faults.
-		if scenario != nil && !collective {
+		// Like netbench -faults: every world takes the scenario at build,
+		// and its workload starts at t = 0 with the clause windows.
+		if scenario != nil {
 			if _, err := tb.ApplyFaults(scenario); err != nil && applyErr == nil {
 				applyErr = err
 			}
@@ -121,7 +118,7 @@ func runCustom(s spec.Spec, res *Result) (*Result, error) {
 	var table strings.Builder
 	fmt.Fprintf(&table, "==== custom: %s %s ====\n", c.Net, c.Benchmark)
 
-	opts := bench.ScaleOpts{Faults: scenario}
+	var opts bench.ScaleOpts
 	if c.Topology != nil {
 		opts.Topology = &fabric.TopologySpec{HostsPerLeaf: c.Topology.HostsPerLeaf, Spines: c.Topology.Spines}
 	}

@@ -2,6 +2,8 @@ package simd
 
 import (
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -46,5 +48,34 @@ func TestStackAndModeNames(t *testing.T) {
 	}
 	if _, ok := bench.ParseMode("both-way"); ok {
 		t.Error(`ParseMode("both-way") accepted a caption, not a mode name`)
+	}
+}
+
+// A custom job's fault windows start with its workload on every benchmark:
+// a NIC stall of 9 us in every 10 us over the first second must slow the
+// 1 KiB iWARP MPI ping-pong, not just an idle MPI_Init.
+func TestCustomFaultWindowsStartWithWorkload(t *testing.T) {
+	latency := func(faults string) float64 {
+		t.Helper()
+		s, err := spec.Parse([]byte(`{"custom": {"net": "iwarp", "benchmark": "mpi-latency", "size": 1024` + faults + `}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := executeSpec(s, nil, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, row, _ := strings.Cut(strings.TrimSpace(res.CSVs[0].Content), "\n")
+		_, v, _ := strings.Cut(row, ",")
+		us, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("CSV %q: %v", res.CSVs[0].Content, err)
+		}
+		return us
+	}
+	clean := latency("")
+	stalled := latency(`, "faults": {"clauses": [{"kind": "nic-stall", "port": 0, "period": "10us", "stall": "9us", "from": "0s", "until": "1s"}]}`)
+	if stalled <= clean {
+		t.Errorf("stalled latency %.3f us, want more than the clean %.3f us", stalled, clean)
 	}
 }

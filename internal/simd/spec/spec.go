@@ -100,8 +100,9 @@ type Custom struct {
 	// fabric instead of the paper's single switch (collectives and halo
 	// only — the two-node micro-benchmarks never cross a trunk).
 	Topology *Topology `json:"topology,omitempty"`
-	// Faults, when set, is the fault scenario applied to the world,
-	// re-anchored at workload start. Its seed field must be left zero;
+	// Faults, when set, is the fault scenario applied to the world; its
+	// windows count from world build, which is when the workload starts,
+	// whatever the benchmark. Its seed field must be left zero;
 	// the spec-level Seed is the one the cache key records.
 	Faults *faults.Scenario `json:"faults,omitempty"`
 }

@@ -104,16 +104,13 @@ type sdp struct {
 
 // NewSDPPair builds two SDP endpoints over a fresh two-node testbed of the
 // given verbs stack (cluster.IWARP or cluster.IB). The testbed's engine
-// drives both endpoints.
+// drives both endpoints. Setup (the pinned private-buffer rings, the
+// receive half pre-posted) is free and never runs the engine, so the
+// pair's clock still reads 0.
 func NewSDPPair(kind cluster.Kind, cfg SDPConfig) (*cluster.Testbed, Endpoint, Endpoint) {
 	tb := cluster.New(kind, 2)
 	qa, qb := tb.ConnectQP(0, 1)
-	a := newSDP(tb, 0, qa, cfg)
-	b := newSDP(tb, 1, qb, cfg)
-	if err := tb.Run(); err != nil { // drain setup (pre-posted buffers)
-		panic(fmt.Sprintf("sockets: sdp setup: %v", err))
-	}
-	return tb, a, b
+	return tb, newSDP(tb, 0, qa, cfg), newSDP(tb, 1, qb, cfg)
 }
 
 func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
@@ -131,18 +128,16 @@ func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 	s.cq = verbs.NewCQ(tb.Eng, s.name+"/cq", h.PollDetect())
 	qp.SetCQs(s.cq, s.cq)
 	s.regs = mem.NewRegCache(h.NIC().Reg(), 64)
-	tb.Eng.Go(s.name+"/init", func(p *sim.Proc) {
-		size := sdpHdr + sdpBcopyMax
-		for i := 0; i < cfg.Credits; i++ {
-			buf := h.Mem.Alloc(size)
-			s.sendFree = append(s.sendFree, &sdpBounce{buf: buf, reg: h.NIC().Reg().RegisterFree(buf, 0, size)})
-		}
-		for i := 0; i < cfg.Credits; i++ {
-			buf := h.Mem.Alloc(size)
-			bb := &sdpBounce{buf: buf, reg: h.NIC().Reg().RegisterFree(buf, 0, size)}
-			s.postRecv(p, bb)
-		}
-	})
+	size := sdpHdr + sdpBcopyMax
+	for i := 0; i < cfg.Credits; i++ {
+		buf := h.Mem.Alloc(size)
+		s.sendFree = append(s.sendFree, &sdpBounce{buf: buf, reg: h.NIC().Reg().RegisterFree(buf, 0, size)})
+	}
+	for i := 0; i < cfg.Credits; i++ {
+		buf := h.Mem.Alloc(size)
+		bb := &sdpBounce{buf: buf, reg: h.NIC().Reg().RegisterFree(buf, 0, size)}
+		qp.PrepostRecv(s.recvWR(bb))
+	}
 	tb.Eng.Go(s.name+"/progress", s.progress)
 	return s
 }
@@ -159,8 +154,9 @@ func (s *sdp) newWR(w *sdpWR) uint64 {
 	return s.nextWR
 }
 
-func (s *sdp) postRecv(p *sim.Proc, bb *sdpBounce) {
-	s.qp.PostRecv(p, verbs.WR{ID: s.newWR(&sdpWR{bounce: bb}), Op: verbs.OpRecv, Local: bb.reg})
+// recvWR is the receive work request of private buffer bb.
+func (s *sdp) recvWR(bb *sdpBounce) verbs.WR {
+	return verbs.WR{ID: s.newWR(&sdpWR{bounce: bb}), Op: verbs.OpRecv, Local: bb.reg}
 }
 
 // getBounce pops a free private buffer; the progress loop recycles them.
@@ -367,5 +363,5 @@ func (s *sdp) handleRecv(p *sim.Proc, comp verbs.Completion) {
 	default:
 		panic(fmt.Sprintf("sockets %s: bad SDP kind %d", s.name, kind))
 	}
-	s.postRecv(p, bb)
+	s.qp.PostRecv(p, s.recvWR(bb))
 }

@@ -42,9 +42,6 @@ type Endpoint interface {
 	Mem() *mem.Memory
 }
 
-// HostMem returns an endpoint's host memory.
-func HostMem(e Endpoint) *mem.Memory { return e.Mem() }
-
 // stream is the receive-side reassembly shared by the implementations: a
 // FIFO of arrived copy-on-write payload views, a cursor into the oldest
 // one, and blocked readers. Bytes stay in the sender's buffer (or are

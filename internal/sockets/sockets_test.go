@@ -247,6 +247,24 @@ func TestSDPBcopyAndZcopy(t *testing.T) {
 	}
 }
 
+// SDP setup never runs the engine: the pair reads t = 0 with no event
+// fired, and its only processes are the two progress threads, not yet run.
+func TestSDPPairSetupLeavesClockAtZero(t *testing.T) {
+	for _, kind := range cluster.VerbsKinds {
+		tb, _, _ := NewSDPPair(kind, DefaultSDPConfig())
+		if now := tb.Eng.Now(); now != 0 {
+			t.Errorf("%v: clock reads %v after NewSDPPair, want 0", kind, now)
+		}
+		if e := tb.Eng.Metrics().Snapshot().Counters["sim.events_fired"]; e != 0 {
+			t.Errorf("%v: NewSDPPair fired %d events, want none", kind, e)
+		}
+		if got := fmt.Sprint(tb.Eng.ProcNames()); got != "[sdp0/progress sdp1/progress]" {
+			t.Errorf("%v: processes %s, want only the progress threads", kind, got)
+		}
+		tb.Close()
+	}
+}
+
 func TestSDPLatencyNearVerbs(t *testing.T) {
 	tb, a, b := NewSDPPair(cluster.IWARP, DefaultSDPConfig())
 	defer tb.Close()

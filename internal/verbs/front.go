@@ -139,6 +139,9 @@ func (f *Front) PostRecv(p *sim.Proc, wr WR) {
 	f.dev.Eng.AtArg(at, recvBell, f)
 }
 
+// PrepostRecv implements QP.
+func (f *Front) PrepostRecv(wr WR) { f.recvQ.Push(wr) }
+
 // recvBell lands the oldest receive doorbell of front end v: an
 // early-arrived Send consumes it at once, otherwise it joins the posted
 // receives.

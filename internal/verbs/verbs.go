@@ -128,6 +128,10 @@ type QP interface {
 	PostSend(p *sim.Proc, wr WR)
 	// PostRecv posts a receive buffer for untagged (Send) traffic.
 	PostRecv(p *sim.Proc, wr WR)
+	// PrepostRecv posts a receive buffer at setup time, before the engine
+	// runs: free of charge and immediate, as if its doorbell had already
+	// been handled (like the mem.RegTable RegisterFree calls that pin it).
+	PrepostRecv(wr WR)
 	// ReserveRecv makes room for n more posted receives, so preposting a
 	// ring of them does not regrow the receive queue.
 	ReserveRecv(n int)
