@@ -40,7 +40,7 @@ func main() {
 	traceJSONL := flag.String("tracejsonl", "", "write the trace as JSON lines with raw picosecond timestamps")
 	traceCap := flag.Int("tracecap", 0, "trace buffer capacity in events (0 = default)")
 	metricsFlag := flag.Bool("metrics", false, "dump the metrics registry as JSON to stdout after the test")
-	faultsFile := flag.String("faults", "", "apply a fault scenario (JSON, see docs/faults.md) to every testbed the test builds")
+	faultsFile := flag.String("faults", "", "apply a fault scenario (JSON, see docs/faults.md) to every world the test builds, the sockets stacks' included (their TCP hosts refuse nic-stall)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "concurrent experiment worlds for tests that build several")
 	shards := flag.Int("shards", 0, "engines per world for shard-aware tests (0 and 1 = one engine; output is identical at any value)")
 	ratio := flag.Int("ratio", 0, "leaf-spine oversubscription ratio for -test alltoall (0 = single switch)")

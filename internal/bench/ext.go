@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/sockets"
 	"repro/internal/udapl"
@@ -14,34 +13,19 @@ import (
 // over IB) and the uDAPL veneer are measured with the same ping-pong and
 // streaming workloads as Figures 1 and 4.
 
-// socketPair builds one named socket stack inside a fresh engine and
-// returns the endpoints, the two memories, and a closer.
-func socketPair(label string) (eng *sim.Engine, a, b sockets.Endpoint, am, bm *mem.Memory, closer func()) {
+// socketPair builds one named socket stack on a fresh two-host testbed.
+func socketPair(label string) (*cluster.Testbed, sockets.Endpoint, sockets.Endpoint) {
 	switch label {
 	case "TCP/host":
-		eng = sim.NewEngine()
-		a, b = sockets.NewHostTCPPair(eng, sockets.DefaultHostTCPConfig())
-		am, bm = a.Mem(), b.Mem()
-		closer = eng.Close
+		return sockets.NewHostTCPPair(sockets.DefaultHostTCPConfig())
 	case "TCP/TOE":
-		eng = sim.NewEngine()
-		a, b = sockets.NewTOEPair(eng, sockets.DefaultTOEConfig())
-		am, bm = a.Mem(), b.Mem()
-		closer = eng.Close
+		return sockets.NewTOEPair(sockets.DefaultTOEConfig())
 	case "SDP/iWARP":
-		tb, sa, sb := sockets.NewSDPPair(cluster.IWARP, sockets.DefaultSDPConfig())
-		eng, a, b = tb.Eng, sa, sb
-		am, bm = tb.Hosts[0].Mem, tb.Hosts[1].Mem
-		closer = tb.Close
+		return sockets.NewSDPPair(cluster.IWARP, sockets.DefaultSDPConfig())
 	case "SDP/IB":
-		tb, sa, sb := sockets.NewSDPPair(cluster.IB, sockets.DefaultSDPConfig())
-		eng, a, b = tb.Eng, sa, sb
-		am, bm = tb.Hosts[0].Mem, tb.Hosts[1].Mem
-		closer = tb.Close
-	default:
-		panic("bench: unknown socket stack " + label)
+		return sockets.NewSDPPair(cluster.IB, sockets.DefaultSDPConfig())
 	}
-	return
+	panic("bench: unknown socket stack " + label)
 }
 
 // SocketStacks lists the compared stream stacks.
@@ -49,13 +33,13 @@ var SocketStacks = []string{"TCP/host", "TCP/TOE", "SDP/iWARP", "SDP/IB"}
 
 // SocketLatency measures one-way ping-pong latency of a socket stack.
 func SocketLatency(label string, size, iters int) sim.Time {
-	eng, a, b, am, bm, closer := socketPair(label)
-	defer closer()
-	bufA := am.Alloc(size)
-	bufB := bm.Alloc(size)
+	tb, a, b := socketPair(label)
+	defer tb.Close()
+	bufA := tb.Hosts[0].Mem.Alloc(size)
+	bufB := tb.Hosts[1].Mem.Alloc(size)
 	const warmup = 2
 	var rtt sim.Time
-	eng.Go("side-a", func(p *sim.Proc) {
+	tb.Go(0, "side-a", func(p *sim.Proc) {
 		for i := 0; i < warmup+iters; i++ {
 			if i == warmup {
 				rtt = -p.Now()
@@ -65,45 +49,41 @@ func SocketLatency(label string, size, iters int) sim.Time {
 		}
 		rtt += p.Now()
 	})
-	eng.Go("side-b", func(p *sim.Proc) {
+	tb.Go(1, "side-b", func(p *sim.Proc) {
 		for i := 0; i < warmup+iters; i++ {
 			b.Recv(p, bufB, 0, size)
 			b.Send(p, bufB, 0, size)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
+	mustRun(tb)
 	return rtt / sim.Time(2*iters)
 }
 
 // SocketBandwidth measures one-way streaming goodput of a socket stack in
 // MB/s.
 func SocketBandwidth(label string, chunk, count int) float64 {
-	eng, a, b, am, bm, closer := socketPair(label)
-	defer closer()
-	bufA := am.Alloc(chunk)
-	bufB := bm.Alloc(chunk)
+	tb, a, b := socketPair(label)
+	defer tb.Close()
+	bufA := tb.Hosts[0].Mem.Alloc(chunk)
+	bufB := tb.Hosts[1].Mem.Alloc(chunk)
 	var start, end sim.Time
 	// One warmup transfer keeps first-use registration (SDP zcopy) off the
 	// measured path, as the paper's averaged iterations do.
-	eng.Go("tx", func(p *sim.Proc) {
+	tb.Go(0, "tx", func(p *sim.Proc) {
 		a.Send(p, bufA, 0, chunk)
 		start = p.Now()
 		for i := 0; i < count; i++ {
 			a.Send(p, bufA, 0, chunk)
 		}
 	})
-	eng.Go("rx", func(p *sim.Proc) {
+	tb.Go(1, "rx", func(p *sim.Proc) {
 		b.Recv(p, bufB, 0, chunk)
 		for i := 0; i < count; i++ {
 			b.Recv(p, bufB, 0, chunk)
 		}
 		end = p.Now()
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
+	mustRun(tb)
 	return sim.MBpsOf(int64(chunk)*int64(count), end-start)
 }
 

@@ -21,6 +21,22 @@ func TestSocketStacksOrdering(t *testing.T) {
 	}
 }
 
+// Every sockets world is a cluster testbed, so a harness observing worlds
+// through cluster.OnNew (netbench -faults/-trace/-metrics, simbench's
+// counter collector) sees each stack's world exactly once.
+func TestSocketWorldsAreObserved(t *testing.T) {
+	prev := cluster.OnNew
+	defer func() { cluster.OnNew = prev }()
+	for _, label := range SocketStacks {
+		var seen []*cluster.Testbed
+		cluster.OnNew = func(tb *cluster.Testbed) { seen = append(seen, tb) }
+		SocketLatency(label, 64, 1)
+		if len(seen) != 1 {
+			t.Errorf("%s: SocketLatency built %d observed worlds, want 1", label, len(seen))
+		}
+	}
+}
+
 func TestUDAPLTracksVerbs(t *testing.T) {
 	for _, kind := range cluster.VerbsKinds {
 		dat := UDAPLatency(kind, 64, 10)

@@ -66,25 +66,25 @@ func mpiPingPong(t *testing.T, kind cluster.Kind, size int, fill bool) (sim.Time
 
 // socketPingPong is mpiPingPong over one of the sockets stacks.
 func socketPingPong(t *testing.T, label string, size int, fill bool) (sim.Time, bool) {
-	eng, a, bEnd, am, bm, closer := socketPair(label)
-	defer closer()
-	b := newPingPongBuffers(am, bm, size, fill)
-	eng.Go("side-a", func(p *sim.Proc) {
+	tb, a, bEnd := socketPair(label)
+	defer tb.Close()
+	b := newPingPongBuffers(tb.Hosts[0].Mem, tb.Hosts[1].Mem, size, fill)
+	tb.Go(0, "side-a", func(p *sim.Proc) {
 		for i := 0; i < payloadIters; i++ {
 			a.Send(p, b.srcA, 0, size)
 			a.Recv(p, b.dstA, 0, size)
 		}
 	})
-	eng.Go("side-b", func(p *sim.Proc) {
+	tb.Go(1, "side-b", func(p *sim.Proc) {
 		for i := 0; i < payloadIters; i++ {
 			bEnd.Recv(p, b.dstB, 0, size)
 			bEnd.Send(p, b.srcB, 0, size)
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := tb.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Now(), b.intact(size)
+	return tb.Eng.Now(), b.intact(size)
 }
 
 // TestTimingIndependentOfPayload runs every stack's ping-pong once with

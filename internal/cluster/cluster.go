@@ -140,8 +140,10 @@ type Host struct {
 	Name string
 	Mem  *mem.Memory
 
-	// Exactly one of the following is non-nil, matching the testbed's
-	// one-NIC-per-experiment setup.
+	// At most one NIC model: New and NewWithOptions set exactly the one
+	// the testbed's Kind names, matching the paper's one-NIC-per-experiment
+	// setup. A host whose NIC the caller attaches through Build (the
+	// sockets package's kernel-TCP and TOE pairs) sets none of them.
 	RNIC *iwarp.RNIC
 	HCA  *ib.HCA
 	MX   *mx.Endpoint
@@ -241,8 +243,9 @@ type Options struct {
 	Shards int
 }
 
-// OnNew, when non-nil, is invoked with every freshly-built Testbed before it
-// is returned. Benchmark drivers construct testbeds deep inside their run
+// OnNew, when non-nil, is invoked with every Testbed that Build makes (every
+// world: MPI, verbs, MX and sockets), once its NICs are attached and before
+// it is returned. Benchmark drivers construct testbeds deep inside their run
 // functions; the hook lets a harness (cmd/netbench's -trace/-metrics flags)
 // attach a tracer or capture the metrics registry without threading options
 // through every benchmark signature.
@@ -265,8 +268,42 @@ func effectiveShards(kind Kind, nodes int, opts Options) int {
 	return min(opts.Shards, max(units, 1))
 }
 
-// NewWithOptions is New with per-NIC configuration overrides.
+// NewWithOptions is New with per-NIC configuration overrides: Build with
+// the kind's own NIC on every host.
 func NewWithOptions(kind Kind, nodes int, opts Options) *Testbed {
+	return Build(kind, nodes, opts, func(tb *Testbed, i int) {
+		h, eng := tb.Hosts[i], tb.EngOf(i)
+		switch kind {
+		case IWARP:
+			cfg := iwarp.DefaultConfig()
+			if opts.IWARP != nil {
+				cfg = *opts.IWARP
+			}
+			h.RNIC = iwarp.New(eng, h.Name+"/ne010", h.Mem, tb.Fabric, cfg)
+		case IB:
+			cfg := ib.DefaultConfig()
+			if opts.IB != nil {
+				cfg = *opts.IB
+			}
+			h.HCA = ib.New(eng, h.Name+"/mhea28", h.Mem, tb.Fabric, cfg)
+		case MXoM, MXoE:
+			cfg := MXConfig(kind)
+			if opts.MX != nil {
+				cfg = *opts.MX
+			}
+			h.MX = mx.NewEndpoint(eng, h.Name+"/myri10g", h.Mem, tb.Fabric, cfg)
+		}
+	})
+}
+
+// Build is the one way a world is made. It builds the engine(s), kind's
+// fabric and `nodes` hosts with their memories, then calls attach(tb, i)
+// for each host in order to give host i its NIC on tb.Fabric (so host i
+// backs port i, on engine tb.EngOf(i)). OnNew runs only after every NIC is
+// attached, because faults.Attach sizes its per-port state from the ports
+// that exist. NewWithOptions attaches the kind's RDMA NIC; the sockets
+// package attaches its kernel-TCP and TOE NICs to a cluster.IWARP testbed.
+func Build(kind Kind, nodes int, opts Options, attach func(tb *Testbed, i int)) *Testbed {
 	if nodes < 2 {
 		panic("cluster: need at least 2 nodes")
 	}
@@ -294,29 +331,10 @@ func NewWithOptions(kind Kind, nodes int, opts Options) *Testbed {
 	}
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
-		heng := tb.EngOf(i)
-		h := &Host{Name: name, Mem: mem.NewMemory(heng, name)}
-		switch kind {
-		case IWARP:
-			cfg := iwarp.DefaultConfig()
-			if opts.IWARP != nil {
-				cfg = *opts.IWARP
-			}
-			h.RNIC = iwarp.New(heng, name+"/ne010", h.Mem, tb.Fabric, cfg)
-		case IB:
-			cfg := ib.DefaultConfig()
-			if opts.IB != nil {
-				cfg = *opts.IB
-			}
-			h.HCA = ib.New(heng, name+"/mhea28", h.Mem, tb.Fabric, cfg)
-		case MXoM, MXoE:
-			cfg := MXConfig(kind)
-			if opts.MX != nil {
-				cfg = *opts.MX
-			}
-			h.MX = mx.NewEndpoint(heng, name+"/myri10g", h.Mem, tb.Fabric, cfg)
-		}
-		tb.Hosts = append(tb.Hosts, h)
+		tb.Hosts = append(tb.Hosts, &Host{Name: name, Mem: mem.NewMemory(tb.EngOf(i), name)})
+	}
+	for i := range tb.Hosts {
+		attach(tb, i)
 	}
 	if shards > 1 {
 		tb.rt = pdes.New(engs, FabricConfig(kind).Lookahead())
@@ -355,12 +373,13 @@ func CheckFaults(k Kind, sc *faults.Scenario) error {
 
 // ApplyFaults compiles a fault scenario against this testbed's fabric and
 // NICs (see internal/faults), after CheckFaults. Host i's NIC backs port i;
-// MX endpoints have no stallable protocol engine, so nic-stall clauses
-// aimed at them are rejected by faults.Attach. A nil or empty scenario
-// attaches nothing and returns nil, keeping the run bit-identical to an
-// un-faulted testbed. Clause windows are virtual time from world build,
-// which is when every workload starts, so a world whose clock has already
-// moved is refused: its windows would be partly or wholly spent.
+// MX endpoints and the sockets package's TCP hosts have no stallable
+// protocol engine, so nic-stall clauses aimed at them are rejected by
+// faults.Attach. A nil or empty scenario attaches nothing and returns nil,
+// keeping the run bit-identical to an un-faulted testbed. Clause windows
+// are virtual time from world build, which is when every workload starts,
+// so a world whose clock has already moved is refused: its windows would
+// be partly or wholly spent.
 func (tb *Testbed) ApplyFaults(sc *faults.Scenario) (*faults.Injector, error) {
 	if now := tb.Eng.Now(); now != 0 {
 		return nil, fmt.Errorf("cluster: faults applied at %v; clause windows count from t = 0, so apply them before the world runs", now)
@@ -370,12 +389,7 @@ func (tb *Testbed) ApplyFaults(sc *faults.Scenario) (*faults.Injector, error) {
 	}
 	nics := make([]faults.EngineStaller, len(tb.Hosts))
 	for i, h := range tb.Hosts {
-		switch {
-		case h.RNIC != nil:
-			nics[i] = h.RNIC
-		case h.HCA != nil:
-			nics[i] = h.HCA
-		}
+		nics[i], _ = h.NIC().(faults.EngineStaller)
 	}
 	return faults.Attach(tb.Fabric, nics, sc)
 }
@@ -390,19 +404,20 @@ func (tb *Testbed) MustApplyFaults(sc *faults.Scenario) *faults.Injector {
 	return inj
 }
 
-// ConnectQP establishes a verbs QP pair between hosts i and j. Panics for
-// MX testbeds (MX is connectionless; use the endpoints directly).
+// ConnectQP establishes a verbs QP pair between hosts i and j. It panics
+// unless both hosts carry an RDMA NIC: MX is connectionless (use the
+// endpoints directly), and the sockets package's TCP hosts have none.
 func (tb *Testbed) ConnectQP(i, j int) (verbs.QP, verbs.QP) {
 	a, b := tb.Hosts[i], tb.Hosts[j]
-	switch tb.Kind {
-	case IWARP:
+	switch {
+	case a.RNIC != nil && b.RNIC != nil:
 		qa, qb := iwarp.Connect(a.RNIC, b.RNIC)
 		return qa, qb
-	case IB:
+	case a.HCA != nil && b.HCA != nil:
 		qa, qb := ib.Connect(a.HCA, b.HCA)
 		return qa, qb
 	}
-	panic("cluster: ConnectQP on an MX testbed")
+	panic(fmt.Sprintf("cluster: ConnectQP(%d, %d) on a %v testbed: %s and %s carry no RDMA NIC", i, j, tb.Kind, a.Name, b.Name))
 }
 
 // Run drives the simulation until every shard's event heap drains: a plain

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/ib"
 	"repro/internal/iwarp"
@@ -136,6 +139,44 @@ func TestConnectQPOnMXPanics(t *testing.T) {
 		}
 	}()
 	tb.ConnectQP(0, 1)
+}
+
+type plainNIC struct{}
+
+func (plainNIC) Deliver(*fabric.Frame) {}
+
+// Build attaches every caller NIC before OnNew sees the world (faults.Attach
+// sizes its per-port state from the ports that exist), and a host with no
+// RDMA NIC has no queue pairs and no stallable engine.
+func TestBuildAttachesBeforeOnNew(t *testing.T) {
+	prev := OnNew
+	defer func() { OnNew = prev }()
+	ports := -1
+	OnNew = func(tb *Testbed) { ports = tb.Fabric.Ports() }
+	tb := Build(IWARP, 2, Options{}, func(tb *Testbed, i int) {
+		if p := tb.Fabric.Attach(plainNIC{}); int(p.ID()) != i {
+			t.Errorf("host %d got port %d", i, p.ID())
+		}
+	})
+	defer tb.Close()
+	if ports != 2 {
+		t.Errorf("OnNew saw %d ports, want 2", ports)
+	}
+	if h := tb.Hosts[0]; h.NIC() != nil || h.MX != nil || h.Mem == nil {
+		t.Errorf("host %s: NIC %v, MX %v, Mem %v", h.Name, h.NIC(), h.MX, h.Mem)
+	}
+	stall := faults.New(1).Add(faults.NICStall(0, 10*sim.Microsecond, sim.Microsecond).Between(0, sim.Millisecond))
+	if _, err := tb.ApplyFaults(stall); err == nil {
+		t.Error("nic-stall applied to a host without a stallable engine")
+	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "no RDMA NIC") {
+				t.Errorf("ConnectQP without RDMA NICs: panic %q", msg)
+			}
+		}()
+		tb.ConnectQP(0, 1)
+	}()
 }
 
 func TestOptionsOverride(t *testing.T) {

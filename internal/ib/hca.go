@@ -213,19 +213,10 @@ func (h *HCA) PollDetect() sim.Time { return h.cfg.PollDetect }
 func (h *HCA) CtxMisses() int64 { return h.ctx.misses }
 
 // StallEngines implements faults.EngineStaller: both embedded processors
-// stop accepting work for d virtual time. The HCA's engines have capacity
-// one, so a stall is simply an exclusive occupancy of each.
+// stop accepting work for d virtual time (see verbs.StallEngines). They
+// have capacity one, so a stall is simply an exclusive occupancy of each.
 func (h *HCA) StallEngines(d sim.Time) {
-	h.eng.Go(h.name+"/engine-stall", func(p *sim.Proc) {
-		start := h.eng.Now()
-		h.txEngine.Acquire(p, 1)
-		h.rxEngine.Acquire(p, 1)
-		p.Sleep(d)
-		h.rxEngine.Release(1)
-		h.txEngine.Release(1)
-		h.cEngineStalls.Inc()
-		h.eng.Trc().Complete(h.name, "engine-stall", int64(start), int64(h.eng.Now()))
-	})
+	verbs.StallEngines(h.eng, h.name, h.txEngine, h.rxEngine, 1, d, h.cEngineStalls)
 }
 
 // Deliver implements fabric.Endpoint. The fabric's Corrupt mark is ignored:

@@ -249,20 +249,11 @@ func (r *RNIC) Deliver(f *fabric.Frame) {
 }
 
 // StallEngines implements faults.EngineStaller: the protocol engine stops
-// accepting new contexts for d virtual time (firmware housekeeping, thermal
-// throttling). In-flight segments finish; the stall occupies every pipeline
-// slot of both directions, so queued work resumes exactly d later.
+// accepting new contexts for d virtual time (see verbs.StallEngines). The
+// stall occupies every pipeline slot of both directions, so queued work
+// resumes exactly d later.
 func (r *RNIC) StallEngines(d sim.Time) {
-	r.eng.Go(r.name+"/engine-stall", func(p *sim.Proc) {
-		start := r.eng.Now()
-		r.txEngine.Acquire(p, r.cfg.PipelineWidth)
-		r.rxEngine.Acquire(p, r.cfg.PipelineWidth)
-		p.Sleep(d)
-		r.rxEngine.Release(r.cfg.PipelineWidth)
-		r.txEngine.Release(r.cfg.PipelineWidth)
-		r.cEngineStalls.Inc()
-		r.eng.Trc().Complete(r.name, "engine-stall", int64(start), int64(r.eng.Now()))
-	})
+	verbs.StallEngines(r.eng, r.name, r.txEngine, r.rxEngine, r.cfg.PipelineWidth, d, r.cEngineStalls)
 }
 
 // Connect establishes a connected QP pair (with its underlying offloaded

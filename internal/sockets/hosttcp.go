@@ -51,54 +51,26 @@ func DefaultHostTCPConfig() HostTCPConfig {
 
 // hostTCP is one side of a kernel-TCP connection.
 type hostTCP struct {
-	eng  *sim.Engine
-	name string
+	tcpEnd
 	cfg  HostTCPConfig
-	mem  *mem.Memory
 	cpu  *sim.Resource // the host CPU: app syscalls and kernel work contend
 	pcie *pci.Bus
-	port *fabric.Port
-	peer *hostTCP
-	conn *tcpsim.Conn
-
-	rxQ    *sim.Queue[tcpsim.Segment]
-	rcv    *stream
-	txKick *sim.Queue[struct{}]
 }
 
-// NewHostTCPPair builds two kernel-TCP endpoints on a fresh two-node
-// 10GigE fabric inside eng.
-func NewHostTCPPair(eng *sim.Engine, cfg HostTCPConfig) (Endpoint, Endpoint) {
-	net := fabric.New(eng, cluster.FabricConfig(cluster.IWARP)) // same XG700 switch
-	mk := func(name string) *hostTCP {
-		h := &hostTCP{
-			eng:    eng,
-			name:   name,
-			cfg:    cfg,
-			mem:    mem.NewMemory(eng, name),
-			cpu:    sim.NewResource(eng, name+"/cpu", 1),
-			pcie:   pci.New(eng, cfg.PCIe),
-			rxQ:    sim.NewQueue[tcpsim.Segment](eng, name+"/rxq"),
-			rcv:    newStream(eng),
-			txKick: sim.NewQueue[struct{}](eng, name+"/txkick"),
-		}
-		h.conn = tcpsim.NewConn(eng, name)
-		h.conn.MSS = cfg.MTU - 40
+// NewHostTCPPair builds two kernel-TCP endpoints on a two-node 10GigE
+// testbed whose hosts carry a plain NIC (see newPair).
+func NewHostTCPPair(cfg HostTCPConfig) (*cluster.Testbed, Endpoint, Endpoint) {
+	return newPair(func(tb *cluster.Testbed, i int) Endpoint {
+		h := &hostTCP{tcpEnd: newTCPEnd(tb, i, cfg.MTU), cfg: cfg}
+		h.cpu = sim.NewResource(h.eng, h.name+"/cpu", 1)
+		h.pcie = pci.New(h.eng, cfg.PCIe)
 		h.conn.RTO = 200 * sim.Millisecond // Linux's minimum RTO
-		h.conn.OnSendable = func() { h.txKick.Put(struct{}{}) }
-		h.port = net.Attach(h)
-		eng.Go(name+"/ksoftirqd", h.rxLoop)
-		eng.Go(name+"/ktx", h.txLoop)
+		h.port = tb.Fabric.Attach(h)
+		h.eng.Go(h.name+"/ksoftirqd", h.rxLoop)
+		h.eng.Go(h.name+"/ktx", h.txLoop)
 		return h
-	}
-	a := mk("hosttcp0")
-	b := mk("hosttcp1")
-	a.peer, b.peer = b, a
-	return a, b
+	})
 }
-
-// Mem implements Endpoint.
-func (h *hostTCP) Mem() *mem.Memory { return h.mem }
 
 // Name implements Endpoint.
 func (h *hostTCP) Name() string { return "TCP/host" }
@@ -177,15 +149,6 @@ func (h *hostTCP) txLoop(p *sim.Proc) {
 			cur, curReady = next, nextReady
 		}
 	}
-}
-
-func (h *hostTCP) emit(seg tcpsim.Segment) {
-	h.port.Send(&fabric.Frame{
-		Src:     h.port.ID(),
-		Dst:     h.peer.port.ID(),
-		Bytes:   h.conn.WireBytes(seg),
-		Payload: seg,
-	})
 }
 
 // rxLoop is the softirq path: per-segment protocol work plus the

@@ -127,6 +127,9 @@ func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 	// One merged CQ so the progress thread can block on a single queue.
 	s.cq = verbs.NewCQ(tb.Eng, s.name+"/cq", h.PollDetect())
 	qp.SetCQs(s.cq, s.cq)
+	// SDP learns of RDMA Write arrival from its WrCompl message, never from
+	// the Placements log, so the queue pair stops logging there.
+	qp.SetPlacementLog(false)
 	s.regs = mem.NewRegCache(h.NIC().Reg(), 64)
 	size := sdpHdr + sdpBcopyMax
 	for i := 0; i < cfg.Credits; i++ {
@@ -141,9 +144,6 @@ func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 	tb.Eng.Go(s.name+"/progress", s.progress)
 	return s
 }
-
-// Mem implements Endpoint.
-func (s *sdp) Mem() *mem.Memory { return s.host.Mem }
 
 // Name implements Endpoint.
 func (s *sdp) Name() string { return "SDP" }

@@ -23,8 +23,11 @@ package sockets
 import (
 	"fmt"
 
+	"repro/internal/cluster"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/tcpsim"
 )
 
 // Endpoint is one side of a connected byte-stream socket.
@@ -38,8 +41,59 @@ type Endpoint interface {
 	Recv(pr *sim.Proc, buf *mem.Buffer, off, n int)
 	// Name identifies the stack for reporting.
 	Name() string
-	// Mem returns the endpoint's host memory, for allocating test buffers.
-	Mem() *mem.Memory
+}
+
+// newPair builds the two-host world of a TCP socket pair: a cluster.IWARP
+// testbed (the same XG700 10GigE switch the RNICs use) whose hosts carry
+// the plain or TOE NIC that mk attaches in place of an RNIC.
+func newPair(mk func(tb *cluster.Testbed, i int) Endpoint) (*cluster.Testbed, Endpoint, Endpoint) {
+	var ep [2]Endpoint
+	tb := cluster.Build(cluster.IWARP, 2, cluster.Options{}, func(tb *cluster.Testbed, i int) { ep[i] = mk(tb, i) })
+	return tb, ep[0], ep[1]
+}
+
+// tcpEnd is what the kernel-TCP and TOE endpoints share: host i's memory
+// and fabric port, the TCP connection to the peer on port 1-i, the queue
+// of arrived segments, the reassembled stream and the transmit kick.
+type tcpEnd struct {
+	eng    *sim.Engine
+	name   string
+	mem    *mem.Memory
+	port   *fabric.Port // set by the embedding endpoint's fabric Attach
+	dst    fabric.NodeID
+	conn   *tcpsim.Conn
+	rxQ    *sim.Queue[tcpsim.Segment]
+	rcv    *stream
+	txKick *sim.Queue[struct{}]
+}
+
+// newTCPEnd builds host i's tcpEnd for segments of mtu bytes.
+func newTCPEnd(tb *cluster.Testbed, i, mtu int) tcpEnd {
+	eng, name := tb.EngOf(i), tb.Hosts[i].Name
+	t := tcpEnd{
+		eng:    eng,
+		name:   name,
+		mem:    tb.Hosts[i].Mem,
+		dst:    fabric.NodeID(1 - i),
+		conn:   tcpsim.NewConn(eng, name),
+		rxQ:    sim.NewQueue[tcpsim.Segment](eng, name+"/rxq"),
+		rcv:    newStream(eng),
+		txKick: sim.NewQueue[struct{}](eng, name+"/txkick"),
+	}
+	t.conn.MSS = mtu - 40
+	kick := t.txKick
+	t.conn.OnSendable = func() { kick.Put(struct{}{}) }
+	return t
+}
+
+// emit puts a segment on the wire to the peer.
+func (t *tcpEnd) emit(seg tcpsim.Segment) {
+	t.port.Send(&fabric.Frame{
+		Src:     t.port.ID(),
+		Dst:     t.dst,
+		Bytes:   t.conn.WireBytes(seg),
+		Payload: seg,
+	})
 }
 
 // stream is the receive-side reassembly shared by the implementations: a

@@ -1,7 +1,10 @@
 package sockets
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/cluster"
@@ -9,14 +12,14 @@ import (
 	"repro/internal/sim"
 )
 
-// pingPong measures the one-way latency of a socket pair inside eng.
-func pingPong(t *testing.T, eng *sim.Engine, a, b Endpoint, amem, bmem *mem.Memory, size, iters int) sim.Time {
+// pingPong measures the one-way latency of a socket pair on tb.
+func pingPong(t *testing.T, tb *cluster.Testbed, a, b Endpoint, size, iters int) sim.Time {
 	t.Helper()
-	bufA := amem.Alloc(size)
-	bufB := bmem.Alloc(size)
+	bufA := tb.Hosts[0].Mem.Alloc(size)
+	bufB := tb.Hosts[1].Mem.Alloc(size)
 	bufA.Fill(3)
 	var rtt sim.Time
-	eng.Go("side-a", func(p *sim.Proc) {
+	tb.Go(0, "side-a", func(p *sim.Proc) {
 		for i := 0; i < 2+iters; i++ {
 			if i == 2 {
 				rtt = -p.Now()
@@ -26,41 +29,54 @@ func pingPong(t *testing.T, eng *sim.Engine, a, b Endpoint, amem, bmem *mem.Memo
 		}
 		rtt += p.Now()
 	})
-	eng.Go("side-b", func(p *sim.Proc) {
+	tb.Go(1, "side-b", func(p *sim.Proc) {
 		for i := 0; i < 2+iters; i++ {
 			b.Recv(p, bufB, 0, size)
 			b.Send(p, bufB, 0, size)
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := tb.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return rtt / sim.Time(2*iters)
 }
 
 // streamBW measures one-way streaming bandwidth in MB/s.
-func streamBW(t *testing.T, eng *sim.Engine, a, b Endpoint, amem, bmem *mem.Memory, chunk, count int) float64 {
+func streamBW(t *testing.T, tb *cluster.Testbed, a, b Endpoint, chunk, count int) float64 {
 	t.Helper()
-	bufA := amem.Alloc(chunk)
-	bufB := bmem.Alloc(chunk)
+	bufA := tb.Hosts[0].Mem.Alloc(chunk)
+	bufB := tb.Hosts[1].Mem.Alloc(chunk)
 	bufA.Fill(1)
 	var start, end sim.Time
-	eng.Go("tx", func(p *sim.Proc) {
+	tb.Go(0, "tx", func(p *sim.Proc) {
 		start = p.Now()
 		for i := 0; i < count; i++ {
 			a.Send(p, bufA, 0, chunk)
 		}
 	})
-	eng.Go("rx", func(p *sim.Proc) {
+	tb.Go(1, "rx", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			b.Recv(p, bufB, 0, chunk)
 		}
 		end = p.Now()
 	})
-	if err := eng.Run(); err != nil {
+	if err := tb.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return sim.MBpsOf(int64(chunk)*int64(count), end-start)
+}
+
+type namedPair struct {
+	name string
+	pair func() (*cluster.Testbed, Endpoint, Endpoint)
+}
+
+// tcpPairs returns the two TCP socket pairs' constructors.
+func tcpPairs() []namedPair {
+	return []namedPair{
+		{"hostTCP", func() (*cluster.Testbed, Endpoint, Endpoint) { return NewHostTCPPair(DefaultHostTCPConfig()) }},
+		{"toe", func() (*cluster.Testbed, Endpoint, Endpoint) { return NewTOEPair(DefaultTOEConfig()) }},
+	}
 }
 
 func TestStreamPrimitive(t *testing.T) {
@@ -96,37 +112,29 @@ func TestStreamPrimitive(t *testing.T) {
 // overwriting the user buffer must not reach the receiver, and it costs
 // exactly one freeze of the one in-flight chunk.
 func TestSourceWriteAfterPostKeepsPostedBytes(t *testing.T) {
-	stacks := []struct {
-		name string
-		pair func(*sim.Engine) (Endpoint, Endpoint)
-	}{
-		{"hostTCP", func(e *sim.Engine) (Endpoint, Endpoint) { return NewHostTCPPair(e, DefaultHostTCPConfig()) }},
-		{"toe", func(e *sim.Engine) (Endpoint, Endpoint) { return NewTOEPair(e, DefaultTOEConfig()) }},
-	}
-	for _, st := range stacks {
+	for _, st := range tcpPairs() {
 		t.Run(st.name, func(t *testing.T) {
-			eng := sim.NewEngine()
-			defer eng.Close()
-			a, b := st.pair(eng)
+			tb, a, b := st.pair()
+			defer tb.Close()
 			const n = 32 << 10 // one socket-buffer chunk
-			src := a.Mem().Alloc(n)
-			dst := b.Mem().Alloc(n)
+			src := tb.Hosts[0].Mem.Alloc(n)
+			dst := tb.Hosts[1].Mem.Alloc(n)
 			src.Fill(7)
-			eng.Go("tx", func(p *sim.Proc) {
+			tb.Go(0, "tx", func(p *sim.Proc) {
 				a.Send(p, src, 0, n)
 				src.Fill(99)
 			})
-			eng.Go("rx", func(p *sim.Proc) {
+			tb.Go(1, "rx", func(p *sim.Proc) {
 				p.Sleep(sim.Millisecond) // the chunk is buffered by now
 				b.Recv(p, dst, 0, n)
 			})
-			if err := eng.Run(); err != nil {
+			if err := tb.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if !dst.Equal(7, 0, n) {
 				t.Error("receiver saw bytes written after Send returned")
 			}
-			if got := eng.Metrics().Counter("mem.view_freezes").Value(); got != 1 {
+			if got := tb.Eng.Metrics().Counter("mem.view_freezes").Value(); got != 1 {
 				t.Errorf("mem.view_freezes = %d, want 1", got)
 			}
 		})
@@ -134,18 +142,15 @@ func TestSourceWriteAfterPostKeepsPostedBytes(t *testing.T) {
 }
 
 func TestHostTCPDataIntegrity(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	a, b := NewHostTCPPair(eng, DefaultHostTCPConfig())
-	am := a.(*hostTCP).mem
-	bm := b.(*hostTCP).mem
+	tb, a, b := NewHostTCPPair(DefaultHostTCPConfig())
+	defer tb.Close()
 	const n = 200_000
-	src := am.Alloc(n)
-	dst := bm.Alloc(n)
+	src := tb.Hosts[0].Mem.Alloc(n)
+	dst := tb.Hosts[1].Mem.Alloc(n)
 	src.Fill(7)
-	eng.Go("tx", func(p *sim.Proc) { a.Send(p, src, 0, n) })
-	eng.Go("rx", func(p *sim.Proc) { b.Recv(p, dst, 0, n) })
-	if err := eng.Run(); err != nil {
+	tb.Go(0, "tx", func(p *sim.Proc) { a.Send(p, src, 0, n) })
+	tb.Go(1, "rx", func(p *sim.Proc) { b.Recv(p, dst, 0, n) })
+	if err := tb.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Equal(7, 0, n) {
@@ -154,10 +159,9 @@ func TestHostTCPDataIntegrity(t *testing.T) {
 }
 
 func TestHostTCPLatencyRange(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	a, b := NewHostTCPPair(eng, DefaultHostTCPConfig())
-	lat := pingPong(t, eng, a, b, a.(*hostTCP).mem, b.(*hostTCP).mem, 64, 20)
+	tb, a, b := NewHostTCPPair(DefaultHostTCPConfig())
+	defer tb.Close()
+	lat := pingPong(t, tb, a, b, 64, 20)
 	// Kernel TCP on 10GigE, 2006: ~12-20us one way.
 	if lat < sim.Micros(10) || lat > sim.Micros(22) {
 		t.Errorf("host TCP one-way latency = %v, want ~15us", lat)
@@ -165,10 +169,9 @@ func TestHostTCPLatencyRange(t *testing.T) {
 }
 
 func TestHostTCPBandwidthCPUBound(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	a, b := NewHostTCPPair(eng, DefaultHostTCPConfig())
-	bw := streamBW(t, eng, a, b, a.(*hostTCP).mem, b.(*hostTCP).mem, 64<<10, 64)
+	tb, a, b := NewHostTCPPair(DefaultHostTCPConfig())
+	defer tb.Close()
+	bw := streamBW(t, tb, a, b, 64<<10, 64)
 	// Far below line rate: the CPU checksum+copy pass is the bottleneck.
 	if bw < 230 || bw > 700 {
 		t.Errorf("host TCP stream bandwidth = %.0f MB/s, want ~250-650 (CPU bound)", bw)
@@ -176,17 +179,15 @@ func TestHostTCPBandwidthCPUBound(t *testing.T) {
 }
 
 func TestTOEFasterThanHostTCP(t *testing.T) {
-	e1 := sim.NewEngine()
-	defer e1.Close()
-	ha, hb := NewHostTCPPair(e1, DefaultHostTCPConfig())
-	hostLat := pingPong(t, e1, ha, hb, ha.(*hostTCP).mem, hb.(*hostTCP).mem, 64, 20)
-	hostBW := streamBW(t, e1, ha, hb, ha.(*hostTCP).mem, hb.(*hostTCP).mem, 64<<10, 64)
+	tb1, ha, hb := NewHostTCPPair(DefaultHostTCPConfig())
+	defer tb1.Close()
+	hostLat := pingPong(t, tb1, ha, hb, 64, 20)
+	hostBW := streamBW(t, tb1, ha, hb, 64<<10, 64)
 
-	e2 := sim.NewEngine()
-	defer e2.Close()
-	ta, tb := NewTOEPair(e2, DefaultTOEConfig())
-	toeLat := pingPong(t, e2, ta, tb, ta.(*toe).mem, tb.(*toe).mem, 64, 20)
-	toeBW := streamBW(t, e2, ta, tb, ta.(*toe).mem, tb.(*toe).mem, 64<<10, 64)
+	tb2, ta, tbEnd := NewTOEPair(DefaultTOEConfig())
+	defer tb2.Close()
+	toeLat := pingPong(t, tb2, ta, tbEnd, 64, 20)
+	toeBW := streamBW(t, tb2, ta, tbEnd, 64<<10, 64)
 
 	if toeLat >= hostLat {
 		t.Errorf("TOE latency (%v) not below host TCP (%v)", toeLat, hostLat)
@@ -197,17 +198,15 @@ func TestTOEFasterThanHostTCP(t *testing.T) {
 }
 
 func TestTOEDataIntegrity(t *testing.T) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	a, b := NewTOEPair(eng, DefaultTOEConfig())
-	am, bm := a.(*toe).mem, b.(*toe).mem
+	tb, a, b := NewTOEPair(DefaultTOEConfig())
+	defer tb.Close()
 	const n = 500_000
-	src := am.Alloc(n)
-	dst := bm.Alloc(n)
+	src := tb.Hosts[0].Mem.Alloc(n)
+	dst := tb.Hosts[1].Mem.Alloc(n)
 	src.Fill(5)
-	eng.Go("tx", func(p *sim.Proc) { a.Send(p, src, 0, n) })
-	eng.Go("rx", func(p *sim.Proc) { b.Recv(p, dst, 0, n) })
-	if err := eng.Run(); err != nil {
+	tb.Go(0, "tx", func(p *sim.Proc) { a.Send(p, src, 0, n) })
+	tb.Go(1, "rx", func(p *sim.Proc) { b.Recv(p, dst, 0, n) })
+	if err := tb.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Equal(5, 0, n) {
@@ -268,7 +267,7 @@ func TestSDPPairSetupLeavesClockAtZero(t *testing.T) {
 func TestSDPLatencyNearVerbs(t *testing.T) {
 	tb, a, b := NewSDPPair(cluster.IWARP, DefaultSDPConfig())
 	defer tb.Close()
-	lat := pingPong(t, tb.Eng, a, b, tb.Hosts[0].Mem, tb.Hosts[1].Mem, 64, 20)
+	lat := pingPong(t, tb, a, b, 64, 20)
 	// SDP bcopy adds syscalls and a copy to the ~9.8us verbs latency but
 	// must stay far below the ~15us kernel path.
 	if lat < sim.Micros(10) || lat > sim.Micros(16) {
@@ -279,7 +278,7 @@ func TestSDPLatencyNearVerbs(t *testing.T) {
 func TestSDPZcopyBandwidth(t *testing.T) {
 	tb, a, b := NewSDPPair(cluster.IWARP, DefaultSDPConfig())
 	defer tb.Close()
-	bw := streamBW(t, tb.Eng, a, b, tb.Hosts[0].Mem, tb.Hosts[1].Mem, 1<<20, 16)
+	bw := streamBW(t, tb, a, b, 1<<20, 16)
 	// Zero-copy rides the RNIC: near the iWARP one-way ceiling, well above
 	// what the copy-bound paths manage.
 	if bw < 800 || bw > 1000 {
@@ -290,19 +289,17 @@ func TestSDPZcopyBandwidth(t *testing.T) {
 func TestSocketsLatencyOrdering(t *testing.T) {
 	// The Ethernet-Ethernot story at the sockets API: host TCP slowest;
 	// TOE cuts per-packet CPU; SDP bcopy close to TOE.
-	e1 := sim.NewEngine()
-	defer e1.Close()
-	ha, hb := NewHostTCPPair(e1, DefaultHostTCPConfig())
-	host := pingPong(t, e1, ha, hb, ha.(*hostTCP).mem, hb.(*hostTCP).mem, 64, 10)
+	tb1, ha, hb := NewHostTCPPair(DefaultHostTCPConfig())
+	defer tb1.Close()
+	host := pingPong(t, tb1, ha, hb, 64, 10)
 
-	e2 := sim.NewEngine()
-	defer e2.Close()
-	ta, tb2 := NewTOEPair(e2, DefaultTOEConfig())
-	toeLat := pingPong(t, e2, ta, tb2, ta.(*toe).mem, tb2.(*toe).mem, 64, 10)
+	tb2, ta, tbEnd := NewTOEPair(DefaultTOEConfig())
+	defer tb2.Close()
+	toeLat := pingPong(t, tb2, ta, tbEnd, 64, 10)
 
 	tb3, sa, sb := NewSDPPair(cluster.IWARP, DefaultSDPConfig())
 	defer tb3.Close()
-	sdpLat := pingPong(t, tb3.Eng, sa, sb, tb3.Hosts[0].Mem, tb3.Hosts[1].Mem, 64, 10)
+	sdpLat := pingPong(t, tb3, sa, sb, 64, 10)
 
 	if !(toeLat < host && sdpLat < host) {
 		t.Errorf("ordering violated: host=%v toe=%v sdp=%v", host, toeLat, sdpLat)
@@ -342,5 +339,68 @@ func TestSDPBcopyBacklogKeepsBytes(t *testing.T) {
 	}
 	if tb.Eng.Metrics().Counter("mem.view_freezes").Value() == 0 {
 		t.Error("no view froze: the backlog never outgrew the ring")
+	}
+}
+
+// TestTCPPairCountersGolden pins every exact counter of the TCP/host and
+// TOE pairs: a 1 KiB ping-pong and a 16 x 64 KiB stream, each on a fresh
+// pair, must leave the world's metrics snapshot equal to
+// testdata/tcp-counters.json. A change that should not move the stacks'
+// work (turning their processes into event handlers, say) keeps the file
+// as is, except for the process counters and the removed start events it
+// explains.
+func TestTCPPairCountersGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tcp-counters.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	workloads := []struct {
+		name string
+		run  func(tb *cluster.Testbed, a, b Endpoint)
+	}{
+		{"pingpong-1k", func(tb *cluster.Testbed, a, b Endpoint) { pingPong(t, tb, a, b, 1<<10, 20) }},
+		{"stream-64k", func(tb *cluster.Testbed, a, b Endpoint) { streamBW(t, tb, a, b, 64<<10, 16) }},
+	}
+	for _, st := range tcpPairs() {
+		for _, w := range workloads {
+			tb, a, b := st.pair()
+			w.run(tb, a, b)
+			got, err := json.Marshal(tb.Eng.Metrics().Snapshot())
+			tb.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := golden[a.Name()][w.name]
+			if !ok {
+				t.Fatalf("%s %s: no golden snapshot", a.Name(), w.name)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, compact.Bytes()) {
+				t.Errorf("%s %s: counters moved\n got %s\nwant %s", a.Name(), w.name, got, compact.Bytes())
+			}
+		}
+	}
+}
+
+// SDP learns of zero-copy arrival from its own WrCompl message, so its
+// queue pairs keep no Placements log: after a zero-copy stream the log of
+// either side is empty.
+func TestSDPKeepsNoPlacementLog(t *testing.T) {
+	for _, kind := range cluster.VerbsKinds {
+		tb, a, b := NewSDPPair(kind, DefaultSDPConfig())
+		streamBW(t, tb, a, b, 1<<20, 9)
+		for _, ep := range []Endpoint{a, b} {
+			if n := ep.(*sdp).qp.Placements().Len(); n != 0 {
+				t.Errorf("%v %s: %d placements logged", kind, ep.(*sdp).name, n)
+			}
+		}
+		tb.Close()
 	}
 }

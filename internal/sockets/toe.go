@@ -49,54 +49,27 @@ func DefaultTOEConfig() TOEConfig {
 
 // toe is one side of a TOE-socket connection.
 type toe struct {
-	eng    *sim.Engine
-	name   string
+	tcpEnd
 	cfg    TOEConfig
-	mem    *mem.Memory
 	engine *sim.Resource // the TOE protocol engine
 	pcie   *pci.Bus
 	bridge *pci.Bus
-	port   *fabric.Port
-	peer   *toe
-	conn   *tcpsim.Conn
-
-	rxQ    *sim.Queue[tcpsim.Segment]
-	rcv    *stream
-	txKick *sim.Queue[struct{}]
 }
 
-// NewTOEPair builds two TOE-socket endpoints on a fresh 10GigE fabric.
-func NewTOEPair(eng *sim.Engine, cfg TOEConfig) (Endpoint, Endpoint) {
-	net := fabric.New(eng, cluster.FabricConfig(cluster.IWARP))
-	mk := func(name string) *toe {
-		t := &toe{
-			eng:    eng,
-			name:   name,
-			cfg:    cfg,
-			mem:    mem.NewMemory(eng, name),
-			engine: sim.NewResource(eng, name+"/toe-engine", 1),
-			pcie:   pci.New(eng, cfg.PCIe),
-			bridge: pci.New(eng, cfg.Bridge),
-			rxQ:    sim.NewQueue[tcpsim.Segment](eng, name+"/rxq"),
-			rcv:    newStream(eng),
-			txKick: sim.NewQueue[struct{}](eng, name+"/txkick"),
-		}
-		t.conn = tcpsim.NewConn(eng, name)
-		t.conn.MSS = cfg.MTU - 40
-		t.conn.OnSendable = func() { t.txKick.Put(struct{}{}) }
-		t.port = net.Attach(t)
-		eng.Go(name+"/nic-tx", t.txLoop)
-		eng.Go(name+"/nic-rx", t.rxLoop)
+// NewTOEPair builds two TOE-socket endpoints on a two-node 10GigE testbed
+// whose hosts carry the NE010 as a TOE (see newPair).
+func NewTOEPair(cfg TOEConfig) (*cluster.Testbed, Endpoint, Endpoint) {
+	return newPair(func(tb *cluster.Testbed, i int) Endpoint {
+		t := &toe{tcpEnd: newTCPEnd(tb, i, cfg.MTU), cfg: cfg}
+		t.engine = sim.NewResource(t.eng, t.name+"/toe-engine", 1)
+		t.pcie = pci.New(t.eng, cfg.PCIe)
+		t.bridge = pci.New(t.eng, cfg.Bridge)
+		t.port = tb.Fabric.Attach(t)
+		t.eng.Go(t.name+"/nic-tx", t.txLoop)
+		t.eng.Go(t.name+"/nic-rx", t.rxLoop)
 		return t
-	}
-	a := mk("toe0")
-	b := mk("toe1")
-	a.peer, b.peer = b, a
-	return a, b
+	})
 }
-
-// Mem implements Endpoint.
-func (t *toe) Mem() *mem.Memory { return t.mem }
 
 // Name implements Endpoint.
 func (t *toe) Name() string { return "TCP/TOE" }
@@ -169,15 +142,6 @@ func (t *toe) txLoop(p *sim.Proc) {
 func (t *toe) bookDMA(now sim.Time, bytes int) sim.Time {
 	pe, first := t.pcie.ReadNext(now, bytes)
 	return t.bridge.ReadChained(pe, bytes, first)
-}
-
-func (t *toe) emit(seg tcpsim.Segment) {
-	t.port.Send(&fabric.Frame{
-		Src:     t.port.ID(),
-		Dst:     t.peer.port.ID(),
-		Bytes:   t.conn.WireBytes(seg),
-		Payload: seg,
-	})
 }
 
 // rxLoop is the NIC receive engine: protocol work on the TOE, DMA into the
