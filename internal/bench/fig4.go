@@ -72,7 +72,7 @@ func uniBandwidthOn(tb *cluster.Testbed, w *mpi.World, size, iters int) float64 
 	tb.Go(0, "sender", func(pr *sim.Proc) {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(size)
-		reqs := make([]*mpi.Request, fig4Window)
+		reqs := make([]mpi.Request, fig4Window)
 		window := func() {
 			for i := range reqs {
 				reqs[i] = p.Isend(pr, 1, 1, buf, 0, size)
@@ -91,7 +91,7 @@ func uniBandwidthOn(tb *cluster.Testbed, w *mpi.World, size, iters int) float64 
 	tb.Go(1, "receiver", func(pr *sim.Proc) {
 		p := w.Rank(1)
 		buf := p.Host().Mem.Alloc(size)
-		reqs := make([]*mpi.Request, fig4Window)
+		reqs := make([]mpi.Request, fig4Window)
 		window := func() {
 			for i := range reqs {
 				reqs[i] = p.Irecv(pr, 0, 1, buf, 0, size)
@@ -123,8 +123,8 @@ func bothWayBandwidth(kind cluster.Kind, size, iters int) float64 {
 			peer := 1 - r
 			sbuf := p.Host().Mem.Alloc(size)
 			rbuf := p.Host().Mem.Alloc(size)
-			sends := make([]*mpi.Request, fig4Window)
-			recvs := make([]*mpi.Request, fig4Window)
+			sends := make([]mpi.Request, fig4Window)
+			recvs := make([]mpi.Request, fig4Window)
 			window := func() {
 				for i := range sends {
 					sends[i] = p.Isend(pr, peer, 1, sbuf, 0, size)

@@ -35,7 +35,7 @@ func receiveQueueLatencyOn(tb *cluster.Testbed, w *mpi.World, size, depth, iters
 			buf := p.Host().Mem.Alloc(max(size, 1))
 			// Traversed calls: pre-posted receives that never match the
 			// measured traffic.
-			traversed := make([]*mpi.Request, depth)
+			traversed := make([]mpi.Request, depth)
 			for i := range traversed {
 				traversed[i] = p.Irecv(pr, peer, unexpectedTag, junk, 0, 64)
 			}

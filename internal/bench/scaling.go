@@ -203,7 +203,7 @@ func HaloScale(kind cluster.Kind, px, py, n, iters int, opts ScaleOpts) (ScaleRe
 		}
 		sbuf := p.Host().Mem.Alloc(max(len(peers), 1) * n)
 		rbuf := p.Host().Mem.Alloc(max(len(peers), 1) * n)
-		reqs := make([]*mpi.Request, 0, 2*len(peers))
+		reqs := make([]mpi.Request, 0, 2*len(peers))
 		return func(pr *sim.Proc) {
 			reqs = reqs[:0]
 			for i, peer := range peers {

@@ -49,7 +49,7 @@ func Gap(kind cluster.Kind, m, k int) sim.Time {
 		buf := p.Host().Mem.Alloc(max(m, 1))
 		p.Barrier(pr)
 		start := pr.Now()
-		reqs := make([]*mpi.Request, k)
+		reqs := make([]mpi.Request, k)
 		for i := 0; i < k; i++ {
 			reqs[i] = p.Isend(pr, 1, 1, buf, 0, m)
 		}
@@ -62,7 +62,7 @@ func Gap(kind cluster.Kind, m, k int) sim.Time {
 	tb.Eng.Go("receiver", func(pr *sim.Proc) {
 		p := w.Rank(1)
 		buf := p.Host().Mem.Alloc(max(m, 1))
-		reqs := make([]*mpi.Request, k)
+		reqs := make([]mpi.Request, k)
 		for i := 0; i < k; i++ {
 			reqs[i] = p.Irecv(pr, 0, 1, buf, 0, m)
 		}
@@ -84,7 +84,7 @@ func SenderOverhead(kind cluster.Kind, m, iters int) sim.Time {
 		p := w.Rank(0)
 		buf := p.Host().Mem.Alloc(max(m, 1))
 		p.Barrier(pr)
-		var reqs []*mpi.Request
+		var reqs []mpi.Request
 		for i := 0; i < iters; i++ {
 			t0 := pr.Now()
 			reqs = append(reqs, p.Isend(pr, 1, 1, buf, 0, m))

@@ -47,8 +47,13 @@ type Memory struct {
 	allocated, materialized int64
 	cMaterialized, cFreezes *metrics.Counter
 
-	scratch []byte // Combine's zero operands
+	scratch *zeroScratch // Combine's zero operands, shared by the engine's memories
 }
+
+// zeroScratch is the scratch space behind Combine's zero operands. One
+// per engine serves every host's memory: the engine is single-threaded,
+// so no two Combines use it at once.
+type zeroScratch struct{ b []byte }
 
 // NewMemory returns a memory with the testbed's default cost model.
 func NewMemory(eng *sim.Engine, name string) *Memory {
@@ -65,6 +70,7 @@ func NewMemory(eng *sim.Engine, name string) *Memory {
 		warm:          make(map[uint64]struct{}),
 		cMaterialized: reg.Counter("mem.bytes_materialized"),
 		cFreezes:      reg.Counter("mem.view_freezes"),
+		scratch:       sim.Local[zeroScratch](eng),
 	}
 }
 
@@ -193,13 +199,14 @@ func (b *Buffer) Combine(off int, src *Buffer, soff, n int, op func(dst, src []b
 	op(b.writable(off, n), p)
 }
 
-// zeroPair returns two zeroed n-byte scratch slices, reusing the memory's
+// zeroPair returns two zeroed n-byte scratch slices, reusing the engine's
 // scratch space between calls.
 func (m *Memory) zeroPair(n int) (dst, src []byte) {
-	if cap(m.scratch) < 2*n {
-		m.scratch = make([]byte, 2*n)
+	z := m.scratch
+	if cap(z.b) < 2*n {
+		z.b = make([]byte, 2*n)
 	}
-	p := m.scratch[:2*n]
+	p := z.b[:2*n]
 	clear(p)
 	return p[:n:n], p[n:]
 }

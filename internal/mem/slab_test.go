@@ -3,6 +3,8 @@ package mem
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestAllocNMatchesSequentialAlloc(t *testing.T) {
@@ -109,5 +111,27 @@ func TestCombineOfUnwrittenRanges(t *testing.T) {
 	acc.Combine(32, in, 32, 16, addBytes)
 	if got := loaded(acc, 40, 1); got[0] != 5 {
 		t.Fatalf("combine of a written source = %v", got)
+	}
+}
+
+// TestCombineScratchIsPerEngine checks that the memories of one engine
+// share one zero scratch, which keeps the largest pair any of them needed,
+// while another engine's memory has its own.
+func TestCombineScratchIsPerEngine(t *testing.T) {
+	eng := sim.NewEngine()
+	a, b := NewMemory(eng, "a"), NewMemory(eng, "b")
+	other := NewMemory(sim.NewEngine(), "other")
+	if a.scratch != b.scratch || a.scratch == other.scratch {
+		t.Fatal("zero scratch is not shared by exactly the engine's memories")
+	}
+	x, y := a.Alloc(4096), b.Alloc(4096)
+	x.Combine(0, x, 0, 4096, orOne)
+	before := cap(a.scratch.b)
+	y.Combine(0, y, 0, 1024, orOne)
+	if cap(b.scratch.b) != before || before < 2*4096 {
+		t.Errorf("scratch capacity %d after a 4 KiB combine, %d after a 1 KiB one on another host", before, cap(b.scratch.b))
+	}
+	if got := loaded(y, 0, 1024); !bytes.Equal(got, bytes.Repeat([]byte{1}, 1024)) {
+		t.Errorf("second host's combine read scratch left by the first: %v", got[:8])
 	}
 }

@@ -151,7 +151,7 @@ func (p *Process) Alltoall(pr *sim.Proc, send, recv *mem.Buffer, n int) {
 	}
 	// Self block: local copy.
 	p.host.Mem.Copy(pr, recv, p.rank*n, send, p.rank*n, n)
-	reqs := make([]*Request, 0, 2*(size-1))
+	reqs := make([]Request, 0, 2*(size-1))
 	for d := 1; d < size; d++ {
 		dst := (p.rank + d) % size
 		src := (p.rank + size - d) % size

@@ -121,7 +121,7 @@ func runManyRanks(t *testing.T) observedRun {
 			left := (p.Rank() + nodes - 1) % nodes
 			req := p.Isend(pr, right, 9, buf, 0, n)
 			p.Recv(pr, left, 9, buf, 0, n)
-			p.WaitAll(pr, []*Request{req})
+			p.WaitAll(pr, []Request{req})
 		})
 	}
 	if err := tb.Run(); err != nil {

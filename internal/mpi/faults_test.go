@@ -25,7 +25,7 @@ func TestMPIOverLossyEthernet(t *testing.T) {
 		p := w.Rank(r)
 		tb.Eng.Go(fmt.Sprintf("rank%d", r), func(pr *sim.Proc) {
 			peer := 1 - r
-			var reqs []*Request
+			var reqs []Request
 			for i, n := range sizes {
 				b := p.Host().Mem.Alloc(n)
 				b.Fill(byte(r*20 + i))

@@ -79,7 +79,7 @@ func TestLazyWorldDeliversCorrectData(t *testing.T) {
 			send := p.Host().Mem.Alloc(size)
 			send.Fill(byte(p.Rank()))
 			recvs := make([]*mem.Buffer, n)
-			reqs := make([]*Request, 0, 2*(n-1))
+			reqs := make([]Request, 0, 2*(n-1))
 			for peer := 0; peer < n; peer++ {
 				if peer == p.Rank() {
 					continue

@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/mx"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -120,36 +121,63 @@ type Status struct {
 	Count  int
 }
 
-// Request is a non-blocking operation handle.
+// Request is the handle of a non-blocking operation. It is a small value:
+// the operation's state lives in a request its process recycles once Wait
+// returns, and the handle's generation tells the live request from a
+// recycled one. A handle is dead after Wait: a second Wait, or Done on it,
+// panics.
 type Request struct {
+	r   *request
+	gen uint32
+}
+
+// request is the state of one non-blocking operation. A process keeps its
+// finished requests on a free list and reuses them, completion and MX
+// handles included; gen counts the reuses.
+type request struct {
+	done   sim.Completion
+	gen    uint32
 	p      *Process
-	done   *sim.Completion
-	isRecv bool
 	status Status
 
-	// Receive matching state.
+	// Receive matching state; buf, off and n also hold a verbs
+	// rendezvous send's source.
 	src, tag int
 	buf      *mem.Buffer
 	off, n   int
 
-	// Send state (verbs rendezvous).
-	sendLen    int
+	// Pinned receive region (verbs rendezvous).
 	rndvRegion *mem.Region
 
 	// cause is the causal ref of the device/library event that completed
 	// the request (last placed packet, FIN arrival, rendezvous ack);
 	// Wait names it so the critical path crosses back into the host.
 	cause trace.Ref
+
+	// MX binding: the send or receive handle, and a synchronous send's
+	// ack receive.
+	mxh, mxAck mx.Handle
+}
+
+// live returns the request behind h, panicking if h is stale: its request
+// was waited and has been recycled since.
+func (h Request) live() *request {
+	if h.r == nil || h.r.gen != h.gen {
+		panic("mpi: request used after Wait")
+	}
+	return h.r
 }
 
 // Done reports completion without blocking.
-func (r *Request) Done() bool { return r.done.Fired() }
+func (h Request) Done() bool { return h.live().done.Fired() }
 
-// Wait blocks until the operation completes, progressing the MPI engine.
+// Wait blocks until the operation completes, progressing the MPI engine,
+// then recycles the request: the handle is dead once Wait returns.
 // The recorded span names both the rank's previous call (program order) and
 // the completing device event, so the causal DAG can tell time the rank
 // spent blocked from time it spent computing.
-func (r *Request) Wait(pr *sim.Proc) Status {
+func (h Request) Wait(pr *sim.Proc) Status {
+	r := h.live()
 	p := r.p
 	t0 := pr.Now()
 	if p.mxb != nil {
@@ -162,7 +190,30 @@ func (r *Request) Wait(pr *sim.Proc) Status {
 	tr.CompleteSelf(p.track, "mpi.wait", ref, int64(t0), int64(pr.Now()),
 		trace.Cause(p.lastCall), trace.Cause(r.cause))
 	p.lastCall = ref
-	return r.status
+	st := r.status
+	p.freeRequest(r)
+	return st
+}
+
+// newRequest returns an unfired request of p, recycled when one is free.
+func (p *Process) newRequest() *request {
+	var r *request
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		r = &request{p: p}
+	}
+	r.done.Reset(p.eng())
+	return r
+}
+
+// freeRequest retires r: its generation moves on, so every handle to it
+// goes stale, and it drops what it references before joining the free
+// list. The completion and MX handles keep their waiter arrays.
+func (p *Process) freeRequest(r *request) {
+	*r = request{done: r.done, gen: r.gen + 1, p: p, mxh: r.mxh, mxAck: r.mxAck}
+	p.free = append(p.free, r)
 }
 
 // World is one MPI job: one rank per testbed host.
@@ -171,6 +222,8 @@ type World struct {
 	cfg   Config
 	procs []*Process
 	pairs int // verbs QP-pair-connected rank pairs (eager: all; lazy: on demand)
+
+	mxRanks map[*mx.Endpoint]int // MX worlds: the rank behind each endpoint
 }
 
 // worldInstruments aggregates the MPI-layer mechanisms the paper's figures
@@ -199,8 +252,9 @@ type Process struct {
 	vb  *vbind
 	mxb *mxbind
 
-	posted     []*Request
+	posted     []*request
 	unexpected []*umsg
+	free       []*request // waited requests, for reuse
 
 	// lastCall is the causal ref of the rank's most recent MPI call span;
 	// each call names its predecessor, encoding program order as DAG edges.
@@ -234,6 +288,9 @@ func NewWorld(tb *cluster.Testbed, cfg Config) *World {
 	w := &World{tb: tb, cfg: cfg}
 	// Walk-length histograms: entries traversed per matching attempt.
 	wb := []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+	if tb.Kind.IsMX() {
+		w.mxRanks = make(map[*mx.Endpoint]int, len(tb.Hosts))
+	}
 	for i, h := range tb.Hosts {
 		p := &Process{world: w, rank: i, host: h, track: fmt.Sprintf("mpi.rank%d", i)}
 		reg := tb.EngOf(i).Metrics()
@@ -249,6 +306,7 @@ func NewWorld(tb *cluster.Testbed, cfg Config) *World {
 		}
 		if tb.Kind.IsMX() {
 			p.mxb = newMXBind(p)
+			w.mxRanks[h.MX] = i
 		} else {
 			p.vb = newVBind(p)
 		}
@@ -347,17 +405,17 @@ func (p *Process) Ssend(pr *sim.Proc, dst, tag int, buf *mem.Buffer, off, n int)
 }
 
 // Isend is the non-blocking standard-mode send.
-func (p *Process) Isend(pr *sim.Proc, dst, tag int, buf *mem.Buffer, off, n int) *Request {
+func (p *Process) Isend(pr *sim.Proc, dst, tag int, buf *mem.Buffer, off, n int) Request {
 	return p.isend(pr, dst, tag, buf, off, n, false)
 }
 
-func (p *Process) isend(pr *sim.Proc, dst, tag int, buf *mem.Buffer, off, n int, sync bool) *Request {
+func (p *Process) isend(pr *sim.Proc, dst, tag int, buf *mem.Buffer, off, n int, sync bool) Request {
 	p.checkArgs(dst, tag, n)
 	tr := p.eng().Trc()
 	t0 := pr.Now()
 	ref := tr.NewRef() // span ref, threaded into the work requests posted below
 	pr.Sleep(p.world.cfg.CallOverhead)
-	req := &Request{p: p, done: sim.NewCompletion(p.eng()), sendLen: n}
+	req := p.newRequest()
 	if p.mxb != nil {
 		p.mxb.isend(pr, req, dst, tag, buf, off, n, sync, ref)
 	} else {
@@ -366,7 +424,7 @@ func (p *Process) isend(pr *sim.Proc, dst, tag int, buf *mem.Buffer, off, n int,
 	tr.CompleteSelf(p.track, "mpi.isend", ref, int64(t0), int64(pr.Now()),
 		trace.Cause(p.lastCall), trace.I64("dst", int64(dst)), trace.I64("bytes", int64(n)))
 	p.lastCall = ref
-	return req
+	return Request{req, req.gen}
 }
 
 // Recv is the blocking receive. src and tag may be AnySource/AnyTag.
@@ -376,7 +434,7 @@ func (p *Process) Recv(pr *sim.Proc, src, tag int, buf *mem.Buffer, off, n int) 
 }
 
 // Irecv is the non-blocking receive.
-func (p *Process) Irecv(pr *sim.Proc, src, tag int, buf *mem.Buffer, off, n int) *Request {
+func (p *Process) Irecv(pr *sim.Proc, src, tag int, buf *mem.Buffer, off, n int) Request {
 	if src != AnySource {
 		p.checkRank(src)
 	}
@@ -387,7 +445,8 @@ func (p *Process) Irecv(pr *sim.Proc, src, tag int, buf *mem.Buffer, off, n int)
 	t0 := pr.Now()
 	ref := tr.NewRef()
 	pr.Sleep(p.world.cfg.CallOverhead)
-	req := &Request{p: p, done: sim.NewCompletion(p.eng()), isRecv: true, src: src, tag: tag, buf: buf, off: off, n: n}
+	req := p.newRequest()
+	req.src, req.tag, req.buf, req.off, req.n = src, tag, buf, off, n
 	if p.mxb != nil {
 		p.mxb.irecv(pr, req, ref)
 	} else {
@@ -396,11 +455,11 @@ func (p *Process) Irecv(pr *sim.Proc, src, tag int, buf *mem.Buffer, off, n int)
 	tr.CompleteSelf(p.track, "mpi.irecv", ref, int64(t0), int64(pr.Now()),
 		trace.Cause(p.lastCall), trace.I64("src", int64(src)), trace.I64("bytes", int64(n)))
 	p.lastCall = ref
-	return req
+	return Request{req, req.gen}
 }
 
 // WaitAll waits on every request.
-func (p *Process) WaitAll(pr *sim.Proc, reqs []*Request) {
+func (p *Process) WaitAll(pr *sim.Proc, reqs []Request) {
 	for _, r := range reqs {
 		r.Wait(pr)
 	}
@@ -457,7 +516,7 @@ func (p *Process) progressUntil(pr *sim.Proc, cond func() bool) {
 
 // matchPosted walks the posted-receive queue for (src, tag), charging the
 // per-entry traversal cost, and removes and returns the match.
-func (p *Process) matchPosted(pr *sim.Proc, src, tag int) *Request {
+func (p *Process) matchPosted(pr *sim.Proc, src, tag int) *request {
 	cfg := p.world.cfg
 	ins := &p.ins
 	sp := p.eng().Trc().Begin(p.track, "match.posted", trace.I64("depth", int64(len(p.posted))))

@@ -217,7 +217,7 @@ func TestIsendIrecvWindow(t *testing.T) {
 			const n = 2048
 			run2(t, kind, func(pr *sim.Proc, p *Process, peer int) {
 				buf := p.Host().Mem.Alloc(n)
-				reqs := make([]*Request, window)
+				reqs := make([]Request, window)
 				if p.Rank() == 0 {
 					buf.Fill(4)
 					for i := range reqs {

@@ -41,15 +41,14 @@ func (b *mxbind) ep() *mx.Endpoint { return b.p.host.MX }
 func (b *mxbind) peerEP(rank int) *mx.Endpoint { return b.p.world.procs[rank].host.MX }
 
 func (b *mxbind) rankOf(e *mx.Endpoint) int {
-	for _, q := range b.p.world.procs {
-		if q.host.MX == e {
-			return q.rank
-		}
+	r, ok := b.p.world.mxRanks[e]
+	if !ok {
+		panic("mpi: unknown MX endpoint")
 	}
-	panic("mpi: unknown MX endpoint")
+	return r
 }
 
-func (b *mxbind) isend(pr *sim.Proc, req *Request, dst, tag int, buf *mem.Buffer, off, n int, sync bool, self trace.Ref) {
+func (b *mxbind) isend(pr *sim.Proc, req *request, dst, tag int, buf *mem.Buffer, off, n int, sync bool, self trace.Ref) {
 	p := b.p
 	if n <= p.world.cfg.EagerThreshold {
 		p.EagerSends++
@@ -62,28 +61,38 @@ func (b *mxbind) isend(pr *sim.Proc, req *Request, dst, tag int, buf *mem.Buffer
 	if sync {
 		bits |= mxSyncBit
 	}
-	h := b.ep().IsendCause(pr, b.peerEP(dst), bits, buf, off, n, self)
+	b.ep().IsendInto(pr, &req.mxh, b.peerEP(dst), bits, buf, off, n, self)
 	if !sync {
-		h.Done().OnFire(func() {
-			req.cause = h.Cause
-			req.done.Fire()
-		})
+		req.mxh.Done().OnFire(mxSent, req)
 		return
 	}
 	// Synchronous send: also wait for the receiver's ack. Identical
 	// concurrent Ssends share ack bits; FIFO matching keeps them paired.
 	ackBits := mxAckBit | mxBits(dst, tag)
-	ah := b.ep().IrecvCause(pr, ackBits, ^uint64(0), b.tiny, 0, 0, self)
-	h.Done().OnFire(func() {
-		ah.Done().OnFire(func() {
-			req.cause = ah.Cause
-			req.done.Fire()
-		})
-	})
+	b.ep().IrecvInto(pr, &req.mxAck, ackBits, ^uint64(0), b.tiny, 0, 0, self)
+	req.mxh.Done().OnFire(mxSsent, req)
 }
 
-func (b *mxbind) irecv(pr *sim.Proc, req *Request, self trace.Ref) {
-	p := b.p
+// mxSent completes send request v once its MX send has.
+func mxSent(v any) {
+	req := v.(*request)
+	req.cause = req.mxh.Cause
+	req.done.Fire()
+}
+
+// mxSsent follows synchronous send request v's MX send with its ack
+// receive: the request completes once both have.
+func mxSsent(v any) { v.(*request).mxAck.Done().OnFire(mxAcked, v) }
+
+// mxAcked completes synchronous send request v once the receiver's ack
+// has arrived.
+func mxAcked(v any) {
+	req := v.(*request)
+	req.cause = req.mxAck.Cause
+	req.done.Fire()
+}
+
+func (b *mxbind) irecv(pr *sim.Proc, req *request, self trace.Ref) {
 	var mask uint64 = mxAckBit // regular receives never match internal acks
 	var bits uint64
 	if req.src != AnySource {
@@ -94,27 +103,34 @@ func (b *mxbind) irecv(pr *sim.Proc, req *Request, self trace.Ref) {
 		mask |= mxTagMask
 		bits |= uint64(uint32(req.tag))
 	}
-	h := b.ep().IrecvCause(pr, bits, mask, req.buf, req.off, req.n, self)
-	h.Done().OnFire(func() {
-		req.status = Status{Source: b.rankOf(h.Src), Tag: int(uint32(h.Match)), Count: h.Len}
-		req.cause = h.Cause
-		req.done.Fire()
-		if h.Match&mxSyncBit != 0 {
-			// The sender used Ssend: return the ack from a helper process
-			// (the MX library does this inside its progress path).
-			src := h.Src
-			tag := int(uint32(h.Match))
-			cause := h.Cause
-			p.eng().Go(fmt.Sprintf("mpi/r%d/sync-ack", p.rank), func(ap *sim.Proc) {
-				b.ep().IsendCause(ap, src, mxAckBit|mxBits(p.rank, tag), b.tiny, 0, 0, cause)
-			})
-		}
-	})
+	b.ep().IrecvInto(pr, &req.mxh, bits, mask, req.buf, req.off, req.n, self)
+	req.mxh.Done().OnFire(mxReceived, req)
+}
+
+// mxReceived completes receive request v once its MX receive has, and
+// acknowledges a synchronous sender.
+func mxReceived(v any) {
+	req := v.(*request)
+	p, h := req.p, &req.mxh
+	b := p.mxb
+	req.status = Status{Source: b.rankOf(h.Src), Tag: int(uint32(h.Match)), Count: h.Len}
+	req.cause = h.Cause
+	req.done.Fire()
+	if h.Match&mxSyncBit != 0 {
+		// The sender used Ssend: return the ack from a helper process
+		// (the MX library does this inside its progress path).
+		src := h.Src
+		tag := int(uint32(h.Match))
+		cause := h.Cause
+		p.eng().Go(fmt.Sprintf("mpi/r%d/sync-ack", p.rank), func(ap *sim.Proc) {
+			b.ep().IsendInto(ap, new(mx.Handle), src, mxAckBit|mxBits(p.rank, tag), b.tiny, 0, 0, cause)
+		})
+	}
 }
 
 // wait blocks on a request; MX completion polling costs are charged by the
 // MX handle machinery, so this only adds the library's poll-detect hop.
-func (b *mxbind) wait(pr *sim.Proc, req *Request) {
+func (b *mxbind) wait(pr *sim.Proc, req *request) {
 	req.done.Wait(pr)
 	pr.Sleep(b.ep().PollDetect())
 }

@@ -132,7 +132,7 @@ func TestStressBidirectionalMixedSizes(t *testing.T) {
 				tb.Eng.Go(fmt.Sprintf("rank%d", r), func(pr *sim.Proc) {
 					peer := 1 - r
 					var bufs []*mem.Buffer
-					var reqs []*Request
+					var reqs []Request
 					for i, n := range sizes {
 						b := p.Host().Mem.Alloc(n)
 						b.Fill(byte(r*10 + i))

@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -90,7 +89,7 @@ func bounceWR(bb *bounceBuf) uint64 { return uint64(bb.slot) << 1 }
 // rndvWrite is the bookkeeping behind one outstanding rendezvous write.
 type rndvWrite struct {
 	peer    int
-	req     *Request    // the sender's MPI request
+	req     *request    // the sender's MPI request
 	peerReq uint64      // receiver's request id, echoed in FIN
 	region  *mem.Region // pinned source region
 }
@@ -105,8 +104,8 @@ type rndvWrite struct {
 type vbind struct {
 	p        *Process
 	cq       *verbs.CQ
-	qps      map[int]verbs.QP // control QPs
-	dataQPs  map[int]verbs.QP
+	qps      []verbs.QP // control QPs by peer rank, nil until connected
+	dataQPs  []verbs.QP
 	regCache *mem.RegCache
 
 	bounces  []*bounceBuf // by slot
@@ -115,7 +114,7 @@ type vbind struct {
 	nextRndv uint64
 	rndv     map[uint64]rndvWrite // outstanding rendezvous writes by WR ID
 	nextReq  uint64
-	reqs     map[uint64]*Request
+	reqs     map[uint64]*request
 }
 
 func newVBind(p *Process) *vbind {
@@ -123,10 +122,10 @@ func newVBind(p *Process) *vbind {
 	b := &vbind{
 		p:       p,
 		cq:      verbs.NewCQ(p.eng(), fmt.Sprintf("mpi/r%d/cq", p.rank), p.host.PollDetect()),
-		qps:     make(map[int]verbs.QP),
-		dataQPs: make(map[int]verbs.QP),
+		qps:     make([]verbs.QP, len(p.world.tb.Hosts)),
+		dataQPs: make([]verbs.QP, len(p.world.tb.Hosts)),
 		rndv:    make(map[uint64]rndvWrite),
-		reqs:    make(map[uint64]*Request),
+		reqs:    make(map[uint64]*request),
 	}
 	b.regCache = mem.NewRegCache(nic.Reg(), p.world.cfg.RegCacheEntries)
 	return b
@@ -146,12 +145,13 @@ func (b *vbind) addPeer(rank int, ctrl, data verbs.QP) {
 
 // prepost allocates and preposts every peer's share of the eager bounce
 // pools at MPI_Init, off the measured path and without running the engine.
-// Peers are visited in rank order: map-order iteration would hand out
-// bounce slots, and with them work-request IDs, differently between
-// identically-seeded runs on three or more nodes.
+// Peers are visited in rank order, which fixes the bounce slots, and with
+// them the work-request IDs, each peer gets.
 func (b *vbind) prepost() {
-	for _, peer := range b.peerRanks() {
-		b.prepostPeer(nil, peer)
+	for peer, qp := range b.qps {
+		if qp != nil {
+			b.prepostPeer(nil, peer)
+		}
 	}
 }
 
@@ -207,29 +207,18 @@ func (b *vbind) recvBounces(pr *sim.Proc, peer, size int, data bool) {
 // ensurePeer wires the pair with `rank` on first communication
 // (LazyConnect worlds); eagerly-connected worlds always hit the fast path.
 func (b *vbind) ensurePeer(pr *sim.Proc, rank int) {
-	if _, ok := b.qps[rank]; ok {
-		return
+	if b.qps[rank] == nil {
+		b.p.world.connectPair(pr, b.p.rank, rank)
 	}
-	b.p.world.connectPair(pr, b.p.rank, rank)
 }
 
-// peerRanks returns the connected peers in ascending rank order.
-func (b *vbind) peerRanks() []int {
-	peers := make([]int, 0, len(b.qps))
-	for r := range b.qps {
-		peers = append(peers, r)
-	}
-	sort.Ints(peers)
-	return peers
-}
-
-func (b *vbind) newReq(req *Request) uint64 {
+func (b *vbind) newReq(req *request) uint64 {
 	b.nextReq++
 	b.reqs[b.nextReq] = req
 	return b.nextReq
 }
 
-func (b *vbind) takeReq(id uint64) *Request {
+func (b *vbind) takeReq(id uint64) *request {
 	req, ok := b.reqs[id]
 	if !ok {
 		panic(fmt.Sprintf("mpi r%d: unknown request id %d", b.p.rank, id))
@@ -269,7 +258,7 @@ func (b *vbind) postSend(pr *sim.Proc, qp verbs.QP, bb *bounceBuf, n int, cause 
 // isend implements standard and synchronous non-blocking sends. self is the
 // causal ref of the enclosing MPI call span; the posted work requests carry
 // it across the host/device boundary.
-func (b *vbind) isend(pr *sim.Proc, req *Request, dst, tag int, buf *mem.Buffer, off, n int, sync bool, self trace.Ref) {
+func (b *vbind) isend(pr *sim.Proc, req *request, dst, tag int, buf *mem.Buffer, off, n int, sync bool, self trace.Ref) {
 	p := b.p
 	b.ensurePeer(pr, dst)
 	b.drain(pr)
@@ -308,7 +297,7 @@ func (b *vbind) isend(pr *sim.Proc, req *Request, dst, tag int, buf *mem.Buffer,
 
 // irecv implements the non-blocking receive. self is the causal ref of the
 // enclosing MPI call span.
-func (b *vbind) irecv(pr *sim.Proc, req *Request, self trace.Ref) {
+func (b *vbind) irecv(pr *sim.Proc, req *request, self trace.Ref) {
 	p := b.p
 	b.drain(pr)
 	if m := p.matchUnexpected(pr, req.src, req.tag); m != nil {
@@ -322,7 +311,7 @@ func (b *vbind) irecv(pr *sim.Proc, req *Request, self trace.Ref) {
 // deliverUnexpected completes a receive against an unexpected-queue entry.
 // self is the receive call's span ref; the parked message's arrival instant
 // (m.cause) is what completed the request.
-func (b *vbind) deliverUnexpected(pr *sim.Proc, m *umsg, req *Request, self trace.Ref) {
+func (b *vbind) deliverUnexpected(pr *sim.Proc, m *umsg, req *request, self trace.Ref) {
 	p := b.p
 	if m.n > req.n {
 		panic(fmt.Sprintf("mpi r%d: %d-byte message truncated by %d-byte receive", p.rank, m.n, req.n))
@@ -349,7 +338,7 @@ func (b *vbind) deliverUnexpected(pr *sim.Proc, m *umsg, req *Request, self trac
 // startRndvRecv registers the receive buffer and returns the CTS. cause is
 // the event that enabled the CTS (RTS arrival or the receive call); the
 // registration span supersedes it when the pin was actually charged.
-func (b *vbind) startRndvRecv(pr *sim.Proc, src, tag, n int, senderReq uint64, req *Request, cause trace.Ref) {
+func (b *vbind) startRndvRecv(pr *sim.Proc, src, tag, n int, senderReq uint64, req *request, cause trace.Ref) {
 	p := b.p
 	if n > req.n {
 		panic(fmt.Sprintf("mpi r%d: %d-byte rendezvous truncated by %d-byte receive", p.rank, n, req.n))

@@ -107,9 +107,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Handle tracks one outstanding MX operation.
+// Handle tracks one outstanding MX operation. Isend and Irecv allocate
+// one; IsendInto and IrecvInto fill one the caller owns and reuses.
 type Handle struct {
-	done *sim.Completion
+	done sim.Completion
 	// Len is the message length (for receives, the matched length).
 	Len int
 	// Src is the sending endpoint for completed receives.
@@ -134,7 +135,14 @@ func (h *Handle) Wait(p *sim.Proc) {
 func (h *Handle) Test() bool { return h.done.Fired() }
 
 // Done exposes the underlying completion for select-like waiting.
-func (h *Handle) Done() *sim.Completion { return h.done }
+func (h *Handle) Done() *sim.Completion { return &h.done }
+
+// reset makes h an unfired handle of endpoint e for a message of n bytes
+// with match bits match, keeping its completion's waiter array.
+func (h *Handle) reset(e *Endpoint, n int, match uint64) {
+	h.done.Reset(e.eng)
+	h.Len, h.Src, h.Match, h.Cause, h.ep = n, nil, match, trace.RefNone, e
+}
 
 // pktKind classifies MX wire packets.
 type pktKind int
@@ -309,16 +317,19 @@ func (e *Endpoint) Deliver(f *fabric.Frame) {
 
 // Isend starts a non-blocking matched send of n bytes to peer.
 func (e *Endpoint) Isend(p *sim.Proc, peer *Endpoint, match uint64, buf *mem.Buffer, off, n int) *Handle {
-	return e.IsendCause(p, peer, match, buf, off, n, trace.RefNone)
+	h := new(Handle)
+	e.IsendInto(p, h, peer, match, buf, off, n, trace.RefNone)
+	return h
 }
 
-// IsendCause is Isend with an explicit causal parent (the MPI-layer span
-// that motivated the send).
-func (e *Endpoint) IsendCause(p *sim.Proc, peer *Endpoint, match uint64, buf *mem.Buffer, off, n int, cause trace.Ref) *Handle {
+// IsendInto is Isend into the caller's handle h, with an explicit causal
+// parent (the MPI-layer span that motivated the send). h must not be in
+// use by another operation; it is reusable once it completes.
+func (e *Endpoint) IsendInto(p *sim.Proc, h *Handle, peer *Endpoint, match uint64, buf *mem.Buffer, off, n int, cause trace.Ref) {
 	if n < 0 || peer == e {
 		panic(fmt.Sprintf("mx %s: bad send (n=%d)", e.name, n))
 	}
-	h := &Handle{done: sim.NewCompletion(e.eng), Len: n, Match: match, ep: e}
+	h.reset(e, n, match)
 	x := &xfer{src: e, dst: peer, match: match, n: n, sendH: h}
 	if peer.eng == e.eng {
 		x.data = buf.View(off, n)
@@ -340,7 +351,7 @@ func (e *Endpoint) IsendCause(p *sim.Proc, peer *Endpoint, match uint64, buf *me
 		if n <= e.cfg.PIOMax {
 			// Host PIO: descriptor and payload written straight to the NIC.
 			e.eng.AtArg(e.pcie.Doorbell(64+n), rang, op)
-			return h
+			return
 		}
 		op.dma = true
 	} else {
@@ -350,7 +361,6 @@ func (e *Endpoint) IsendCause(p *sim.Proc, peer *Endpoint, match uint64, buf *me
 		op.buf, op.off, op.end = buf, off, off+n
 	}
 	e.eng.AtArg(e.pcie.Doorbell(64), rang, op)
-	return h
 }
 
 func rang(v any) {
@@ -496,13 +506,16 @@ func (e *Endpoint) sendPacket(dst *Endpoint, pkt packet) {
 // its unexpected queue (cheap, host-side); if nothing matches, the receive
 // is handed to the NIC's posted queue.
 func (e *Endpoint) Irecv(p *sim.Proc, match, mask uint64, buf *mem.Buffer, off, n int) *Handle {
-	return e.IrecvCause(p, match, mask, buf, off, n, trace.RefNone)
+	h := new(Handle)
+	e.IrecvInto(p, h, match, mask, buf, off, n, trace.RefNone)
+	return h
 }
 
-// IrecvCause is Irecv with an explicit causal parent (the MPI-layer span
-// that posted the receive).
-func (e *Endpoint) IrecvCause(p *sim.Proc, match, mask uint64, buf *mem.Buffer, off, n int, cause trace.Ref) *Handle {
-	h := &Handle{done: sim.NewCompletion(e.eng), ep: e}
+// IrecvInto is Irecv into the caller's handle h, with an explicit causal
+// parent (the MPI-layer span that posted the receive). h must not be in
+// use by another operation; it is reusable once it completes.
+func (e *Endpoint) IrecvInto(p *sim.Proc, h *Handle, match, mask uint64, buf *mem.Buffer, off, n int, cause trace.Ref) {
+	h.reset(e, 0, 0)
 	post := e.eng.Now()
 	p.Sleep(e.cfg.PostOverhead)
 	e.eng.Trc().CompleteR(e.name, "doorbell", int64(post), int64(e.eng.Now()),
@@ -515,7 +528,7 @@ func (e *Endpoint) IrecvCause(p *sim.Proc, match, mask uint64, buf *mem.Buffer, 
 		if x.match&mask == match&mask {
 			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
 			if !e.claim(x, buf, off, n, h) {
-				return h
+				return
 			}
 			if x.arrived == nil || x.arrived.Fired() {
 				// Copy out of the unexpected ring with host memcpy economics.
@@ -523,19 +536,18 @@ func (e *Endpoint) IrecvCause(p *sim.Proc, match, mask uint64, buf *mem.Buffer, 
 					p.Sleep(e.ringCopy(x, buf, off))
 				}
 				e.deliver(x, buf, off, h)
-				return h
+				return
 			}
 			// The descriptor matched but the payload is still arriving;
 			// finish the delivery asynchronously (mx_wait semantics).
 			op := e.ops.Get()
 			*op = msgOp{e: e, x: x, buf: buf, off: off, h: h}
 			e.eng.AfterArg(0, lateArrival, op)
-			return h
+			return
 		}
 	}
 	pr := &postedRecv{e: e, match: match, mask: mask, buf: buf, off: off, n: n, h: h}
 	e.eng.AtArg(e.pcie.Doorbell(64), postBell, pr)
-	return h
 }
 
 // postBell lands posted receive v on the NIC. It first closes the

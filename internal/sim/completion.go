@@ -1,19 +1,31 @@
 package sim
 
 // Completion is a one-shot event that processes and handlers can wait on.
-// It may carry a value. Create completions with NewCompletion.
+// Create one with NewCompletion, or embed one by value and Reset it before
+// each use: a reset completion keeps its waiter array, so a recycled owner
+// (an MPI request, an MX handle) waits without allocating.
 type Completion struct {
 	e       *Engine
 	done    bool
 	at      Time
-	value   any
 	waiters []waiter
-	subs    []func()
+	hook    func(any)
+	hookArg any
 }
 
 // NewCompletion returns an unfired completion bound to e.
 func NewCompletion(e *Engine) *Completion {
 	return &Completion{e: e}
+}
+
+// Reset makes c an unfired completion bound to e with no waiters and no
+// hook, keeping the capacity of its waiter array.
+func (c *Completion) Reset(e *Engine) {
+	c.e = e
+	c.done = false
+	c.at = 0
+	c.waiters = c.waiters[:0]
+	c.hook, c.hookArg = nil, nil
 }
 
 // Fired reports whether the completion has fired.
@@ -23,20 +35,14 @@ func (c *Completion) Fired() bool { return c.done }
 // meaningful once Fired reports true.
 func (c *Completion) FiredAt() Time { return c.at }
 
-// Value returns the value passed to FireValue, or nil.
-func (c *Completion) Value() any { return c.value }
-
-// Fire marks the completion done and wakes all waiters, in the order they
-// began waiting. Firing twice panics: completions are one-shot by design, so
-// a double fire always indicates a protocol bug in the caller.
-func (c *Completion) Fire() { c.FireValue(nil) }
-
-// FireValue is Fire with an attached value.
-func (c *Completion) FireValue(v any) {
+// Fire marks the completion done, wakes all waiters in the order they
+// began waiting, then runs the OnFire hook. Firing twice panics:
+// completions are one-shot by design, so a double fire always indicates a
+// protocol bug in the caller.
+func (c *Completion) Fire() {
 	if c.done {
 		panic("sim: Completion fired twice")
 	}
-	c.value = v
 	c.fire()
 }
 
@@ -46,11 +52,13 @@ func (c *Completion) fire() {
 	for _, w := range c.waiters {
 		w.wake(c.e)
 	}
-	c.waiters = nil
-	for _, fn := range c.subs {
-		fn()
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
+	if fn := c.hook; fn != nil {
+		arg := c.hookArg
+		c.hook, c.hookArg = nil, nil
+		fn(arg)
 	}
-	c.subs = nil
 }
 
 // Wait blocks the process until the completion fires. It returns immediately
@@ -73,12 +81,17 @@ func (c *Completion) WaitThen(fn func(any), arg any) {
 	c.waiters = append(c.waiters, waiter{fn: fn, arg: arg})
 }
 
-// OnFire registers fn to run (in engine context) when the completion fires.
-// If it already fired, fn runs immediately.
-func (c *Completion) OnFire(fn func()) {
+// OnFire sets the completion's hook: fn(arg) runs synchronously inside
+// Fire, after the waiters are woken. If the completion already fired,
+// fn(arg) runs at once. A completion has one hook slot; setting a second
+// before the first has run panics.
+func (c *Completion) OnFire(fn func(any), arg any) {
 	if c.done {
-		fn()
+		fn(arg)
 		return
 	}
-	c.subs = append(c.subs, fn)
+	if c.hook != nil {
+		panic("sim: Completion hook set twice")
+	}
+	c.hook, c.hookArg = fn, arg
 }

@@ -74,7 +74,7 @@ type Engine struct {
 	procs   map[*Proc]struct{}
 	current *Proc
 	idle    *coro       // finished coroutines awaiting their next proc
-	locals  map[any]any // per-engine FreeLists, keyed by type (see FreeListOf)
+	locals  map[any]any // per-engine shared state, keyed by type (see Local)
 	stopped bool
 	closed  bool
 	err     error

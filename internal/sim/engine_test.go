@@ -189,7 +189,7 @@ func TestProcPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestCompletionValueAndOrder(t *testing.T) {
+func TestCompletionOrder(t *testing.T) {
 	e := NewEngine()
 	c := NewCompletion(e)
 	var woke []string
@@ -202,7 +202,7 @@ func TestCompletionValueAndOrder(t *testing.T) {
 	}
 	e.Go("firer", func(p *Proc) {
 		p.Sleep(Microsecond)
-		c.FireValue(42)
+		c.Fire()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -210,8 +210,8 @@ func TestCompletionValueAndOrder(t *testing.T) {
 	if fmt.Sprint(woke) != "[x y z]" {
 		t.Errorf("wake order = %v", woke)
 	}
-	if c.Value() != 42 || !c.Fired() || c.FiredAt() != Microsecond {
-		t.Errorf("completion state: %v %v %v", c.Value(), c.Fired(), c.FiredAt())
+	if !c.Fired() || c.FiredAt() != Microsecond {
+		t.Errorf("completion state: %v %v", c.Fired(), c.FiredAt())
 	}
 	// Waiting after fire returns immediately.
 	done := false
@@ -242,15 +242,73 @@ func TestCompletionDoubleFirePanics(t *testing.T) {
 func TestCompletionOnFire(t *testing.T) {
 	e := NewEngine()
 	c := NewCompletion(e)
-	n := 0
-	c.OnFire(func() { n++ })
-	e.Schedule(Microsecond, func() { c.Fire() })
+	var order []string
+	e.Go("waiter", func(p *Proc) {
+		c.Wait(p)
+		order = append(order, "waiter")
+	})
+	c.OnFire(func(v any) { order = append(order, v.(string)) }, "hook")
+	e.Schedule(Microsecond, func() {
+		c.Fire()
+		order = append(order, "after-fire")
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c.OnFire(func() { n += 10 }) // already fired: immediate
-	if n != 11 {
-		t.Errorf("n = %d, want 11", n)
+	// The hook runs inside Fire, before the woken waiter resumes.
+	if fmt.Sprint(order) != "[hook after-fire waiter]" {
+		t.Errorf("order = %v", order)
+	}
+	n := 0
+	c.OnFire(func(any) { n++ }, nil) // already fired: immediate
+	if n != 1 {
+		t.Errorf("hook on a fired completion ran %d times, want 1", n)
+	}
+}
+
+func TestCompletionHookSetTwicePanics(t *testing.T) {
+	c := NewCompletion(NewEngine())
+	c.OnFire(func(any) {}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("second OnFire did not panic")
+		}
+	}()
+	c.OnFire(func(any) {}, nil)
+}
+
+// TestCompletionReset reuses one completion for many wait/fire rounds: a
+// reset completion is unfired, hookless and waits without allocating.
+func TestCompletionReset(t *testing.T) {
+	e := NewEngine()
+	var c Completion
+	c.Reset(e)
+	rounds, hooks := 0, 0
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < 50; i++ {
+			c.OnFire(func(any) { hooks++ }, nil)
+			c.Wait(p)
+			if !c.Fired() || c.FiredAt() != p.Now() {
+				t.Errorf("round %d: woke unfired or late", i)
+			}
+			rounds++
+			c.Reset(e)
+			if c.Fired() {
+				t.Fatal("reset completion still fired")
+			}
+		}
+	})
+	e.Go("firer", func(p *Proc) {
+		for i := 0; i < 50; i++ {
+			p.Sleep(Microsecond)
+			c.Fire()
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rounds != 50 || hooks != 50 || cap(c.waiters) != 1 {
+		t.Errorf("rounds %d, hooks %d, waiter capacity %d; want 50, 50, 1", rounds, hooks, cap(c.waiters))
 	}
 }
 

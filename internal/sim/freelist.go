@@ -19,21 +19,27 @@ type FreeList[T any] struct {
 // messages, or several TCP windows of segments, in flight at once.
 const freeListMax = 1024
 
-// freeListKey keys an engine's FreeList of *T: a zero-size type per T, so
-// lists of distinct types never collide.
-type freeListKey[T any] struct{}
-
 // FreeListOf returns e's FreeList of *T, creating it on first use. Look it
 // up once, when a component is built, not per packet.
-func FreeListOf[T any](e *Engine) *FreeList[T] {
-	key := freeListKey[T]{}
+func FreeListOf[T any](e *Engine) *FreeList[T] { return Local[FreeList[T]](e) }
+
+// localKey keys an engine's Local *T: a zero-size type per T, so locals of
+// distinct types never collide.
+type localKey[T any] struct{}
+
+// Local returns e's one *T, a zero T made on first use. Every component on
+// the engine shares it, and the engine is single-threaded, so a local
+// holds scratch space or free lists that the engine's components take
+// turns using.
+func Local[T any](e *Engine) *T {
+	key := localKey[T]{}
 	if l, ok := e.locals[key]; ok {
-		return l.(*FreeList[T])
+		return l.(*T)
 	}
 	if e.locals == nil {
 		e.locals = make(map[any]any)
 	}
-	l := &FreeList[T]{}
+	l := new(T)
 	e.locals[key] = l
 	return l
 }

@@ -40,14 +40,18 @@ type Inbound struct {
 // and the completion and placement queues. The iWARP and IB queue pairs
 // embed it and keep only their engines behind it. The zero value is not
 // usable; build one with NewFront.
+//
+// The QP's own CQs and placement queue are built on first use: a QP that
+// SetCQs points elsewhere and whose placement log is off (every QP MPI
+// and SDP wire) never allocates them.
 type Front struct {
 	dev *Device
 	qpn int
 
-	scq    *CQ
-	rcq    *CQ
-	places *sim.Queue[Placement]
-	sendQ  sim.Stage[WR] // landed send work requests, served by the NIC's send stage
+	scq    *CQ                   // nil until SetCQs or first use
+	rcq    *CQ                   // nil until SetCQs or first use
+	places *sim.Queue[Placement] // nil until first use
+	sendQ  sim.Stage[WR]         // landed send work requests, served by the NIC's send stage
 
 	recvQ sim.Ring[WR]       // posted receive work requests
 	early sim.Ring[*Inbound] // completed Sends that found no posted receive
@@ -65,14 +69,7 @@ type Front struct {
 
 // NewFront returns the front end of queue pair qpn on dev.
 func NewFront(dev *Device, qpn int) Front {
-	return Front{
-		dev:       dev,
-		qpn:       qpn,
-		scq:       NewCQ(dev.Eng, dev.Name+"/scq", dev.PollDetect),
-		rcq:       NewCQ(dev.Eng, dev.Name+"/rcq", dev.PollDetect),
-		places:    sim.NewQueue[Placement](dev.Eng, dev.Name+"/placements"),
-		logPlaces: true,
-	}
+	return Front{dev: dev, qpn: qpn, logPlaces: true}
 }
 
 // QPN implements QP.
@@ -85,13 +82,28 @@ func (f *Front) SetCQs(scq, rcq *CQ) {
 }
 
 // SendCQ implements QP.
-func (f *Front) SendCQ() *CQ { return f.scq }
+func (f *Front) SendCQ() *CQ {
+	if f.scq == nil {
+		f.scq = NewCQ(f.dev.Eng, f.dev.Name+"/scq", f.dev.PollDetect)
+	}
+	return f.scq
+}
 
 // RecvCQ implements QP.
-func (f *Front) RecvCQ() *CQ { return f.rcq }
+func (f *Front) RecvCQ() *CQ {
+	if f.rcq == nil {
+		f.rcq = NewCQ(f.dev.Eng, f.dev.Name+"/rcq", f.dev.PollDetect)
+	}
+	return f.rcq
+}
 
 // Placements implements QP.
-func (f *Front) Placements() *sim.Queue[Placement] { return f.places }
+func (f *Front) Placements() *sim.Queue[Placement] {
+	if f.places == nil {
+		f.places = sim.NewQueue[Placement](f.dev.Eng, f.dev.Name+"/placements")
+	}
+	return f.places
+}
 
 // SetPlacementLog implements QP.
 func (f *Front) SetPlacementLog(on bool) { f.logPlaces = on }
@@ -196,7 +208,7 @@ func (f *Front) Arrive(first, last bool, view *mem.View, voff, off, n int, cause
 
 // Complete posts the send-side completion of wr, caused by cause.
 func (f *Front) Complete(wr *WR, cause trace.Ref) {
-	f.scq.Push(Completion{WRID: wr.ID, Op: wr.Op, Len: wr.Len, At: f.dev.Eng.Now(), Cause: cause})
+	f.SendCQ().Push(Completion{WRID: wr.ID, Op: wr.Op, Len: wr.Len, At: f.dev.Eng.Now(), Cause: cause})
 }
 
 // RecvPlaced completes the receive work request wrID once the last piece
@@ -205,7 +217,7 @@ func (f *Front) Complete(wr *WR, cause trace.Ref) {
 func (f *Front) RecvPlaced(wrID uint64, in *Inbound, cause trace.Ref) trace.Ref {
 	d := f.dev
 	placed := d.Eng.Trc().InstantR(d.Name, "placed", trace.Cause(cause), trace.I64("bytes", int64(in.got)))
-	f.rcq.Push(Completion{WRID: wrID, Op: OpRecv, Len: in.got, At: d.Eng.Now(), Cause: placed})
+	f.RecvCQ().Push(Completion{WRID: wrID, Op: OpRecv, Len: in.got, At: d.Eng.Now(), Cause: placed})
 	return placed
 }
 
@@ -216,7 +228,7 @@ func (f *Front) TaggedPlaced(key mem.RKey, off, n int, cause trace.Ref) trace.Re
 	d := f.dev
 	placed := d.Eng.Trc().InstantR(d.Name, "placed", trace.Cause(cause), trace.I64("bytes", int64(n)))
 	if f.logPlaces {
-		f.places.Put(Placement{Key: key, Off: off, Len: n, At: d.Eng.Now(), Cause: placed})
+		f.Placements().Put(Placement{Key: key, Off: off, Len: n, At: d.Eng.Now(), Cause: placed})
 	}
 	return placed
 }

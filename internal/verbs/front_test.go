@@ -220,3 +220,101 @@ func TestFrontZeroLengthPostSendPanics(t *testing.T) {
 		})
 	}
 }
+
+// traffic has host 0 send one message per size to receives host 1 posted
+// first, then RDMA Write 4 KiB into a region of host 1. It never touches a
+// QP's CQ or placement accessors.
+func (pr *pair) traffic(t *testing.T, sizes []int) {
+	t.Helper()
+	_, sink := pr.buffer(1, 8<<10, 0)
+	pr.tb.Eng.Go("receiver", func(p *sim.Proc) {
+		for i := range sizes {
+			_, r := pr.buffer(1, 32<<10, 0)
+			pr.recv(p, uint64(100+i), r)
+		}
+	})
+	pr.tb.Eng.Go("sender", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond)
+		for i, n := range sizes {
+			_, src := pr.buffer(0, n, byte(i+1))
+			pr.send(p, uint64(i), src)
+		}
+		_, src := pr.buffer(0, 4<<10, 9)
+		pr.qp0.PostSend(p, verbs.WR{ID: 50, Op: verbs.OpWrite, Local: src, Len: 4 << 10, RemoteKey: sink.Key})
+	})
+	if err := pr.tb.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrontWiredQPBuildsNoQueues wires both ends of a pair the way MPI and
+// SDP do (completions redirected to the process's own CQ, placement log
+// off) and checks that Send/Recv and RDMA Write traffic leaves the QPs
+// without a CQ or placement queue of their own.
+func TestFrontWiredQPBuildsNoQueues(t *testing.T) {
+	for _, kind := range providers {
+		t.Run(kind.String(), func(t *testing.T) {
+			pr := newPair(t, kind)
+			defer pr.tb.Close()
+			cqs := []*verbs.CQ{verbs.NewCQ(pr.tb.Eng, "cq0", 0), verbs.NewCQ(pr.tb.Eng, "cq1", 0)}
+			for i, qp := range []verbs.QP{pr.qp0, pr.qp1} {
+				qp.SetCQs(cqs[i], cqs[i])
+				qp.SetPlacementLog(false)
+			}
+			sizes := []int{100, 5000}
+			pr.traffic(t, sizes)
+			if n0, n1 := cqs[0].Len(), cqs[1].Len(); n0 != len(sizes)+1 || n1 != len(sizes) {
+				t.Errorf("shared CQs hold %d and %d completions, want %d and %d", n0, n1, len(sizes)+1, len(sizes))
+			}
+			for i, qp := range []verbs.QP{pr.qp0, pr.qp1} {
+				scq, rcq, places := verbs.OwnQueues(qp)
+				if scq != cqs[i] || rcq != cqs[i] || places != nil {
+					t.Errorf("QP %d holds queues of its own: send CQ %v, recv CQ %v, placements %v", i, scq != cqs[i], rcq != cqs[i], places != nil)
+				}
+			}
+		})
+	}
+}
+
+// TestFrontRawQPBuildsQueuesOnFirstUse checks that a raw QP builds its CQs
+// and placement queue when its first completion or placement needs them,
+// and that those lazily built queues hold every completion in order.
+func TestFrontRawQPBuildsQueuesOnFirstUse(t *testing.T) {
+	for _, kind := range providers {
+		t.Run(kind.String(), func(t *testing.T) {
+			pr := newPair(t, kind)
+			defer pr.tb.Close()
+			for i, qp := range []verbs.QP{pr.qp0, pr.qp1} {
+				if scq, rcq, places := verbs.OwnQueues(qp); scq != nil || rcq != nil || places != nil {
+					t.Fatalf("QP %d built queues before any traffic", i)
+				}
+			}
+			sizes := []int{100, 5000, 20_000}
+			pr.traffic(t, sizes)
+			if scq, _, _ := verbs.OwnQueues(pr.qp0); scq == nil || scq != pr.qp0.SendCQ() {
+				t.Fatal("sender's send completions built no CQ")
+			}
+			if _, rcq, places := verbs.OwnQueues(pr.qp1); rcq == nil || places == nil {
+				t.Fatal("receiver's completions and placements built no queues")
+			}
+			for i, want := range []uint64{0, 1, 2, 50} {
+				if c, ok := pr.qp0.SendCQ().TryPoll(); !ok || c.WRID != want {
+					t.Errorf("send completion %d = %+v, %v; want WRID %d", i, c, ok, want)
+				}
+			}
+			for i, n := range sizes {
+				if c, ok := pr.qp1.RecvCQ().TryPoll(); !ok || c.WRID != uint64(100+i) || c.Len != n {
+					t.Errorf("receive completion %d = %+v, %v; want WRID %d, %d bytes", i, c, ok, 100+i, n)
+				}
+			}
+			got := 0
+			for pr.qp1.Placements().Len() > 0 {
+				pl, _ := pr.qp1.Placements().TryGet()
+				got += pl.Len
+			}
+			if got != 4<<10 {
+				t.Errorf("placements log %d bytes, want %d", got, 4<<10)
+			}
+		})
+	}
+}

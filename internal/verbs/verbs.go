@@ -135,15 +135,18 @@ type QP interface {
 	// ReserveRecv makes room for n more posted receives, so preposting a
 	// ring of them does not regrow the receive queue.
 	ReserveRecv(n int)
-	// SendCQ returns the completion queue for send-side work.
+	// SendCQ returns the completion queue for send-side work: the one
+	// SetCQs set, else the QP's own, built on first use.
 	SendCQ() *CQ
-	// RecvCQ returns the completion queue for receive completions.
+	// RecvCQ returns the completion queue for receive completions, like
+	// SendCQ.
 	RecvCQ() *CQ
 	// SetCQs redirects the QP's completions into caller-provided queues
 	// (MPI points every QP of a process at one shared CQ). Call it before
-	// any traffic flows.
+	// any traffic flows; the QP then never builds CQs of its own.
 	SetCQs(scq, rcq *CQ)
-	// Placements returns the tagged-placement notification queue.
+	// Placements returns the tagged-placement notification queue, built
+	// on first use.
 	Placements() *sim.Queue[Placement]
 	// SetPlacementLog turns the Placements log on or off. It is on from
 	// Connect, so a raw-verbs reader sees every tagged placement since
