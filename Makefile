@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck countercheck simdcheck resultscheck loc clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke benchcheck jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck countercheck counters simdcheck resultscheck loc clean
 
 all: verify
 
@@ -200,17 +200,23 @@ tracetoolcheck:
 # gauge and histogram: events fired, process parks, frames, bytes copied,
 # all in virtual time, so deterministic) must cmp equal to NAME.out. A
 # change that means to change the work a run does shows it as a diff of
-# these files; regenerate them in that directory with
-#   for a in *.args; do netbench $(cat $a) -metrics > ${a%.args}.out; done
+# these files; `make counters` regenerates them with the same loop.
+COUNTERS_DUMP = for a in *.args; do "$$tmp/netbench" $$(cat "$$a") -metrics > "$$out/$${a%.args}.out"; done
+
 countercheck:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/netbench" ./cmd/netbench; \
-	cd testdata/counters; \
-	for a in *.args; do \
-		"$$tmp/netbench" $$(cat "$$a") -metrics > "$$tmp/$${a%.args}.out"; \
-		cmp "$${a%.args}.out" "$$tmp/$${a%.args}.out"; \
-	done; \
+	cd testdata/counters; out="$$tmp"; $(COUNTERS_DUMP); \
+	for a in *.args; do cmp "$${a%.args}.out" "$$tmp/$${a%.args}.out"; done; \
 	echo "countercheck: $$(ls *.args | wc -l) metrics dumps match testdata/counters"
+
+# counters regenerates testdata/counters/*.out from the current tree with
+# countercheck's loop; review the diff it leaves.
+counters:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/netbench" ./cmd/netbench; \
+	cd testdata/counters; out=.; $(COUNTERS_DUMP); \
+	echo "counters: regenerated $$(ls *.args | wc -l) metrics dumps in testdata/counters"
 
 # loc prints the root module's Go line counts, non-test and test, without
 # simbench/ (a module of its own) and testdata/ (analyzer fixtures): the two

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/fabric"
@@ -423,9 +424,32 @@ func (tb *Testbed) ConnectQP(i, j int) (verbs.QP, verbs.QP) {
 // Run drives the simulation until every shard's event heap drains: a plain
 // Engine.Run on a one-engine world, the conservative barrier protocol on a
 // sharded one. Either way the clock stops at the world's last event.
+//
+// Every process is a program a driver started (the stacks run as event
+// handlers), so a world ends when its programs do. Run returns an error
+// naming every process still live once the heaps have drained: a program
+// parked on something no event can bring about any more, such as a
+// deadlocked exchange.
 func (tb *Testbed) Run() error {
+	var err error
 	if len(tb.engs) == 1 {
-		return tb.Eng.Run()
+		err = tb.Eng.Run()
+	} else {
+		err = tb.rt.Run()
 	}
-	return tb.rt.Run()
+	if err != nil {
+		return err
+	}
+	var live []string
+	for _, e := range tb.engs {
+		if !e.Idle() {
+			return nil // stopped before the world drained
+		}
+		live = append(live, e.ProcNames()...)
+	}
+	if len(live) > 0 {
+		sort.Strings(live)
+		return fmt.Errorf("cluster: the world drained with %d programs still parked: %s", len(live), strings.Join(live, ", "))
+	}
+	return nil
 }

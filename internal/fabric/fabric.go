@@ -80,8 +80,8 @@ type Frame struct {
 }
 
 // Endpoint receives frames. Deliver is called in engine context (from a
-// scheduled event); implementations typically enqueue to a sim.Queue that a
-// NIC process drains.
+// scheduled event); implementations typically put the frame's payload on
+// a sim.Stage whose event handler is the NIC's receive stage.
 //
 // The *Frame is valid only for the duration of the call: it lives in the
 // fabric's pooled hop, which is recycled for another frame as soon as

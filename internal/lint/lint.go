@@ -1,8 +1,8 @@
 // Package lint anchors the simulator's static-analysis toolchain. The
 // analyzers live in subpackages (detclock, maporder, nogoroutine, timeunits,
-// tracekeys, sharedstate, noalloc, seedrand, directivecheck) on a small
-// stdlib-only framework (analysis, loader, analysistest) and are wired
-// together by runner; cmd/simlint is the command-line entry point. See
+// tracekeys, sharedstate, noalloc, seedrand, procstart, directivecheck) on
+// a small stdlib-only framework (analysis, loader, analysistest) and are
+// wired together by runner; cmd/simlint is the command-line entry point. See
 // docs/static-analysis.md for the contracts they enforce.
 //
 // This package itself holds the directive inventory: AllowDirectives parses

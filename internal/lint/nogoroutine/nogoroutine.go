@@ -30,19 +30,19 @@ func run(pass *analysis.Pass) (any, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "go statement in the single-threaded engine domain; schedule work with Engine.Go/Engine.Schedule instead")
+				pass.Reportf(n.Pos(), "go statement in the single-threaded engine domain; schedule work as events (Engine.AfterArg, sim.Stage) instead")
 			case *ast.SendStmt:
-				pass.Reportf(n.Pos(), "channel send in the single-threaded engine domain; use sim.Queue or sim.Completion instead")
+				pass.Reportf(n.Pos(), "channel send in the single-threaded engine domain; use sim.Stage, sim.Queue or sim.Completion instead")
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
-					pass.Reportf(n.Pos(), "channel receive in the single-threaded engine domain; use sim.Queue or sim.Completion instead")
+					pass.Reportf(n.Pos(), "channel receive in the single-threaded engine domain; use sim.Stage, sim.Queue or sim.Completion instead")
 				}
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(), "select statement in the single-threaded engine domain; the engine dispatches events in a deterministic total order")
 			case *ast.RangeStmt:
 				if t := pass.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Chan); ok {
-						pass.Reportf(n.Pos(), "range over channel in the single-threaded engine domain; use sim.Queue or sim.Completion instead")
+						pass.Reportf(n.Pos(), "range over channel in the single-threaded engine domain; use sim.Stage, sim.Queue or sim.Completion instead")
 					}
 				}
 			}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/noalloc"
 	"repro/internal/lint/nogoroutine"
+	"repro/internal/lint/procstart"
 	"repro/internal/lint/scope"
 	"repro/internal/lint/seedrand"
 	"repro/internal/lint/sharedstate"
@@ -38,6 +39,7 @@ var All = []*analysis.Analyzer{
 	sharedstate.Analyzer,
 	noalloc.Analyzer,
 	seedrand.Analyzer,
+	procstart.Analyzer,
 	directivecheck.Analyzer,
 }
 
@@ -57,7 +59,7 @@ func AnalyzersFor(importPath string) []*analysis.Analyzer {
 		as = append(as, tracekeys.Analyzer)
 	}
 	if scope.WantsModuleWide(importPath) {
-		as = append(as, sharedstate.Analyzer, seedrand.Analyzer, noalloc.Analyzer)
+		as = append(as, sharedstate.Analyzer, seedrand.Analyzer, noalloc.Analyzer, procstart.Analyzer)
 	}
 	if scope.WantsDirectiveCheck(importPath) {
 		as = append(as, directivecheck.Analyzer)

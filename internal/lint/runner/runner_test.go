@@ -20,7 +20,7 @@ func TestAnalyzersForScoping(t *testing.T) {
 	}
 
 	sim := names("repro/internal/sim")
-	for _, want := range []string{"detclock", "maporder", "nogoroutine", "timeunits", "tracekeys", "sharedstate", "seedrand", "noalloc", "directive"} {
+	for _, want := range []string{"detclock", "maporder", "nogoroutine", "timeunits", "tracekeys", "sharedstate", "seedrand", "noalloc", "procstart", "directive"} {
 		if !sim[want] {
 			t.Errorf("internal/sim: missing analyzer %s", want)
 		}
@@ -30,7 +30,7 @@ func TestAnalyzersForScoping(t *testing.T) {
 	if cmd["detclock"] {
 		t.Error("cmd tools must not carry detclock: wall-clock ETAs and benchmark timing are legitimate there")
 	}
-	for _, want := range []string{"maporder", "nogoroutine", "timeunits", "sharedstate", "seedrand", "noalloc", "directive"} {
+	for _, want := range []string{"maporder", "nogoroutine", "timeunits", "sharedstate", "seedrand", "noalloc", "procstart", "directive"} {
 		if !cmd[want] {
 			t.Errorf("cmd/figures: missing analyzer %s", want)
 		}

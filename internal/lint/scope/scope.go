@@ -4,7 +4,10 @@
 // when deciding what to run where.
 package scope
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // ModulePath is the import-path prefix of this repository's module.
 const ModulePath = "repro"
@@ -119,12 +122,46 @@ var ModelPackages = []string{
 	"internal/congestion",
 }
 
+// ProgramStarters lists the packages (module-relative, each with its
+// subtree) that may start simulation processes: the benchmark drivers,
+// the examples and the commands. A process is a program one of them
+// starts; model and protocol code runs as event handlers (procstart).
+var ProgramStarters = []string{
+	"internal/bench",
+	"internal/logp",
+	"examples",
+	"cmd",
+}
+
+// ProgramStarterFuncs lists the other functions that may start a process,
+// as "<module-relative package>.<Recv>.<Name>": cluster's Testbed.Go, the
+// shard-aware start the drivers call.
+var ProgramStarterFuncs = []string{
+	"internal/cluster.Testbed.Go",
+}
+
+// MayStartPrograms reports whether function fn ("Recv.Name" for a method,
+// "Name" for a function, "" outside any function) of the package may
+// start a process.
+func MayStartPrograms(importPath, fn string) bool {
+	p, ok := rel(importPath)
+	if !ok {
+		return false
+	}
+	for _, d := range ProgramStarters {
+		if p == d || strings.HasPrefix(p, d+"/") {
+			return true
+		}
+	}
+	return fn != "" && slices.Contains(ProgramStarterFuncs, p+"."+fn)
+}
+
 // CheckNames are the analyzer names a //simlint:allow directive may cite.
 // The directive validator itself is deliberately absent: a malformed-
 // directive diagnostic cannot be silenced by another directive.
 var CheckNames = []string{
 	"detclock", "maporder", "nogoroutine", "timeunits", "tracekeys",
-	"sharedstate", "noalloc", "seedrand",
+	"sharedstate", "noalloc", "seedrand", "procstart",
 }
 
 // DirectiveVerbs are the words that may follow "//simlint:". Anything else
@@ -217,10 +254,11 @@ func InCmdDomain(importPath string) bool {
 }
 
 // WantsModuleWide reports whether the module-wide analyzers (sharedstate's
-// cross-package write check, noalloc, seedrand) apply. That is every module
-// package: noalloc is directive-driven so it is inert where nothing is
-// annotated, and writes to model-package globals are a bug wherever they
-// appear — experiment drivers and cmd tools included.
+// cross-package write check, noalloc, seedrand, procstart) apply. That is
+// every module package: noalloc is directive-driven so it is inert where
+// nothing is annotated, writes to model-package globals are a bug wherever
+// they appear — experiment drivers and cmd tools included — and procstart
+// exempts the drivers itself (MayStartPrograms).
 func WantsModuleWide(importPath string) bool {
 	_, ok := rel(importPath)
 	return ok

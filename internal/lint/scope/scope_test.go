@@ -33,7 +33,7 @@ func TestConcurrencyExemptIsConsistent(t *testing.T) {
 }
 
 func TestPackageListsExist(t *testing.T) {
-	for _, list := range [][]string{SimDomain, ModelPackages} {
+	for _, list := range [][]string{SimDomain, ModelPackages, ProgramStarters} {
 		for _, p := range list {
 			if dir := filepath.Join("..", "..", "..", filepath.FromSlash(p)); !dirExists(dir) {
 				t.Errorf("scope lists %s but %s does not exist", p, dir)
@@ -63,4 +63,24 @@ func TestIsConcurrencyExempt(t *testing.T) {
 func dirExists(dir string) bool {
 	fi, err := os.Stat(dir)
 	return err == nil && fi.IsDir()
+}
+
+func TestMayStartPrograms(t *testing.T) {
+	for _, tc := range []struct {
+		path, fn string
+		want     bool
+	}{
+		{ModulePath + "/internal/bench", "runLatency", true},
+		{ModulePath + "/cmd/netbench", "main", true},
+		{ModulePath + "/examples/quickstart", "", true},
+		{ModulePath + "/internal/cluster", "Testbed.Go", true},
+		{ModulePath + "/internal/cluster", "Build", false},
+		{ModulePath + "/internal/sockets", "Testbed.Go", false},
+		{ModulePath + "/internal/benchmark", "main", false}, // not a subtree of internal/bench
+		{"other.example/cmd/tool", "main", false},
+	} {
+		if got := MayStartPrograms(tc.path, tc.fn); got != tc.want {
+			t.Errorf("MayStartPrograms(%q, %q) = %v, want %v", tc.path, tc.fn, got, tc.want)
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/mx"
 	"repro/internal/sim"
@@ -30,10 +28,21 @@ func mxBits(src, tag int) uint64 {
 type mxbind struct {
 	p    *Process
 	tiny *mem.Buffer // zero-byte send/recv scratch
+	acks *sim.FreeList[syncAck]
+}
+
+// syncAck is one Ssend acknowledgement in flight, pooled on the engine: it
+// lives until the MX send carrying it completes.
+type syncAck struct {
+	b     *mxbind
+	h     mx.Handle
+	dst   *mx.Endpoint
+	bits  uint64
+	cause trace.Ref
 }
 
 func newMXBind(p *Process) *mxbind {
-	return &mxbind{p: p, tiny: p.host.Mem.Alloc(16)}
+	return &mxbind{p: p, tiny: p.host.Mem.Alloc(16), acks: sim.FreeListOf[syncAck](p.eng())}
 }
 
 func (b *mxbind) ep() *mx.Endpoint { return b.p.host.MX }
@@ -117,15 +126,28 @@ func mxReceived(v any) {
 	req.cause = h.Cause
 	req.done.Fire()
 	if h.Match&mxSyncBit != 0 {
-		// The sender used Ssend: return the ack from a helper process
-		// (the MX library does this inside its progress path).
-		src := h.Src
-		tag := int(uint32(h.Match))
-		cause := h.Cause
-		p.eng().Go(fmt.Sprintf("mpi/r%d/sync-ack", p.rank), func(ap *sim.Proc) {
-			b.ep().IsendInto(ap, new(mx.Handle), src, mxAckBit|mxBits(p.rank, tag), b.tiny, 0, 0, cause)
-		})
+		// The sender used Ssend: return the ack from the library's
+		// progress path, starting at the next event.
+		a := b.acks.Get()
+		a.b, a.dst, a.bits, a.cause = b, h.Src, mxAckBit|mxBits(p.rank, int(uint32(h.Match))), h.Cause
+		p.eng().AfterArg(0, sendAck, a)
 	}
+}
+
+// sendAck sends Ssend acknowledgement v; its record goes back to the pool
+// once the send completes.
+func sendAck(v any) {
+	a := v.(*syncAck)
+	b := a.b
+	b.ep().IsendThen(&a.h, a.dst, a.bits, b.tiny, 0, 0, a.cause, ackPosted, a)
+	a.h.Done().OnFire(ackSent, a)
+}
+
+func ackPosted(any) {}
+
+func ackSent(v any) {
+	a := v.(*syncAck)
+	a.b.acks.Put(a)
 }
 
 // wait blocks on a request; MX completion polling costs are charged by the

@@ -12,7 +12,10 @@ import (
 
 // TestPropertyRandomTraffic: a randomized message plan (sizes straddling
 // the eager/rendezvous threshold, tags, receive order permutations) is
-// delivered exactly once with correct contents on every stack.
+// delivered exactly once with correct contents on every stack. The sender
+// posts every message with Isend before it waits, so the plan is a safe
+// MPI program whatever the receive order: blocking rendezvous Sends taken
+// out of order would deadlock both ranks, and the world's Run would fail.
 func TestPropertyRandomTraffic(t *testing.T) {
 	kinds := cluster.Kinds
 	f := func(rawSizes []uint16, seed uint64, kindPick uint8) bool {
@@ -45,11 +48,13 @@ func TestPropertyRandomTraffic(t *testing.T) {
 		ok := true
 		tb.Eng.Go("sender", func(pr *sim.Proc) {
 			p := w.Rank(0)
-			for _, m := range msgs {
+			reqs := make([]Request, len(msgs))
+			for i, m := range msgs {
 				buf := p.Host().Mem.Alloc(m.n)
 				buf.Fill(m.seed)
-				p.Send(pr, 1, m.tag, buf, 0, m.n)
+				reqs[i] = p.Isend(pr, 1, m.tag, buf, 0, m.n)
 			}
+			p.WaitAll(pr, reqs)
 		})
 		tb.Eng.Go("receiver", func(pr *sim.Proc) {
 			p := w.Rank(1)

@@ -221,6 +221,9 @@ type msgOp struct {
 	ready    sim.Time // one-packet DMA prefetch
 	t0       sim.Time
 	stalled  bool // a throttle stall is already counted for this packet
+	// A send's continuation, run once its doorbell rings (IsendThen).
+	fn  func(any)
+	arg any
 }
 
 // Endpoint is one MX endpoint (one NIC, one process).
@@ -324,13 +327,21 @@ func (e *Endpoint) Isend(p *sim.Proc, peer *Endpoint, match uint64, buf *mem.Buf
 
 // IsendInto is Isend into the caller's handle h, with an explicit causal
 // parent (the MPI-layer span that motivated the send). h must not be in
-// use by another operation; it is reusable once it completes.
+// use by another operation; it is reusable once it completes. It is
+// IsendThen, with p waiting for the doorbell.
 func (e *Endpoint) IsendInto(p *sim.Proc, h *Handle, peer *Endpoint, match uint64, buf *mem.Buffer, off, n int, cause trace.Ref) {
+	e.IsendThen(h, peer, match, buf, off, n, cause, sim.Wake, p)
+	p.Suspend()
+}
+
+// IsendThen is IsendInto for event handlers: fn(arg) runs once the host
+// has paid the posting overhead and rung the doorbell.
+func (e *Endpoint) IsendThen(h *Handle, peer *Endpoint, match uint64, buf *mem.Buffer, off, n int, cause trace.Ref, fn func(any), arg any) {
 	if n < 0 || peer == e {
 		panic(fmt.Sprintf("mx %s: bad send (n=%d)", e.name, n))
 	}
 	h.reset(e, n, match)
-	x := &xfer{src: e, dst: peer, match: match, n: n, sendH: h}
+	x := &xfer{src: e, dst: peer, match: match, n: n, sendH: h, txCause: cause}
 	if peer.eng == e.eng {
 		x.data = buf.View(off, n)
 	} else {
@@ -338,19 +349,27 @@ func (e *Endpoint) IsendInto(p *sim.Proc, h *Handle, peer *Endpoint, match uint6
 		// live view while this one writes the buffer: copy now instead.
 		x.data = buf.Snapshot(off, n)
 	}
-	post := e.eng.Now()
-	p.Sleep(e.cfg.PostOverhead)
-	x.txCause = e.eng.Trc().CompleteR(e.name, "doorbell", int64(post), int64(e.eng.Now()),
-		trace.Cause(cause), trace.I64("bytes", int64(n)))
 	op := e.ops.Get()
-	op.e, op.x, op.kind = e, x, pktRTS
-	if n <= e.cfg.EagerMax {
+	op.e, op.x, op.kind, op.buf, op.off, op.t0, op.fn, op.arg = e, x, pktRTS, buf, off, e.eng.Now(), fn, arg
+	e.eng.AfterArg(e.cfg.PostOverhead, posted, op)
+}
+
+// posted rings the doorbell of send op once the host has built its
+// descriptor, then runs the poster's continuation.
+func posted(v any) {
+	op := v.(*msgOp)
+	e, x, fn, arg := op.e, op.x, op.fn, op.arg
+	op.fn, op.arg = nil, nil
+	x.txCause = e.eng.Trc().CompleteR(e.name, "doorbell", int64(op.t0), int64(e.eng.Now()),
+		trace.Cause(x.txCause), trace.I64("bytes", int64(x.n)))
+	if n := x.n; n <= e.cfg.EagerMax {
 		e.EagerSent++
 		e.cEager.Inc()
-		op.kind = pktEager
+		op.kind, op.buf, op.off = pktEager, nil, 0
 		if n <= e.cfg.PIOMax {
 			// Host PIO: descriptor and payload written straight to the NIC.
 			e.eng.AtArg(e.pcie.Doorbell(64+n), rang, op)
+			fn(arg)
 			return
 		}
 		op.dma = true
@@ -358,9 +377,10 @@ func (e *Endpoint) IsendInto(p *sim.Proc, h *Handle, peer *Endpoint, match uint6
 		// Rendezvous: the NIC pins the source buffer, then sends the RTS.
 		e.RndvSent++
 		e.cRndv.Inc()
-		op.buf, op.off, op.end = buf, off, off+n
+		op.end = op.off + n
 	}
 	e.eng.AtArg(e.pcie.Doorbell(64), rang, op)
+	fn(arg)
 }
 
 func rang(v any) {

@@ -36,7 +36,7 @@ func TestWriteVisibilityLatency(t *testing.T) {
 	b := New(eng, simpleCfg(false))
 	var done sim.Time
 	eng.Go("dev", func(p *sim.Proc) {
-		p.SleepUntil(b.WriteAsync(100)) // 110 wire bytes = 0.11s + 0.5us latency
+		p.Sleep(b.WriteAsync(100) - p.Now()) // 110 wire bytes = 0.11s + 0.5us latency
 		done = p.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -53,7 +53,7 @@ func TestReadPaysRoundTrip(t *testing.T) {
 	b := New(eng, simpleCfg(false))
 	var done sim.Time
 	eng.Go("dev", func(p *sim.Proc) {
-		p.SleepUntil(b.ReadAsync(100))
+		p.Sleep(b.ReadAsync(100) - p.Now())
 		done = p.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -69,8 +69,8 @@ func TestFullDuplexDirectionsIndependent(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, simpleCfg(false))
 	var wDone, rDone sim.Time
-	eng.Go("w", func(p *sim.Proc) { p.SleepUntil(b.WriteAsync(1000)); wDone = p.Now() })
-	eng.Go("r", func(p *sim.Proc) { p.SleepUntil(b.ReadAsync(1000)); rDone = p.Now() })
+	eng.Go("w", func(p *sim.Proc) { p.Sleep(b.WriteAsync(1000) - p.Now()); wDone = p.Now() })
+	eng.Go("r", func(p *sim.Proc) { p.Sleep(b.ReadAsync(1000) - p.Now()); rDone = p.Now() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestHalfDuplexSharing(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, simpleCfg(true))
 	var wDone, w2Done sim.Time
-	eng.Go("w", func(p *sim.Proc) { p.SleepUntil(b.WriteAsync(1000)); wDone = p.Now() })
-	eng.Go("w2", func(p *sim.Proc) { p.SleepUntil(b.ReadAsync(1000)); w2Done = p.Now() })
+	eng.Go("w", func(p *sim.Proc) { p.Sleep(b.WriteAsync(1000) - p.Now()); wDone = p.Now() })
+	eng.Go("w2", func(p *sim.Proc) { p.Sleep(b.ReadAsync(1000) - p.Now()); w2Done = p.Now() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSameDirectionSerializes(t *testing.T) {
 func TestUtilizationAndBytes(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, simpleCfg(false))
-	eng.Go("w", func(p *sim.Proc) { p.SleepUntil(b.WriteAsync(500)) })
+	eng.Go("w", func(p *sim.Proc) { p.Sleep(b.WriteAsync(500) - p.Now()) })
 	if err := eng.RunUntil(sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSharedRateIdleDirectionUnaffected(t *testing.T) {
 	cfg.SharedRate = sim.Rate(5000) // far above the 1000 B/s line
 	b := New(eng, cfg)
 	var done sim.Time
-	eng.Go("w", func(p *sim.Proc) { p.SleepUntil(b.WriteAsync(1000)); done = p.Now() })
+	eng.Go("w", func(p *sim.Proc) { p.Sleep(b.WriteAsync(1000) - p.Now()); done = p.Now() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

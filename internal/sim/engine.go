@@ -331,7 +331,8 @@ func (e *Engine) removeAt(i int) {
 
 // Run executes events until none remain or Stop is called. It returns the
 // first process failure, if any. Processes still blocked when the event heap
-// drains simply remain parked; use Close to unwind them.
+// drains simply remain parked; use Close to unwind them (cluster.Testbed.Run
+// reports them as an error).
 //
 //simlint:noalloc
 func (e *Engine) Run() error { return e.runThrough(maxTime, "Run") }
@@ -450,10 +451,11 @@ func (e *Engine) Close() {
 	// panic with errProcKilled, which Proc.exit recovers, and an unstarted
 	// one skips its body. Either way the coroutine ends up idle. Snapshot
 	// and sort once, so procs die in id order. The procs are programs
-	// (ranks, benchmarks, MPI init), a few per node: NIC stages are event
-	// handlers, whose pending events simply go with the heap. A dying proc
-	// cannot spawn or wake others (completions only schedule events), so
-	// the snapshot stays complete.
+	// (ranks, benchmark drivers), a few per node: NIC stages, the sockets
+	// stacks and MPI's internal protocols are event handlers, whose
+	// pending events simply go with the heap. A dying proc cannot spawn or
+	// wake others (completions only schedule events), so the snapshot
+	// stays complete.
 	live := make([]*Proc, 0, len(e.procs))
 	for q := range e.procs {
 		live = append(live, q)
@@ -500,6 +502,9 @@ func (e *Engine) dispatch(p *Proc) {
 
 // Go starts a new process running fn. The process begins executing at the
 // current virtual time (after already-scheduled events at this timestamp).
+// Processes are for programs: model code runs as event handlers, and
+// outside tests only the drivers and cluster.Testbed.Go call Go (the
+// procstart lint).
 // It is safe to call from engine context or process context. The body runs
 // on an idle coroutine when the engine has one, else on a new one.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {

@@ -382,15 +382,20 @@ func TestResourceTryAcquire(t *testing.T) {
 	}
 }
 
+// hold is a process's use of r: acquire one unit, hold it for d, release
+// it.
+func hold(p *Proc, r *Resource, d Time) {
+	r.Acquire(p, 1)
+	p.Sleep(d)
+	r.Release(1)
+}
+
 func TestResourceUse(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "svc", 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		e.Go(fmt.Sprintf("u%d", i), func(p *Proc) {
-			r.Use(p, Microsecond)
-			ends = append(ends, p.Now())
-		})
+		r.UseThen(Microsecond, func(any) { ends = append(ends, e.Now()) }, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -414,7 +419,7 @@ func TestResourceStandingBacklogReusesArray(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			e.Go(fmt.Sprintf("u%d", i), func(p *Proc) {
 				for j := 0; j < cycles; j++ {
-					r.Use(p, Nanosecond)
+					hold(p, r, Nanosecond)
 				}
 			})
 		}

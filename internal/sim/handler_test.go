@@ -27,7 +27,7 @@ func acquireScenario(t *testing.T, then bool) (string, int64) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
 	var order []string
-	e.Go("holder", func(p *Proc) { r.Use(p, 5*Microsecond) })
+	e.Go("holder", func(p *Proc) { hold(p, r, 5*Microsecond) })
 	proc := func(name string) {
 		e.Go(name, func(p *Proc) {
 			p.Sleep(Microsecond)
@@ -97,7 +97,7 @@ func useScenario(t *testing.T, then bool) (string, int64) {
 	r := NewResource(e, "r", 1)
 	var order []string
 	e.Go("a", func(p *Proc) {
-		r.Use(p, 2*Microsecond)
+		hold(p, r, 2*Microsecond)
 		order = append(order, "a@"+p.Now().String())
 	})
 	if then {
@@ -106,7 +106,7 @@ func useScenario(t *testing.T, then bool) (string, int64) {
 		}, nil)
 	} else {
 		e.Go("b", func(p *Proc) {
-			r.Use(p, 3*Microsecond)
+			hold(p, r, 3*Microsecond)
 			order = append(order, "b@"+p.Now().String())
 		})
 	}
@@ -221,6 +221,96 @@ func TestStageMatchesQueueServer(t *testing.T) {
 	if events != wantEvents-1 {
 		t.Errorf("with Stage: %d events, want %d (the process's %d less its start)", events, wantEvents-1, wantEvents)
 	}
+}
+
+// getScenario has getters a, b and c wait on one queue in that order
+// before three items are put at 2 us; with then set, b is a GetThen
+// handler.
+func getScenario(t *testing.T, then bool) (string, int64) {
+	e := NewEngine()
+	q := NewQueue[int](e, "q")
+	var order []string
+	proc := func(name string) {
+		e.Go(name, func(p *Proc) {
+			v := q.Get(p)
+			order = append(order, fmt.Sprint(name, v, "@", p.Now()))
+		})
+	}
+	proc("a")
+	if then {
+		took := func(any) {
+			v, _ := q.TryGet()
+			order = append(order, fmt.Sprint("b", v, "@", e.Now()))
+		}
+		e.AfterArg(0, func(any) { q.GetThen(took, nil) }, nil)
+	} else {
+		proc("b")
+	}
+	proc("c")
+	e.After(2*Microsecond, func() { q.Put(1); q.Put(2); q.Put(3) })
+	events := run(t, e)
+	return fmt.Sprint(order), events
+}
+
+func TestGetThenSharesOrderWithProcs(t *testing.T) {
+	wantOrder, wantEvents := getScenario(t, false)
+	if wantOrder != "[a1@2us b2@2us c3@2us]" {
+		t.Fatalf("process baseline order = %s", wantOrder)
+	}
+	order, events := getScenario(t, true)
+	if order != wantOrder || events != wantEvents {
+		t.Errorf("with GetThen: %s in %d events, want %s in %d", order, events, wantOrder, wantEvents)
+	}
+}
+
+// TestSuspendRunsAChainAsACall pins the proc form of a handler operation:
+// a process that starts a two-step chain and suspends until its last step
+// wakes it sees the times and events of a process that sleeps twice, but
+// parks once; a chain that ends before the process suspends does not park
+// it at all.
+func TestSuspendRunsAChainAsACall(t *testing.T) {
+	scenario := func(chain bool) (Time, int64, int64) {
+		e := NewEngine()
+		var woke Time
+		e.Go("prog", func(p *Proc) {
+			if chain {
+				second := func(any) { e.AfterArg(2*Microsecond, Wake, p) }
+				e.AfterArg(Microsecond, second, nil)
+				p.Suspend()
+			} else {
+				p.Sleep(Microsecond)
+				p.Sleep(2 * Microsecond)
+			}
+			woke = p.Now()
+			Wake(p) // a chain that finished at once
+			p.Suspend()
+		})
+		events := run(t, e)
+		return woke, events, e.Metrics().Snapshot().Counters["sim.procs_parked"]
+	}
+	wantAt, wantEvents, wantParks := scenario(false)
+	at, events, parks := scenario(true)
+	if at != wantAt || events != wantEvents {
+		t.Errorf("chain: woke at %v in %d events, want %v in %d", at, events, wantAt, wantEvents)
+	}
+	if wantParks != 2 || parks != 1 {
+		t.Errorf("parks: %d sleeping, %d suspended; want 2 and 1", wantParks, parks)
+	}
+}
+
+func TestWakeOfARunningProcPanics(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	p := e.Go("sleeper", func(p *Proc) { p.Sleep(Microsecond) })
+	if err := e.RunFor(Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || fmt.Sprint(r) != "sim: proc sleeper woken while not suspended" {
+			t.Fatalf("Wake of a sleeping proc: recovered %v", r)
+		}
+	}()
+	Wake(p)
 }
 
 func TestRingGrowPresizes(t *testing.T) {

@@ -31,7 +31,10 @@ type Proc struct {
 	dead   bool
 	killed bool
 	waking bool // a resume event is queued and has not fired yet
-	done   *Completion
+	// suspended: parked in Suspend until Wake; woken: Wake ran in the
+	// process itself, before it suspended.
+	suspended, woken bool
+	done             *Completion
 }
 
 // coro is a recycled process coroutine. Its loop runs the body of the proc
@@ -112,7 +115,7 @@ func (p *Proc) Done() *Completion {
 
 // park yields control to the engine without scheduling a wakeup. Something
 // else must eventually unpark the process (Completion.Fire, Queue.Put,
-// Resource.Release or Engine.Close).
+// Resource.Release, Wake or Engine.Close).
 //
 //simlint:noalloc
 func (p *Proc) park() {
@@ -156,17 +159,44 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// SleepUntil blocks the process until virtual time t. If t is in the past
-// the process just yields once.
-//
-//simlint:noalloc
-func (p *Proc) SleepUntil(t Time) {
-	d := t - p.e.now
-	p.Sleep(d)
-}
-
 // Yield lets every other event and process scheduled at the current
 // timestamp run before the process continues.
 //
 //simlint:noalloc
 func (p *Proc) Yield() { p.Sleep(0) }
+
+// Suspend blocks p until the handler chain it has just started ends with
+// Wake(p). It is how a program runs the handler form of an operation as a
+// blocking call: the chain schedules every event where the process would
+// have slept, and its last step switches into the process directly, so
+// the proc form of an operation is the handler form plus Suspend.
+//
+//simlint:noalloc
+func (p *Proc) Suspend() {
+	if p.woken {
+		p.woken = false
+		return
+	}
+	p.suspended = true
+	p.park()
+}
+
+// Wake is the continuation that ends a handler chain a process waits on in
+// Suspend, run as fn(arg) with the *Proc as arg. Run by an event, it
+// switches into the process at once, as the process's own resume event
+// would; run by the process itself (the chain finished without waiting),
+// it makes the coming Suspend return at once.
+//
+//simlint:noalloc
+func Wake(v any) {
+	p := v.(*Proc)
+	switch {
+	case p.e.current == p:
+		p.woken = true
+	case p.suspended && p.e.current == nil:
+		p.suspended = false
+		p.e.dispatch(p)
+	default:
+		panic("sim: proc " + p.name + " woken while not suspended")
+	}
+}

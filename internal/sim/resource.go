@@ -17,8 +17,8 @@ type Resource struct {
 }
 
 // waiter is a parked process, or (p nil) the continuation fn(arg) that
-// AcquireThen or WaitThen left behind; n counts the units a Resource
-// waiter requests.
+// AcquireThen, WaitThen or GetThen left behind; n counts the units a
+// Resource waiter requests.
 type waiter struct {
 	p   *Proc
 	fn  func(any)
@@ -97,14 +97,6 @@ func (r *Resource) Release(n int) {
 	}
 }
 
-// Use acquires one unit, holds it for d virtual time, then releases it. This
-// is the common "service station" pattern.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p, 1)
-	p.Sleep(d)
-	r.Release(1)
-}
-
 // useOp is one UseThen or HoldThen hold in flight.
 type useOp struct {
 	r       *Resource
@@ -114,8 +106,9 @@ type useOp struct {
 	arg     any
 }
 
-// UseThen is Use for event handlers: acquire one unit, hold it for d,
-// release it, then run fn(arg), with exactly the events Use schedules.
+// UseThen is the "service station" pattern for event handlers: acquire one
+// unit, hold it for d, release it, then run fn(arg). Its events are those
+// of a process that acquires, sleeps d and releases.
 func (r *Resource) UseThen(d Time, fn func(any), arg any) { r.hold(d, true, fn, arg) }
 
 // HoldThen is UseThen without the release: fn(arg) runs still holding the

@@ -55,6 +55,7 @@ type hostTCP struct {
 	cfg  HostTCPConfig
 	cpu  *sim.Resource // the host CPU: app syscalls and kernel work contend
 	pcie *pci.Bus
+	irqs sim.Ring[tcpsim.Segment] // arrived segments waiting out IRQDelay
 }
 
 // NewHostTCPPair builds two kernel-TCP endpoints on a two-node 10GigE
@@ -66,8 +67,7 @@ func NewHostTCPPair(cfg HostTCPConfig) (*cluster.Testbed, Endpoint, Endpoint) {
 		h.pcie = pci.New(h.eng, cfg.PCIe)
 		h.conn.RTO = 200 * sim.Millisecond // Linux's minimum RTO
 		h.port = tb.Fabric.Attach(h)
-		h.eng.Go(h.name+"/ksoftirqd", h.rxLoop)
-		h.eng.Go(h.name+"/ktx", h.txLoop)
+		h.start(hostRx, hostTx, h)
 		return h
 	})
 }
@@ -78,12 +78,19 @@ func (h *hostTCP) Name() string { return "TCP/host" }
 // Deliver implements fabric.Endpoint: frames reach the kernel after the
 // interrupt latency.
 func (h *hostTCP) Deliver(f *fabric.Frame) {
-	seg := f.Payload.(tcpsim.Segment)
-	h.eng.After(h.cfg.IRQDelay, func() { h.rxQ.Put(seg) })
+	h.irqs.Push(f.Payload.(tcpsim.Segment))
+	h.eng.AfterArg(h.cfg.IRQDelay, hostIRQ, h)
+}
+
+// hostIRQ hands host v's oldest interrupted segment to the softirq stage.
+// Every interrupt takes IRQDelay, so they end in the order frames arrived.
+func hostIRQ(v any) {
+	h := v.(*hostTCP)
+	h.rxQ.Put(h.irqs.Pop())
 }
 
 // Send implements Endpoint: syscall, checksum+copy into the socket buffer,
-// hand records to TCP. The kernel transmit path (txLoop) does the
+// hand records to TCP. The kernel transmit path (hostTx) does the
 // per-packet work on the same CPU.
 func (h *hostTCP) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	if n <= 0 {
@@ -104,7 +111,7 @@ func (h *hostTCP) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 		v := buf.View(o, c)
 		h.conn.Send(c, v)
 		v.Release()
-		h.txKick.Put(struct{}{})
+		h.kick()
 		h.cpu.Release(1)
 		h.cpu.Acquire(pr, 1)
 	}
@@ -122,56 +129,84 @@ func (h *hostTCP) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	h.cpu.Release(1)
 }
 
-// txLoop is the kernel transmit path: per-segment protocol work on the CPU,
-// then DMA to the NIC and onto the wire. The next frame's DMA is booked
-// before waiting on the current one (NIC descriptor rings prefetch).
-func (h *hostTCP) txLoop(p *sim.Proc) {
-	for {
-		h.txKick.Get(p)
-		cur, ok := h.conn.NextSegment()
-		if !ok {
-			continue
-		}
-		h.cpu.Use(p, h.cfg.KernelPerPkt)
-		curReady, _ := h.pcie.ReadNext(p.Now(), cur.Len+40)
-		for {
-			next, more := h.conn.NextSegment()
-			var nextReady sim.Time
-			if more {
-				h.cpu.Use(p, h.cfg.KernelPerPkt)
-				nextReady, _ = h.pcie.ReadNext(p.Now(), next.Len+40)
-			}
-			p.SleepUntil(curReady)
-			h.emit(cur)
-			if !more {
-				break
-			}
-			cur, curReady = next, nextReady
-		}
+// hostTx is the kernel transmit path of host v: per-segment protocol work
+// on the CPU, then DMA to the NIC and onto the wire. The next frame's DMA
+// is booked before waiting on the current one (NIC descriptor rings
+// prefetch).
+func hostTx(v any) {
+	h := v.(*hostTCP)
+	if h.nextTx() {
+		h.cpu.UseThen(h.cfg.KernelPerPkt, hostTxFetch, h)
 	}
 }
 
-// rxLoop is the softirq path: per-segment protocol work plus the
-// checksum+copy pass into the socket buffer, all on the host CPU.
-func (h *hostTCP) rxLoop(p *sim.Proc) {
-	for {
-		seg := h.rxQ.Get(p)
-		h.cpu.Acquire(p, 1)
-		if seg.Len == 0 {
-			p.Sleep(h.cfg.AckCost)
-		} else {
-			p.Sleep(h.cfg.KernelPerPkt)
-			p.Sleep(h.cfg.ChecksumCopyRate.TxTime(seg.Len))
-		}
-		// NIC already DMA'd the frame into ring buffers; charge the bus.
-		h.pcie.WriteAsync(seg.Len + 40)
-		recs, ack, need := h.conn.Input(seg)
-		h.cpu.Release(1)
-		if need {
-			h.emit(ack)
-		}
-		for _, rec := range recs {
-			h.rcv.push(rec.Meta.(*mem.View))
-		}
+// hostTxFetch books the current segment's DMA, then the next segment's.
+func hostTxFetch(v any) {
+	h := v.(*hostTCP)
+	h.txCurReady, _ = h.pcie.ReadNext(h.eng.Now(), h.txCur.Len+40)
+	h.bookNext()
+}
+
+// bookNext does the protocol work and books the DMA of the segment after
+// the current one, if TCP has one, then waits for the current one's DMA.
+func (h *hostTCP) bookNext() {
+	if h.txNext, h.txMore = h.conn.NextSegment(); h.txMore {
+		h.cpu.UseThen(h.cfg.KernelPerPkt, hostTxBooked, h)
+		return
 	}
+	hostTxBooked(h)
+}
+
+func hostTxBooked(v any) {
+	h := v.(*hostTCP)
+	if h.txMore {
+		h.txNextReady, _ = h.pcie.ReadNext(h.eng.Now(), h.txNext.Len+40)
+	}
+	h.eng.AfterArg(h.txCurReady-h.eng.Now(), hostTxEmit, h)
+}
+
+func hostTxEmit(v any) {
+	h := v.(*hostTCP)
+	if h.emitCur() {
+		h.bookNext()
+		return
+	}
+	hostTx(h)
+}
+
+// hostRx is the softirq path of host v: per-segment protocol work plus the
+// checksum+copy pass into the socket buffer, all on the host CPU.
+func hostRx(v any) {
+	h := v.(*hostTCP)
+	seg, ok := h.rxQ.Next()
+	if !ok {
+		return
+	}
+	h.rxSeg = seg
+	if seg.Len == 0 {
+		h.cpu.HoldThen(h.cfg.AckCost, hostRxDone, h)
+		return
+	}
+	h.cpu.HoldThen(h.cfg.KernelPerPkt, hostRxChecksum, h)
+}
+
+func hostRxChecksum(v any) {
+	h := v.(*hostTCP)
+	h.eng.AfterArg(h.cfg.ChecksumCopyRate.TxTime(h.rxSeg.Len), hostRxDone, h)
+}
+
+func hostRxDone(v any) {
+	h := v.(*hostTCP)
+	seg := h.rxSeg
+	// NIC already DMA'd the frame into ring buffers; charge the bus.
+	h.pcie.WriteAsync(seg.Len + 40)
+	recs, ack, need := h.conn.Input(seg)
+	h.cpu.Release(1)
+	if need {
+		h.emit(ack)
+	}
+	for _, rec := range recs {
+		h.rcv.push(rec.Meta.(*mem.View))
+	}
+	hostRx(h)
 }

@@ -16,8 +16,9 @@ import (
 // zero-copy: the source advertises its pinned buffer (SrcAvail), the sink
 // replies with its pinned receive buffer (SinkAvail), the source RDMA
 // Writes straight into it and finishes with RdmaWrCompl. A kernel-context
-// progress thread drives the protocol, so SDP — unlike the paper's
-// call-driven MPI stacks — makes independent progress.
+// progress engine, event handlers on the endpoint's completion queue,
+// drives the protocol, so SDP — unlike the paper's call-driven MPI
+// stacks — makes independent progress.
 const (
 	sdpBcopyMax = 16 << 10
 
@@ -69,6 +70,21 @@ type zcopySend struct {
 	done   *sim.Completion
 }
 
+// ctrlMsg is one SDP message on its way out through sendCtrlThen, pooled
+// on the engine: its header fields, the bcopy payload (src, n at off),
+// and the continuation fn(arg) that runs once it is posted.
+type ctrlMsg struct {
+	s    *sdp
+	kind byte
+	n    int
+	id   uint64
+	rkey mem.RKey
+	src  *mem.Buffer
+	off  int
+	fn   func(any)
+	arg  any
+}
+
 type sdpBounce struct {
 	buf *mem.Buffer
 	reg *mem.Region
@@ -88,18 +104,30 @@ type sdp struct {
 	host *cluster.Host
 	qp   verbs.QP
 	regs *mem.RegCache
+	msgs *sim.FreeList[ctrlMsg]
 
 	sendFree []*sdpBounce
 	items    sim.Ring[rxItem]
 	itemOff  int // bytes of the head item's data already copied out
 	recvQ    sim.Ring[*recvReq]
 	zwait    *recvReq // recv whose zcopy write is in flight
+	// The zcopy match in flight for zwait: the source's id, and the
+	// continuation of the match call that started it.
+	zid   uint64
+	zthen func(any)
+	zarg  any
 
 	cq      *verbs.CQ
 	wrs     map[uint64]*sdpWR
 	nextWR  uint64
 	nextID  uint64
 	pending map[uint64]*zcopySend
+	// The progress engine handles one completion at a time: the work
+	// request it belongs to; for a receive, the private buffer to repost
+	// once it is handled; for a WrCompl, the zcopy receive it completes.
+	cur      *sdpWR
+	rxBounce *sdpBounce
+	sunk     *recvReq
 }
 
 // NewSDPPair builds two SDP endpoints over a fresh two-node testbed of the
@@ -123,8 +151,9 @@ func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 		qp:      qp,
 		wrs:     make(map[uint64]*sdpWR),
 		pending: make(map[uint64]*zcopySend),
+		msgs:    sim.FreeListOf[ctrlMsg](tb.Eng),
 	}
-	// One merged CQ so the progress thread can block on a single queue.
+	// One merged CQ so the progress engine waits on a single queue.
 	s.cq = verbs.NewCQ(tb.Eng, s.name+"/cq", h.PollDetect())
 	qp.SetCQs(s.cq, s.cq)
 	// SDP learns of RDMA Write arrival from its WrCompl message, never from
@@ -141,7 +170,7 @@ func newSDP(tb *cluster.Testbed, hostIdx int, qp verbs.QP, cfg SDPConfig) *sdp {
 		bb := &sdpBounce{buf: buf, reg: h.NIC().Reg().RegisterFree(buf, 0, size)}
 		qp.PrepostRecv(s.recvWR(bb))
 	}
-	tb.Eng.Go(s.name+"/progress", s.progress)
+	s.poll()
 	return s
 }
 
@@ -159,32 +188,48 @@ func (s *sdp) recvWR(bb *sdpBounce) verbs.WR {
 	return verbs.WR{ID: s.newWR(&sdpWR{bounce: bb}), Op: verbs.OpRecv, Local: bb.reg}
 }
 
-// getBounce pops a free private buffer; the progress loop recycles them.
-func (s *sdp) getBounce(p *sim.Proc) *sdpBounce {
-	for len(s.sendFree) == 0 {
-		p.Sleep(sim.Microsecond) // ring full: wait for credits to return
+// sendCtrl sends one SDP message from a private buffer; p waits until it
+// is posted. A non-nil src makes it a bcopy data message carrying
+// [off, off+n) of src.
+func (s *sdp) sendCtrl(p *sim.Proc, kind byte, n int, id uint64, rkey mem.RKey, src *mem.Buffer, off int) {
+	s.sendCtrlThen(kind, n, id, rkey, src, off, sim.Wake, p)
+	p.Suspend()
+}
+
+// sendCtrlThen is sendCtrl for event handlers: fn(arg) runs once the
+// message is posted.
+func (s *sdp) sendCtrlThen(kind byte, n int, id uint64, rkey mem.RKey, src *mem.Buffer, off int, fn func(any), arg any) {
+	m := s.msgs.Get()
+	*m = ctrlMsg{s: s, kind: kind, n: n, id: id, rkey: rkey, src: src, off: off, fn: fn, arg: arg}
+	sendMsg(m)
+}
+
+// sendMsg takes a free private buffer for message v, polling every
+// microsecond while the ring is full (the progress engine returns buffers
+// as their sends complete), then fills and posts it.
+func sendMsg(v any) {
+	m := v.(*ctrlMsg)
+	s := m.s
+	if len(s.sendFree) == 0 {
+		s.eng.AfterArg(sim.Microsecond, sendMsg, m)
+		return
 	}
 	bb := s.sendFree[len(s.sendFree)-1]
 	s.sendFree = s.sendFree[:len(s.sendFree)-1]
-	return bb
-}
-
-// sendCtrl sends one SDP message from a private buffer. A non-nil src
-// makes it a bcopy data message carrying [off, off+n) of src.
-func (s *sdp) sendCtrl(p *sim.Proc, kind byte, n int, id uint64, rkey mem.RKey, src *mem.Buffer, off int) {
-	bb := s.getBounce(p)
 	var hdr [sdpHdr]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
-	binary.LittleEndian.PutUint64(hdr[8:], id)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(rkey))
+	hdr[0] = m.kind
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.n))
+	binary.LittleEndian.PutUint64(hdr[8:], m.id)
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(m.rkey))
 	bb.buf.Store(0, hdr[:])
 	ln := sdpHdr
-	if src != nil {
-		bb.buf.CopyFrom(sdpHdr, src, off, n)
-		ln += n
+	if m.src != nil {
+		bb.buf.CopyFrom(sdpHdr, m.src, m.off, m.n)
+		ln += m.n
 	}
-	s.qp.PostSend(p, verbs.WR{ID: s.newWR(&sdpWR{bounce: bb}), Op: verbs.OpSend, Local: bb.reg, Len: ln})
+	fn, arg := m.fn, m.arg
+	s.msgs.Put(m)
+	s.qp.PostSendThen(verbs.WR{ID: s.newWR(&sdpWR{bounce: bb}), Op: verbs.OpSend, Local: bb.reg, Len: ln}, fn, arg)
 }
 
 // Send implements Endpoint.
@@ -211,13 +256,14 @@ func (s *sdp) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 }
 
 // Recv implements Endpoint: enqueue the request, let matching (driven from
-// both this call and the progress loop) satisfy it in stream order, then
-// pay the copy-out for bcopy data.
+// both this call and the progress engine) satisfy it in stream order, then
+// pay the copy-out for bcopy data. A zcopy match this call starts sends
+// its SinkAvail on its own; the request completes only after that.
 func (s *sdp) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	pr.Sleep(s.cfg.SyscallCost)
 	req := &recvReq{buf: buf, off: off, n: n, done: sim.NewCompletion(s.eng)}
 	s.recvQ.Push(req)
-	s.match(pr)
+	s.match(nothing, nil)
 	req.done.Wait(pr)
 	if !req.zcopy {
 		pr.Sleep(s.host.Mem.CopyRate.TxTime(n) + s.host.Mem.TouchCost(buf, off, n))
@@ -239,37 +285,52 @@ func (s *sdp) buffered() int {
 	return total
 }
 
-// match pairs the head receive request with the head of the item stream.
-// It runs in both application and progress context; completions make the
-// wakeups safe from either.
-func (s *sdp) match(p *sim.Proc) {
-	for s.recvQ.Len() > 0 {
-		req := s.recvQ.Peek()
-		if s.zwait == req {
-			return // zcopy transfer in flight
-		}
-		if s.items.Len() > 0 && s.items.Peek().src != nil {
-			sa := s.items.Pop().src
-			if sa.n != req.n {
-				panic(fmt.Sprintf("sockets %s: zcopy item %dB vs recv %dB (boundary mismatch)", s.name, sa.n, req.n))
-			}
-			req.zcopy = true
-			s.zwait = req
-			req.region = s.regs.Get(p, req.buf, req.off, req.n)
-			s.sendCtrl(p, sdpSinkAvail, req.n, sa.id, req.region.Key, nil, 0)
-			return
-		}
-		if s.buffered() < req.n {
-			return // not enough bcopy bytes yet
-		}
-		// Enough buffered data: release the request; the application pays
-		// the copy-out in its own context (copyOut).
-		s.recvQ.Pop()
-		req.done.Fire()
-		// Only one request can consume the head bytes until copyOut runs.
+// match pairs the head receive request with the head of the item stream,
+// then runs fn(arg): at once, or for a zcopy advertisement once the sink
+// buffer is pinned and the SinkAvail reply posted. The application and
+// the progress engine both call it.
+func (s *sdp) match(fn func(any), arg any) {
+	if s.recvQ.Len() == 0 {
+		fn(arg)
 		return
 	}
+	req := s.recvQ.Peek()
+	if s.zwait == req {
+		fn(arg) // zcopy transfer in flight
+		return
+	}
+	if s.items.Len() > 0 && s.items.Peek().src != nil {
+		sa := s.items.Pop().src
+		if sa.n != req.n {
+			panic(fmt.Sprintf("sockets %s: zcopy item %dB vs recv %dB (boundary mismatch)", s.name, sa.n, req.n))
+		}
+		req.zcopy = true
+		s.zwait, s.zid, s.zthen, s.zarg = req, sa.id, fn, arg
+		s.regs.GetThen(req.buf, req.off, req.n, sinkPinned, s)
+		return
+	}
+	if s.buffered() >= req.n {
+		// Enough buffered data: release the request; the application pays
+		// the copy-out in its own context (copyOut). Only one request can
+		// consume the head bytes until copyOut runs.
+		s.recvQ.Pop()
+		req.done.Fire()
+	}
+	fn(arg)
 }
+
+// sinkPinned answers the zcopy advertisement matched to endpoint v's
+// zwait with a SinkAvail naming the pinned sink region r.
+func sinkPinned(r *mem.Region, v any) {
+	s := v.(*sdp)
+	req, fn, arg := s.zwait, s.zthen, s.zarg
+	s.zthen, s.zarg = nil, nil
+	req.region = r
+	s.sendCtrlThen(sdpSinkAvail, req.n, s.zid, r.Key, nil, 0, fn, arg)
+}
+
+// nothing is the continuation of a call that waits for nothing.
+func nothing(any) {}
 
 // copyOut moves req.n head bytes of the item stream into the user buffer.
 func (s *sdp) copyOut(req *recvReq) {
@@ -284,42 +345,54 @@ func (s *sdp) copyOut(req *recvReq) {
 			s.itemOff = 0
 		}
 	}
-	// The stream head moved: another request may now be eligible, but
-	// matching needs a proc context for registration; the progress loop
-	// kicks it on its next completion. Fire-and-check is enough for the
+	// The stream head moved: another request may now be eligible; the
+	// next arrival or recv() matches it. Fire-and-check is enough for the
 	// benchmark's sequential recv() usage.
 }
 
-// progress is SDP's kernel-context protocol engine.
-func (s *sdp) progress(p *sim.Proc) {
-	for {
-		comp := s.cq.Poll(p)
-		if comp.Op == verbs.OpRecv {
-			s.handleRecv(p, comp)
-		} else {
-			s.handleSend(p, comp)
-		}
+// poll waits for the next completion on the merged CQ and hands it to the
+// progress engine.
+func (s *sdp) poll() { s.cq.PollThen(progress, s) }
+
+// progress is SDP's kernel-context protocol engine, endpoint v's handler
+// of each completion in turn. Each handling chain ends by polling for the
+// next one.
+func progress(comp verbs.Completion, v any) {
+	s := v.(*sdp)
+	s.cur = s.wrs[comp.WRID]
+	delete(s.wrs, comp.WRID)
+	if comp.Op == verbs.OpRecv {
+		s.handleRecv()
+	} else {
+		s.handleSend()
 	}
 }
 
-func (s *sdp) handleSend(p *sim.Proc, comp verbs.Completion) {
-	w := s.wrs[comp.WRID]
-	delete(s.wrs, comp.WRID)
+// polled is the continuation that ends a handling chain.
+func polled(v any) { v.(*sdp).poll() }
+
+func (s *sdp) handleSend() {
+	w := s.cur
 	if w.write != nil {
 		// RDMA write done: notify the sink, release the sender.
-		s.sendCtrl(p, sdpWrCompl, 0, w.id, 0, nil, 0)
-		w.write.done.Fire()
+		s.sendCtrlThen(sdpWrCompl, 0, w.id, 0, nil, 0, writeNotified, s)
 		return
 	}
 	if w.bounce != nil {
 		s.sendFree = append(s.sendFree, w.bounce)
 	}
+	s.poll()
 }
 
-func (s *sdp) handleRecv(p *sim.Proc, comp verbs.Completion) {
-	w := s.wrs[comp.WRID]
-	delete(s.wrs, comp.WRID)
-	bb := w.bounce
+func writeNotified(v any) {
+	s := v.(*sdp)
+	s.cur.write.done.Fire()
+	s.poll()
+}
+
+func (s *sdp) handleRecv() {
+	bb := s.cur.bounce
+	s.rxBounce = bb
 	var hdr [sdpHdr]byte
 	bb.buf.Load(hdr[:], 0)
 	kind := hdr[0]
@@ -333,35 +406,49 @@ func (s *sdp) handleRecv(p *sim.Proc, comp verbs.Completion) {
 		data := bb.buf.View(sdpHdr, n)
 		s.items.Push(rxItem{data: data})
 		data.Release()
-		s.match(p)
+		s.match(repost, s)
 	case sdpSrcAvail:
 		s.items.Push(rxItem{src: &srcAvail{n: n, id: id}})
-		s.match(p)
+		s.match(repost, s)
 	case sdpSinkAvail:
 		z, ok := s.pending[id]
 		if !ok {
 			panic(fmt.Sprintf("sockets %s: SinkAvail for unknown id %d", s.name, id))
 		}
 		delete(s.pending, id)
-		s.qp.PostSend(p, verbs.WR{
+		s.qp.PostSendThen(verbs.WR{
 			ID:        s.newWR(&sdpWR{write: z, id: id}),
 			Op:        verbs.OpWrite,
 			Local:     z.region,
 			Len:       z.region.Len,
 			RemoteKey: rkey,
-		})
+		}, repost, s)
 	case sdpWrCompl:
 		if s.zwait == nil {
 			panic(fmt.Sprintf("sockets %s: WrCompl with no zcopy recv in flight", s.name))
 		}
-		req := s.zwait
+		s.sunk = s.zwait
 		s.zwait = nil
 		s.recvQ.Pop()
-		s.regs.Put(p, req.region)
-		req.done.Fire()
-		s.match(p)
+		s.regs.PutThen(s.sunk.region, sinkDone, s)
 	default:
 		panic(fmt.Sprintf("sockets %s: bad SDP kind %d", s.name, kind))
 	}
-	s.qp.PostRecv(p, s.recvWR(bb))
+}
+
+// sinkDone completes the zcopy receive of endpoint v once its sink region
+// is released, and matches the next.
+func sinkDone(v any) {
+	s := v.(*sdp)
+	req := s.sunk
+	s.sunk = nil
+	req.done.Fire()
+	s.match(repost, s)
+}
+
+// repost hands the received message's private buffer back to the receive
+// queue, then polls for the next completion.
+func repost(v any) {
+	s := v.(*sdp)
+	s.qp.PostRecvThen(s.recvWR(s.rxBounce), polled, s)
 }

@@ -53,8 +53,10 @@ func newPair(mk func(tb *cluster.Testbed, i int) Endpoint) (*cluster.Testbed, En
 }
 
 // tcpEnd is what the kernel-TCP and TOE endpoints share: host i's memory
-// and fabric port, the TCP connection to the peer on port 1-i, the queue
-// of arrived segments, the reassembled stream and the transmit kick.
+// and fabric port, the TCP connection to the peer on port 1-i, the
+// reassembled stream, and the two stages the embedding endpoint runs as
+// event handlers: receive, fed arrived segments, and transmit, fed kicks
+// whenever TCP may have something to send.
 type tcpEnd struct {
 	eng    *sim.Engine
 	name   string
@@ -62,28 +64,69 @@ type tcpEnd struct {
 	port   *fabric.Port // set by the embedding endpoint's fabric Attach
 	dst    fabric.NodeID
 	conn   *tcpsim.Conn
-	rxQ    *sim.Queue[tcpsim.Segment]
 	rcv    *stream
-	txKick *sim.Queue[struct{}]
+	rxQ    sim.Stage[tcpsim.Segment]
+	txKick sim.Stage[struct{}]
+
+	rxSeg tcpsim.Segment // the segment the receive stage is working on
+	// The transmit stage's current segment and the next one, booked ahead
+	// of it (txMore): each with the time its DMA reaches the NIC.
+	txCur, txNext           tcpsim.Segment
+	txCurReady, txNextReady sim.Time
+	txMore                  bool
 }
 
 // newTCPEnd builds host i's tcpEnd for segments of mtu bytes.
 func newTCPEnd(tb *cluster.Testbed, i, mtu int) tcpEnd {
 	eng, name := tb.EngOf(i), tb.Hosts[i].Name
 	t := tcpEnd{
-		eng:    eng,
-		name:   name,
-		mem:    tb.Hosts[i].Mem,
-		dst:    fabric.NodeID(1 - i),
-		conn:   tcpsim.NewConn(eng, name),
-		rxQ:    sim.NewQueue[tcpsim.Segment](eng, name+"/rxq"),
-		rcv:    newStream(eng),
-		txKick: sim.NewQueue[struct{}](eng, name+"/txkick"),
+		eng:  eng,
+		name: name,
+		mem:  tb.Hosts[i].Mem,
+		dst:  fabric.NodeID(1 - i),
+		conn: tcpsim.NewConn(eng, name),
+		rcv:  newStream(eng),
 	}
 	t.conn.MSS = mtu - 40
-	kick := t.txKick
-	t.conn.OnSendable = func() { kick.Put(struct{}{}) }
 	return t
+}
+
+// start makes rx(arg) the receive stage and tx(arg) the transmit stage,
+// kicked whenever TCP may newly send. Call it once t is in place in the
+// embedding endpoint.
+func (t *tcpEnd) start(rx, tx func(any), arg any) {
+	t.rxQ.Init(t.eng, rx, arg)
+	t.txKick.Init(t.eng, tx, arg)
+	t.conn.OnSendable = t.kick
+}
+
+// kick wakes the transmit stage.
+func (t *tcpEnd) kick() { t.txKick.Put(struct{}{}) }
+
+// nextTx takes kicks until TCP has a segment to send, and makes it the
+// current one. It reports false, idling the transmit stage, once the kicks
+// run out first.
+func (t *tcpEnd) nextTx() bool {
+	for {
+		if _, ok := t.txKick.Next(); !ok {
+			return false
+		}
+		if seg, ok := t.conn.NextSegment(); ok {
+			t.txCur = seg
+			return true
+		}
+	}
+}
+
+// emitCur puts the current segment on the wire and reports whether a next
+// one was booked behind it, which becomes the current one.
+func (t *tcpEnd) emitCur() bool {
+	t.emit(t.txCur)
+	if !t.txMore {
+		return false
+	}
+	t.txCur, t.txCurReady = t.txNext, t.txNextReady
+	return true
 }
 
 // emit puts a segment on the wire to the peer.

@@ -247,7 +247,7 @@ func TestSDPBcopyAndZcopy(t *testing.T) {
 }
 
 // SDP setup never runs the engine: the pair reads t = 0 with no event
-// fired, and its only processes are the two progress threads, not yet run.
+// fired and no process started (the progress engines are event handlers).
 func TestSDPPairSetupLeavesClockAtZero(t *testing.T) {
 	for _, kind := range cluster.VerbsKinds {
 		tb, _, _ := NewSDPPair(kind, DefaultSDPConfig())
@@ -257,8 +257,8 @@ func TestSDPPairSetupLeavesClockAtZero(t *testing.T) {
 		if e := tb.Eng.Metrics().Snapshot().Counters["sim.events_fired"]; e != 0 {
 			t.Errorf("%v: NewSDPPair fired %d events, want none", kind, e)
 		}
-		if got := fmt.Sprint(tb.Eng.ProcNames()); got != "[sdp0/progress sdp1/progress]" {
-			t.Errorf("%v: processes %s, want only the progress threads", kind, got)
+		if n := tb.Eng.LiveProcs(); n != 0 {
+			t.Errorf("%v: processes %v after NewSDPPair, want none", kind, tb.Eng.ProcNames())
 		}
 		tb.Close()
 	}
@@ -342,15 +342,32 @@ func TestSDPBcopyBacklogKeepsBytes(t *testing.T) {
 	}
 }
 
-// TestTCPPairCountersGolden pins every exact counter of the TCP/host and
-// TOE pairs: a 1 KiB ping-pong and a 16 x 64 KiB stream, each on a fresh
-// pair, must leave the world's metrics snapshot equal to
-// testdata/tcp-counters.json. A change that should not move the stacks'
-// work (turning their processes into event handlers, say) keeps the file
-// as is, except for the process counters and the removed start events it
-// explains.
-func TestTCPPairCountersGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/tcp-counters.json")
+// socketPairs returns every socket pair's constructor, named as the
+// counter goldens key them: the two TCP pairs and SDP over each verbs stack.
+func socketPairs() []namedPair {
+	pairs := []namedPair{
+		{"TCP/host", tcpPairs()[0].pair},
+		{"TCP/TOE", tcpPairs()[1].pair},
+	}
+	for _, kind := range cluster.VerbsKinds {
+		kind := kind
+		pairs = append(pairs, namedPair{"SDP/" + kind.String(), func() (*cluster.Testbed, Endpoint, Endpoint) {
+			return NewSDPPair(kind, DefaultSDPConfig())
+		}})
+	}
+	return pairs
+}
+
+// TestSocketPairCountersGolden pins every exact counter of the TCP/host,
+// TOE, SDP/iWARP and SDP/IB pairs: a 1 KiB ping-pong and a 16 x 64 KiB
+// stream (zero-copy on SDP), each on a fresh pair, must leave the world's
+// metrics snapshot equal to testdata/pair-counters.json. A change that
+// should not move the stacks' work keeps the file as is, except for the
+// process counters and the start events it explains. The stacks run as
+// event handlers, so each world also ends with its programs: no process
+// is left once the workload is done.
+func TestSocketPairCountersGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/pair-counters.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,25 +382,28 @@ func TestTCPPairCountersGolden(t *testing.T) {
 		{"pingpong-1k", func(tb *cluster.Testbed, a, b Endpoint) { pingPong(t, tb, a, b, 1<<10, 20) }},
 		{"stream-64k", func(tb *cluster.Testbed, a, b Endpoint) { streamBW(t, tb, a, b, 64<<10, 16) }},
 	}
-	for _, st := range tcpPairs() {
+	for _, st := range socketPairs() {
 		for _, w := range workloads {
 			tb, a, b := st.pair()
 			w.run(tb, a, b)
+			if n := tb.Eng.LiveProcs(); n != 0 {
+				t.Errorf("%s %s: %d processes live after the run: %v", st.name, w.name, n, tb.Eng.ProcNames())
+			}
 			got, err := json.Marshal(tb.Eng.Metrics().Snapshot())
 			tb.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, ok := golden[a.Name()][w.name]
+			want, ok := golden[st.name][w.name]
 			if !ok {
-				t.Fatalf("%s %s: no golden snapshot", a.Name(), w.name)
+				t.Fatalf("%s %s: no golden snapshot", st.name, w.name)
 			}
 			var compact bytes.Buffer
 			if err := json.Compact(&compact, want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, compact.Bytes()) {
-				t.Errorf("%s %s: counters moved\n got %s\nwant %s", a.Name(), w.name, got, compact.Bytes())
+				t.Errorf("%s %s: counters moved\n got %s\nwant %s", st.name, w.name, got, compact.Bytes())
 			}
 		}
 	}

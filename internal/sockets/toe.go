@@ -54,6 +54,9 @@ type toe struct {
 	engine *sim.Resource // the TOE protocol engine
 	pcie   *pci.Bus
 	bridge *pci.Bus
+	// Records of received segments whose DMA to the host and completion
+	// notification are still under way, oldest first.
+	landing sim.Ring[[]tcpsim.Record]
 }
 
 // NewTOEPair builds two TOE-socket endpoints on a two-node 10GigE testbed
@@ -65,8 +68,7 @@ func NewTOEPair(cfg TOEConfig) (*cluster.Testbed, Endpoint, Endpoint) {
 		t.pcie = pci.New(t.eng, cfg.PCIe)
 		t.bridge = pci.New(t.eng, cfg.Bridge)
 		t.port = tb.Fabric.Attach(t)
-		t.eng.Go(t.name+"/nic-tx", t.txLoop)
-		t.eng.Go(t.name+"/nic-rx", t.rxLoop)
+		t.start(toeRx, toeTx, t)
 		return t
 	})
 }
@@ -95,7 +97,7 @@ func (t *toe) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 		v := buf.View(o, c)
 		t.conn.Send(c, v)
 		v.Release()
-		t.txKick.Put(struct{}{})
+		t.kick()
 	}
 }
 
@@ -107,32 +109,38 @@ func (t *toe) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	t.rcv.take(buf, off, n)
 }
 
-// txLoop is the NIC transmit engine: DMA the segment across PCIe and the
-// internal bridge, process, emit — with a one-segment DMA prefetch so the
-// buses stay busy through engine time.
-func (t *toe) txLoop(p *sim.Proc) {
-	for {
-		t.txKick.Get(p)
-		cur, ok := t.conn.NextSegment()
-		if !ok {
-			continue
-		}
-		curReady := t.bookDMA(p.Now(), cur.Len+40)
-		for {
-			next, more := t.conn.NextSegment()
-			var nextReady sim.Time
-			if more {
-				nextReady = t.bookDMA(p.Now(), next.Len+40)
-			}
-			p.SleepUntil(curReady)
-			t.engine.Use(p, t.cfg.NICPerPkt)
-			t.emit(cur)
-			if !more {
-				break
-			}
-			cur, curReady = next, nextReady
-		}
+// toeTx is the NIC transmit engine of endpoint v: DMA the segment across
+// PCIe and the internal bridge, process, emit — with a one-segment DMA
+// prefetch so the buses stay busy through engine time.
+func toeTx(v any) {
+	t := v.(*toe)
+	if t.nextTx() {
+		t.txCurReady = t.bookDMA(t.eng.Now(), t.txCur.Len+40)
+		t.bookNext()
 	}
+}
+
+// bookNext books the DMA of the segment after the current one, if TCP has
+// one, then waits for the current one's.
+func (t *toe) bookNext() {
+	if t.txNext, t.txMore = t.conn.NextSegment(); t.txMore {
+		t.txNextReady = t.bookDMA(t.eng.Now(), t.txNext.Len+40)
+	}
+	t.eng.AfterArg(t.txCurReady-t.eng.Now(), toeTxFetched, t)
+}
+
+func toeTxFetched(v any) {
+	t := v.(*toe)
+	t.engine.UseThen(t.cfg.NICPerPkt, toeTxEmit, t)
+}
+
+func toeTxEmit(v any) {
+	t := v.(*toe)
+	if t.emitCur() {
+		t.bookNext()
+		return
+	}
+	toeTx(t)
 }
 
 // bookDMA books one host-to-NIC fetch: a read on the PCIe DMA chain (see
@@ -144,31 +152,51 @@ func (t *toe) bookDMA(now sim.Time, bytes int) sim.Time {
 	return t.bridge.ReadChained(pe, bytes, first)
 }
 
-// rxLoop is the NIC receive engine: protocol work on the TOE, DMA into the
-// host socket buffer, completion event.
-func (t *toe) rxLoop(p *sim.Proc) {
-	for {
-		seg := t.rxQ.Get(p)
-		if seg.Len == 0 {
-			t.engine.Use(p, t.cfg.NICAckTime)
-			t.conn.Input(seg)
-			continue
-		}
-		t.engine.Use(p, t.cfg.NICPerPkt)
-		recs, ack, need := t.conn.Input(seg)
-		if need {
-			t.emit(ack)
-		}
-		// Stream the payload to host memory.
-		b1 := t.bridge.WriteFrom(t.eng.Now(), seg.Len)
-		done := t.pcie.WriteFrom(b1, seg.Len)
-		if len(recs) > 0 {
-			recsCopy := recs
-			t.eng.At(done+t.cfg.CompletionDelay, func() {
-				for _, rec := range recsCopy {
-					t.rcv.push(rec.Meta.(*mem.View))
-				}
-			})
-		}
+// toeRx is the NIC receive engine of endpoint v: protocol work on the
+// TOE, DMA into the host socket buffer, completion event.
+func toeRx(v any) {
+	t := v.(*toe)
+	seg, ok := t.rxQ.Next()
+	if !ok {
+		return
+	}
+	t.rxSeg = seg
+	if seg.Len == 0 {
+		t.engine.UseThen(t.cfg.NICAckTime, toeRxAck, t)
+		return
+	}
+	t.engine.UseThen(t.cfg.NICPerPkt, toeRxData, t)
+}
+
+func toeRxAck(v any) {
+	t := v.(*toe)
+	t.conn.Input(t.rxSeg)
+	toeRx(t)
+}
+
+func toeRxData(v any) {
+	t := v.(*toe)
+	seg := t.rxSeg
+	recs, ack, need := t.conn.Input(seg)
+	if need {
+		t.emit(ack)
+	}
+	// Stream the payload to host memory.
+	b1 := t.bridge.WriteFrom(t.eng.Now(), seg.Len)
+	done := t.pcie.WriteFrom(b1, seg.Len)
+	if len(recs) > 0 {
+		t.landing.Push(recs)
+		t.eng.AtArg(done+t.cfg.CompletionDelay, toeLanded, t)
+	}
+	toeRx(t)
+}
+
+// toeLanded hands the oldest landing records of endpoint v to the reader.
+// A host write never ends before one booked earlier on the same bus, so
+// notifications fire in the order they were booked.
+func toeLanded(v any) {
+	t := v.(*toe)
+	for _, rec := range t.landing.Pop() {
+		t.rcv.push(rec.Meta.(*mem.View))
 	}
 }

@@ -22,6 +22,8 @@ type Device struct {
 	PollDetect   sim.Time
 	Bus          *pci.Bus
 	ToHost       func(n int) sim.Time
+
+	posts *sim.FreeList[post] // posts paying the posting overhead, from the engine
 }
 
 // Inbound assembles one incoming Send message: got counts the bytes that
@@ -67,6 +69,15 @@ type Front struct {
 	logPlaces bool
 }
 
+// post is one PostSendThen or PostRecvThen paying the posting overhead:
+// the work request and the continuation that runs once its doorbell rings.
+type post struct {
+	f   *Front
+	wr  WR
+	fn  func(any)
+	arg any
+}
+
 // NewFront returns the front end of queue pair qpn on dev.
 func NewFront(dev *Device, qpn int) Front {
 	return Front{dev: dev, qpn: qpn, logPlaces: true}
@@ -108,14 +119,39 @@ func (f *Front) Placements() *sim.Queue[Placement] {
 // SetPlacementLog implements QP.
 func (f *Front) SetPlacementLog(on bool) { f.logPlaces = on }
 
-// PostSend implements QP: the host builds the WQE and rings the doorbell;
-// the work request reaches the send queue when the doorbell lands.
+// PostSend implements QP: PostSendThen, with p waiting for the doorbell.
 func (f *Front) PostSend(p *sim.Proc, wr WR) {
-	d := f.dev
+	f.PostSendThen(wr, sim.Wake, p)
+	p.Suspend()
+}
+
+// PostSendThen implements QP: the host builds the WQE and rings the
+// doorbell; the work request reaches the send queue when the doorbell
+// lands.
+func (f *Front) PostSendThen(wr WR, fn func(any), arg any) {
 	if wr.Len <= 0 {
-		panic(fmt.Sprintf("%s: zero-length work request", d.Name))
+		panic(fmt.Sprintf("%s: zero-length work request", f.dev.Name))
 	}
-	p.Sleep(d.PostOverhead)
+	f.dev.Eng.AfterArg(f.dev.PostOverhead, sendPosted, f.post(wr, fn, arg))
+}
+
+// post takes a pooled record of one post paying the posting overhead.
+func (f *Front) post(wr WR, fn func(any), arg any) *post {
+	d := f.dev
+	if d.posts == nil {
+		d.posts = sim.FreeListOf[post](d.Eng)
+	}
+	op := d.posts.Get()
+	*op = post{f: f, wr: wr, fn: fn, arg: arg}
+	return op
+}
+
+// sendPosted rings the doorbell of send post v.
+func sendPosted(v any) {
+	op := v.(*post)
+	f, wr, fn, arg := op.f, op.wr, op.fn, op.arg
+	f.dev.posts.Put(op)
+	d := f.dev
 	now := d.Eng.Now()
 	at := d.Bus.Doorbell(32)
 	if tr := d.Eng.Trc(); tr.Enabled() {
@@ -124,6 +160,7 @@ func (f *Front) PostSend(p *sim.Proc, wr WR) {
 	}
 	f.sqBells.Push(wr)
 	d.Eng.AtArg(at, sendBell, f)
+	fn(arg)
 }
 
 // OnSend makes wake(arg) the NIC's send stage, woken when a send work
@@ -143,12 +180,26 @@ func sendBell(v any) {
 	f.sendQ.Put(f.sqBells.Pop())
 }
 
-// PostRecv implements QP.
+// PostRecv implements QP: PostRecvThen, with p waiting for the doorbell.
 func (f *Front) PostRecv(p *sim.Proc, wr WR) {
-	p.Sleep(f.dev.PostOverhead)
+	f.PostRecvThen(wr, sim.Wake, p)
+	p.Suspend()
+}
+
+// PostRecvThen implements QP.
+func (f *Front) PostRecvThen(wr WR, fn func(any), arg any) {
+	f.dev.Eng.AfterArg(f.dev.PostOverhead, recvPosted, f.post(wr, fn, arg))
+}
+
+// recvPosted rings the doorbell of receive post v.
+func recvPosted(v any) {
+	op := v.(*post)
+	f, wr, fn, arg := op.f, op.wr, op.fn, op.arg
+	f.dev.posts.Put(op)
 	at := f.dev.Bus.Doorbell(32)
 	f.rqBells.Push(wr)
 	f.dev.Eng.AtArg(at, recvBell, f)
+	fn(arg)
 }
 
 // PrepostRecv implements QP.

@@ -78,16 +78,25 @@ type Completion struct {
 }
 
 // CQ is a completion queue. Poll models the host busy-polling it: the
-// blocked process wakes when an entry arrives and pays the poll-detection
+// poller wakes when an entry arrives and pays the poll-detection
 // granularity configured for the NIC.
 type CQ struct {
+	eng        *sim.Engine
 	q          *sim.Queue[Completion]
 	pollDetect sim.Time
 }
 
+// cqPoll is one PollThen in flight, pooled on the engine.
+type cqPoll struct {
+	c    *CQ
+	comp Completion
+	fn   func(Completion, any)
+	arg  any
+}
+
 // NewCQ creates a completion queue whose pollers pay detect per reap.
 func NewCQ(eng *sim.Engine, name string, detect sim.Time) *CQ {
-	return &CQ{q: sim.NewQueue[Completion](eng, name), pollDetect: detect}
+	return &CQ{eng: eng, q: sim.NewQueue[Completion](eng, name), pollDetect: detect}
 }
 
 // Push appends a completion (NIC side).
@@ -99,6 +108,34 @@ func (c *CQ) Poll(p *sim.Proc) Completion {
 	comp := c.q.Get(p)
 	p.Sleep(c.pollDetect)
 	return comp
+}
+
+// PollThen is Poll for event handlers, with Poll's events: once an entry
+// is available, take it, pay the poll-detection cost, then run
+// fn(entry, arg).
+func (c *CQ) PollThen(fn func(Completion, any), arg any) {
+	op := sim.FreeListOf[cqPoll](c.eng).Get()
+	*op = cqPoll{c: c, fn: fn, arg: arg}
+	c.q.GetThen(cqTake, op)
+}
+
+func cqTake(v any) {
+	op := v.(*cqPoll)
+	c := op.c
+	comp, ok := c.q.TryGet()
+	if !ok { // a TryPoll took the entry first: wait again, as Get would
+		c.q.GetThen(cqTake, op)
+		return
+	}
+	op.comp = comp
+	c.eng.AfterArg(c.pollDetect, cqPolled, op)
+}
+
+func cqPolled(v any) {
+	op := v.(*cqPoll)
+	c, comp, fn, arg := op.c, op.comp, op.fn, op.arg
+	sim.FreeListOf[cqPoll](c.eng).Put(op)
+	fn(comp, arg)
 }
 
 // TryPoll returns a completion if one is pending, without blocking.
@@ -120,14 +157,19 @@ type Placement struct {
 }
 
 // QP is one endpoint of a connected queue pair. All posting calls charge
-// host-side overhead to the calling process and return once the work
-// request is handed to the NIC (not when it completes; completions arrive
-// in the CQs).
+// host-side overhead to the calling process (or delay the handler's
+// continuation by it) and return once the work request is handed to the
+// NIC (not when it completes; completions arrive in the CQs).
 type QP interface {
 	// PostSend posts a Send, RDMA Write or RDMA Read work request.
 	PostSend(p *sim.Proc, wr WR)
+	// PostSendThen is PostSend for event handlers: fn(arg) runs once the
+	// host has paid the posting overhead and rung the doorbell.
+	PostSendThen(wr WR, fn func(any), arg any)
 	// PostRecv posts a receive buffer for untagged (Send) traffic.
 	PostRecv(p *sim.Proc, wr WR)
+	// PostRecvThen is PostRecv for event handlers, like PostSendThen.
+	PostRecvThen(wr WR, fn func(any), arg any)
 	// PrepostRecv posts a receive buffer at setup time, before the engine
 	// runs: free of charge and immediate, as if its doorbell had already
 	// been handled (like the mem.RegTable RegisterFree calls that pin it).
